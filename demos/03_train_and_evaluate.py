@@ -6,12 +6,9 @@
 # minutes at the reference settings (100 epochs, 150 walks per node).
 
 # %%
-import numpy as np
-
 import roadrank as rr
-from roadrank.metrics import micro_macro_f1, report_for_ranking
+from roadrank.metrics import labelled_pairs, micro_macro_f1, report_for_ranking
 from roadrank.model import PairScorer, apply_ablation
-from roadrank.ranker import pair_label
 
 net = rr.synth_grid_network(rows=5, cols=5, seed=0)
 views = rr.normalized_views(net)
@@ -45,12 +42,11 @@ print(f"micro-F1 {report.micro_f1:.4f}  macro-F1 {report.macro_f1:.4f}  "
 # ## Baselines on the same pairs
 
 # %%
-pairs = [(i, j) for i in val_nodes for j in val_nodes if i != j]
-truth = np.array([pair_label(scores.aff[i], scores.aff[j]) for i, j in pairs])
+_, _, truth = labelled_pairs(val_nodes, scores.aff)
 for name, vector in (("degree", rr.degree_centrality(net)),
                      ("betweenness", rr.betweenness_centrality(net)),
                      ("pagerank", rr.pagerank(net))):
-    predicted = np.array([pair_label(vector[i], vector[j]) for i, j in pairs])
+    _, _, predicted = labelled_pairs(val_nodes, vector)
     micro, macro = micro_macro_f1(predicted, truth)
     print(f"{name:>12}: micro-F1 {micro:.4f}  macro-F1 {macro:.4f}")
 

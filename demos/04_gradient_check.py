@@ -5,8 +5,6 @@
 # by hand, so each tensor is checked against central finite differences.
 
 # %%
-import numpy as np
-
 import roadrank as rr
 from roadrank.model import PairScorer, apply_ablation
 from roadrank.training import gradient_check, make_pairs
@@ -20,12 +18,9 @@ embed = rr.EmbedParams.init(net.m, x=8, dim=2, seed=5)
 ranker = rr.RankerParams.init(embed.hdim, seed=6)
 scorer = PairScorer(net, samples, embed, ranker, apply_ablation("full"))
 
-pairs = make_pairs(range(net.n), scores)
-pi = np.array([p[0] for p in pairs])
-pj = np.array([p[1] for p in pairs])
-labels = np.array([p[2] for p in pairs], dtype=float)
+pi, pj, labels = make_pairs(range(net.n), scores).T
 print(f"checking {sum(t.size for t in scorer.tensors().values())} parameters "
-      f"over {len(pairs)} pairs...")
+      f"over {pi.size} pairs...")
 
 # %%
 report = gradient_check(scorer, pi, pj, labels)

@@ -18,18 +18,14 @@ from .cascade import (CascadeConfig, ImportanceScores, assign_baseline_state,
                       cascade_failure, generate_ground_truth, import_scores,
                       importance_score, save_scores)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import (EmbedParams, LSTMCellParams, bilstm_forward, embed_all,
-                      initial_encode, lstm_forward, minmax_scale_columns,
-                      pool_embedding)
-from .graph import (NormalizedViews, RoadNetwork, SegmentAttributes,
-                    ValidationError, load_network, load_network_dir,
-                    normalize_adjacency, normalize_attributes, normalized_views,
-                    save_network)
-from .metrics import (MetricReport, diff_metric, micro_macro_f1,
+from .encoder import EmbedParams, LSTMCellParams, minmax_scale_columns
+from .graph import (NormalizedViews, RoadNetwork, ValidationError, load_network,
+                    load_network_dir, normalize_adjacency, normalize_attributes,
+                    normalized_views, save_network)
+from .metrics import (MetricReport, diff_metric, labelled_pairs, micro_macro_f1,
                       report_for_ranking)
 from .model import PairScorer, PipelineVariant, apply_ablation
-from .ranker import (RankerParams, RankingResult, bce_loss, pair_label,
-                     rank_from_matrix, rank_nodes, siamese_forward)
+from .ranker import RankerParams, RankingResult, bce_loss, rank_from_matrix
 from .synth import synth_grid_network
 from .training import (Adam, GradientCheckReport, SplitAssignment, TrainConfig,
                        TrainResult, gradient_check, make_pairs,

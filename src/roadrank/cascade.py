@@ -192,8 +192,11 @@ def import_scores(path, n: int | None = None) -> ImportanceScores:
         for ln, row in enumerate(reader, start=2):
             if not row:
                 continue
-            node = int(row[0])
-            value = float(row[1])
+            try:
+                node, value = int(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise ValidationError(f"{path}:{ln}: expected '<node_id>,<aff>' numbers, "
+                                      f"got {','.join(row)!r}") from None
             if node in rows:
                 raise ValidationError(f"{path}:{ln}: duplicate node id {node}")
             if value < 0:

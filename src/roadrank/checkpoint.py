@@ -53,32 +53,36 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
             elif kind == "tensor":
                 parts = rest.split(" ")
                 name = parts[0]
-                shape = tuple(int(d) for d in parts[1:])
-                values = fh.readline().split()
-                arr = np.array([float(v) for v in values], dtype=np.float64)
+                try:
+                    shape = tuple(int(d) for d in parts[1:])
+                    arr = np.array([float(v) for v in fh.readline().split()], dtype=np.float64)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: tensor {name} has a non-numeric shape or value") from None
                 if arr.size != int(np.prod(shape)):
                     raise ValidationError(f"{path}: tensor {name} has wrong value count")
                 tensors[name] = arr.reshape(shape)
             else:
                 raise ValidationError(f"{path}: unexpected line {line!r}")
 
+    def meta_int(key: str, default=None) -> int:
+        try:
+            return int(meta.get(key, default))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{path}: meta {key} must be an integer, got {meta.get(key)!r}") from None
+
     embed = None
     if any(name.startswith("embed.") for name in tensors):
-        m = int(meta["m"])
-        x = int(meta["x"])
-        dim = int(meta["dim"])
-        embed = EmbedParams.zeros(m, x, dim)
+        embed = EmbedParams.zeros(meta_int("m"), meta_int("x"), meta_int("dim"))
         for name, arr in embed.tensors().items():
             key = f"embed.{name}"
             if key not in tensors:
                 raise ValidationError(f"{path}: missing tensor {key}")
             arr[...] = tensors[key]
 
-    input_dim = int(meta["input_dim"])
-    f1 = int(meta.get("f1", 32))
-    f2 = int(meta.get("f2", 16))
-    rdim = int(meta.get("rdim", 8))
-    ranker = RankerParams.zeros(input_dim, f1, f2, rdim)
+    ranker = RankerParams.zeros(meta_int("input_dim"), meta_int("f1", 32), meta_int("f2", 16),
+                                meta_int("rdim", 8))
     for name, arr in ranker.tensors().items():
         key = f"ranker.{name}"
         if key not in tensors:

@@ -6,6 +6,7 @@ its primary output so results can be replayed."""
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -104,13 +105,6 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
     return resolved
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValidationError("--threads must be >= 1")
-    # execution is single-threaded for now; the flag caps parallelism and
-    # --threads 1 is the documented bit-reproducible setting
-
-
 def _require_file(path) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -126,35 +120,30 @@ def _require_network_dir(path) -> Path:
     return p
 
 
-def _read_node_column(path: Path) -> list[dict[str, str]]:
-    import csv as _csv
-
+def _read_node_ids(path: Path, split: str | None = None) -> list[int]:
+    """Node ids from a one-column list or a CSV with a ``node_id`` header;
+    when the file has a ``split`` column only rows of ``split`` are kept."""
     with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
-    rows = [r for r in rows if r and any(f.strip() for f in r) and not r[0].startswith("#")]
+        rows = [(ln, [f.strip() for f in row]) for ln, row in enumerate(csv.reader(fh), start=1)
+                if row and any(f.strip() for f in row) and not row[0].startswith("#")]
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if "node_id" in header:
-        keys = header
-        data = rows[1:]
-    else:
-        keys = ["node_id"]
-        data = rows
-    return [dict(zip(keys, (f.strip() for f in row))) for row in data]
-
-
-def _read_ranking(path: Path) -> list[int]:
-    return [int(row["node_id"]) for row in _read_node_column(path)]
-
-
-def _read_pair_nodes(path: Path, split: str) -> list[int]:
-    rows = _read_node_column(path)
-    if rows and "split" in rows[0]:
-        rows = [r for r in rows if r["split"] == split]
-        if not rows:
-            raise ValidationError(f"{path}: no nodes in split {split!r}")
-    return [int(r["node_id"]) for r in rows]
+    keys, data = (rows[0][1], rows[1:]) if "node_id" in rows[0][1] else (["node_id"], rows)
+    col = keys.index("node_id")
+    split_col = keys.index("split") if split is not None and "split" in keys else None
+    ids = []
+    for ln, row in data:
+        if len(row) < len(keys):
+            raise ValidationError(f"{path}:{ln}: expected {len(keys)} fields, got {len(row)}")
+        if split_col is not None and row[split_col] != split:
+            continue
+        try:
+            ids.append(int(row[col]))
+        except ValueError:
+            raise ValidationError(f"{path}:{ln}: bad node id {row[col]!r}") from None
+    if split_col is not None and not ids:
+        raise ValidationError(f"{path}: no nodes in split {split!r}")
+    return ids
 
 
 def export_plotdata(ranking, scores, k: int, path) -> int:
@@ -212,11 +201,9 @@ def cmd_generate(args) -> int:
         "spillback_rate": (float, 0.5, False),
         "kappa": (float, 1.0, False),
         "observation_window": (float, 1.0, False),
-        "threads": (int, 1, False),
         "out": (Path, None, True),
     }
     cfg = _resolve(args, spec)
-    _check_threads(cfg["threads"])
     net_dir = _require_network_dir(cfg["network"])
     net = load_network_dir(net_dir)
     sim = CascadeConfig(
@@ -244,11 +231,9 @@ def cmd_sample(args) -> int:
         "num": (int, 150, False),
         "len": (int, 4, False),
         "seed": (int, 0, False),
-        "threads": (int, 1, False),
         "out": (Path, None, True),
     }
     cfg = _resolve(args, spec)
-    _check_threads(cfg["threads"])
     net_dir = _require_network_dir(cfg["network"])
     net = load_network_dir(net_dir)
     from .graph import normalized_views
@@ -278,14 +263,12 @@ def cmd_train(args) -> int:
         "network": (Path, None, True),
         "scores": (Path, None, True),
         "samples": (Path, None, False),
-        "threads": (int, 1, False),
         "out": (Path, None, True),
     }
     defaults = TrainConfig()
     for key, cast in _TRAIN_KEYS.items():
         spec[key] = (cast, getattr(defaults, key), False)
     cfg = _resolve(args, spec)
-    _check_threads(cfg["threads"])
     net_dir = _require_network_dir(cfg["network"])
     net = load_network_dir(net_dir)
     scores = import_scores(_require_file(cfg["scores"]), n=net.n)
@@ -339,11 +322,9 @@ def cmd_rank(args) -> int:
         "nodes": (Path, None, False),
         "split": (str, "test", False),
         "ratings_out": (Path, None, False),
-        "threads": (int, 1, False),
         "out": (Path, None, True),
     }
     cfg = _resolve(args, spec)
-    _check_threads(cfg["threads"])
     net_dir = _require_network_dir(cfg["network"])
     net = load_network_dir(net_dir)
     embed, ranker, meta = load_checkpoint(_require_file(cfg["ckpt"]))
@@ -355,7 +336,9 @@ def cmd_rank(args) -> int:
         samples = load_samples(_require_file(cfg["samples"]))
     scorer = PairScorer(net, samples, embed, ranker, variant)
     if cfg["nodes"] is not None:
-        nodes = sorted(_read_pair_nodes(_require_file(cfg["nodes"]), cfg["split"]))
+        nodes = sorted(_read_node_ids(_require_file(cfg["nodes"]), cfg["split"]))
+        if nodes and not 0 <= nodes[0] <= nodes[-1] < net.n:
+            raise ValidationError(f"{cfg['nodes']}: node ids must lie in 0..{net.n - 1}")
     else:
         nodes = list(range(net.n))
     matrix = scorer.rating_matrix(nodes)
@@ -394,14 +377,16 @@ def cmd_eval(args) -> int:
         "out": (Path, None, True),
     }
     cfg = _resolve(args, spec)
-    ranking = _read_ranking(_require_file(cfg["ranking"]))
+    ranking = _read_node_ids(_require_file(cfg["ranking"]))
+    if not ranking:
+        raise ValidationError(f"{cfg['ranking']}: no ranked nodes")
     n_scores = max(ranking) + 1
     truth = import_scores(_require_file(cfg["truth"]))
     if truth.aff.size < n_scores:
         raise ValidationError("truth file does not cover every ranked node")
     pair_nodes = None
     if cfg["pairs"] is not None:
-        pair_nodes = _read_pair_nodes(_require_file(cfg["pairs"]), cfg["split"])
+        pair_nodes = _read_node_ids(_require_file(cfg["pairs"]), cfg["split"])
     report = report_for_ranking(ranking, truth.aff, pair_nodes)
     lines = report.lines()
     if cfg["topk"] is not None:
@@ -454,8 +439,8 @@ def cmd_gradcheck(args) -> int:
     cfg = _resolve(args, spec)
     from .encoder import EmbedParams
     from .graph import normalized_views
+    from .metrics import labelled_pairs
     from .ranker import RankerParams
-    from .training import make_pairs
 
     rng_seed = cfg["seed"]
     net = synth_grid_network(2, 3, rng_seed)
@@ -465,11 +450,7 @@ def cmd_gradcheck(args) -> int:
     embed = EmbedParams.init(net.m, 8, 2, rng_seed)
     ranker = RankerParams.init(embed.hdim, seed=rng_seed + 1)
     scorer = PairScorer(net, samples, embed, ranker, apply_ablation("full"))
-    pairs = make_pairs(range(net.n), scores)
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
-    py = np.array([p[2] for p in pairs], dtype=np.float64)
-    report = gradient_check(scorer, pi, pj, py)
+    report = gradient_check(scorer, *labelled_pairs(range(net.n), scores.aff))
     lines = [f"{name} {err:.3e}" for name, err in sorted(report.per_tensor.items())]
     lines.append(f"worst {report.worst:.3e}")
     text = "\n".join(lines) + "\n"
@@ -488,15 +469,6 @@ def cmd_gradcheck(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *names):
-    if "config" in names:
-        sub.add_argument("--config", type=Path, default=None,
-                         help="key=value file; flags override file values")
-    if "threads" in names:
-        sub.add_argument("--threads", type=int, default=None,
-                         help="worker cap (currently serial; 1 is bit-reproducible)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roadrank",
@@ -510,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path)
-    _add_common(p, "config")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("generate", help="simulate cascades and write importance scores")
@@ -523,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float)
     p.add_argument("--observation-window", dest="observation_window", type=float)
     p.add_argument("--out", type=Path)
-    _add_common(p, "config", "threads")
     p.set_defaults(func=cmd_generate)
 
     p = subs.add_parser("sample", help="sample fused-walk sequences for every node")
@@ -533,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--len", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path)
-    _add_common(p, "config", "threads")
     p.set_defaults(func=cmd_sample)
 
     p = subs.add_parser("train", help="train the pairwise ranking model")
@@ -543,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     for key, cast in _TRAIN_KEYS.items():
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast)
     p.add_argument("--out", type=Path)
-    _add_common(p, "config", "threads")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("rank", help="rank nodes with a trained checkpoint")
@@ -554,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=str, help="split name when --nodes is a splits CSV")
     p.add_argument("--ratings-out", dest="ratings_out", type=Path)
     p.add_argument("--out", type=Path)
-    _add_common(p, "config", "threads")
     p.set_defaults(func=cmd_rank)
 
     p = subs.add_parser("eval", help="score a ranking against ground truth")
@@ -565,22 +532,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", type=int)
     p.add_argument("--topk-out", dest="topk_out", type=Path)
     p.add_argument("--out", type=Path)
-    _add_common(p, "config")
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("baseline", help="rank nodes with a classic centrality")
     p.add_argument("--method", type=str, choices=["dc", "bc", "pagerank"])
     p.add_argument("--network", type=Path)
     p.add_argument("--out", type=Path)
-    _add_common(p, "config")
     p.set_defaults(func=cmd_baseline)
 
     p = subs.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path)
-    _add_common(p, "config")
     p.set_defaults(func=cmd_gradcheck)
 
+    for p in subs.choices.values():
+        p.add_argument("--config", type=Path, default=None,
+                       help="key=value file; flags override file values")
     return parser
 
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import RoadNetwork, ValidationError
-from .walks import SampleSet
+from .graph import ValidationError
 
 GATES = ("i", "f", "c", "o")
 
@@ -278,65 +277,3 @@ def _pool_backward(dpooled: np.ndarray, num: int, l: int) -> np.ndarray:
     dhbar[:, 1:] = dpooled[:, None, w:] / (l - 1)
     return np.broadcast_to(dhbar[:, None], (g, num, l, w)) / num
 
-
-# ---------------------------------------------------------------------------
-# public single-sequence / whole-network operations
-# ---------------------------------------------------------------------------
-
-def initial_encode(seq, A: np.ndarray, p: EmbedParams) -> np.ndarray:
-    """Initial vector representation of one sequence.
-
-    Node ids map through their row of ``A`` (callers pass the min-max
-    scaled matrix), attribute ids through their one-hot; both share the
-    affine map and tanh.  Output shape (len(seq), x), entries in (-1, 1).
-    """
-    n = A.shape[0]
-    ids = np.asarray(seq, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n + p.m):
-        raise ValidationError("vertex id out of range in sequence")
-    feats = vertex_features(A)
-    x, _ = _encode_batch(ids[None, :], feats, p)
-    return x[0]
-
-
-def lstm_forward(xs: np.ndarray, cell: LSTMCellParams) -> np.ndarray:
-    """One direction over a single sequence (L, x) -> (L, dim)."""
-    h, _ = _cell_forward(np.asarray(xs, dtype=np.float64)[None], cell)
-    return h[0]
-
-
-def bilstm_forward(xs: np.ndarray, p: EmbedParams) -> np.ndarray:
-    """Bidirectional pass over a single sequence: position t output is the
-    forward state concatenated with the backward state, shape (L, 2*dim)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] == 0:
-        raise ValidationError("bilstm_forward expects a non-empty (L, x) sequence")
-    h2, _ = _bilstm_batch(xs[None], p)
-    return h2[0]
-
-
-def pool_embedding(hs: np.ndarray) -> np.ndarray:
-    """Pool ``num`` hidden sequences (num, L, w) to one vector (2w,)."""
-    hs = np.asarray(hs, dtype=np.float64)
-    if hs.ndim != 3 or hs.shape[0] < 1:
-        raise ValidationError("pool_embedding expects (num, L, width)")
-    if hs.shape[1] < 2:
-        raise ValidationError("pooling needs sequence length >= 2")
-    return _pool_batch(hs[None])[0]
-
-
-def embed_all(samples: SampleSet, net: RoadNetwork, p: EmbedParams,
-              use_bilstm: bool = True) -> np.ndarray:
-    """Embed every node: encode its sampled sequences, run the BiLSTM, and
-    pool.  Returns an (n, hdim) matrix, deterministic given inputs."""
-    if p.m != net.m:
-        raise ValidationError(f"params expect m={p.m}, network has m={net.m}")
-    n, num, l = samples.sequences.shape
-    feats = vertex_features(minmax_scale_columns(net.A))
-    flat_ids = samples.sequences.reshape(n * num, l)
-    x, _ = _encode_batch(flat_ids, feats, p)
-    if use_bilstm:
-        h, _ = _bilstm_batch(x, p)
-    else:
-        h = x
-    return _pool_batch(h.reshape(n, num, l, h.shape[-1]))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,41 +52,6 @@ class RoadNetwork:
             return self.attr_names.index(name)
         except ValueError:
             raise ValidationError(f"network has no attribute named {name!r}") from None
-
-
-@dataclass(frozen=True)
-class SegmentAttributes:
-    """Physical and traffic features of a single road segment.
-
-    ``limiv``: speed limit, ``nlan``: lane count, ``len``: segment length,
-    ``vol``: total traffic volume over the observation window, ``avgv``:
-    average observed speed.  Measured average speed may exceed the limit;
-    only non-negativity (and ``nlan >= 1``) is enforced.
-    """
-
-    limiv: float
-    nlan: int
-    len: float
-    vol: float
-    avgv: float
-
-    def __post_init__(self):
-        for name in ("limiv", "len", "vol", "avgv"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"segment attribute {name} must be >= 0")
-        if self.nlan < 1:
-            raise ValidationError("segment attribute nlan must be >= 1")
-
-    @classmethod
-    def from_network(cls, net: RoadNetwork, node: int) -> "SegmentAttributes":
-        row = net.A[node]
-        return cls(
-            limiv=float(row[net.attr_index("limiv")]),
-            nlan=int(row[net.attr_index("nlan")]),
-            len=float(row[net.attr_index("len")]),
-            vol=float(row[net.attr_index("vol")]),
-            avgv=float(row[net.attr_index("avgv")]),
-        )
 
 
 @dataclass(frozen=True)

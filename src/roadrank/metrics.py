@@ -54,6 +54,14 @@ def confusion_counts(predicted, truth) -> dict[str, int]:
     }
 
 
+def _f1_from_counts(c: dict[str, int]) -> tuple[float, float]:
+    tp1, fp1, fn1 = c["pred1_true1"], c["pred1_true0"], c["pred0_true1"]
+    tp0, fp0, fn0 = c["pred0_true0"], c["pred0_true1"], c["pred1_true0"]
+    micro = _class_f1(tp1 + tp0, fp1 + fp0, fn1 + fn0)
+    macro = 0.5 * (_class_f1(tp1, fp1, fn1) + _class_f1(tp0, fp0, fn0))
+    return micro, macro
+
+
 def micro_macro_f1(predicted, truth) -> tuple[float, float]:
     """F1 over both binary classes.
 
@@ -62,12 +70,7 @@ def micro_macro_f1(predicted, truth) -> tuple[float, float]:
     per-class F1 values, where a class absent from both predictions and
     truth contributes 0.
     """
-    c = confusion_counts(predicted, truth)
-    tp1, fp1, fn1 = c["pred1_true1"], c["pred1_true0"], c["pred0_true1"]
-    tp0, fp0, fn0 = c["pred0_true0"], c["pred0_true1"], c["pred1_true0"]
-    micro = _class_f1(tp1 + tp0, fp1 + fp0, fn1 + fn0)
-    macro = 0.5 * (_class_f1(tp1, fp1, fn1) + _class_f1(tp0, fp0, fn0))
-    return micro, macro
+    return _f1_from_counts(confusion_counts(predicted, truth))
 
 
 def descending_order(nodes, scores: np.ndarray) -> list[int]:
@@ -101,14 +104,18 @@ def diff_metric(ranking, scores) -> float:
     return total / (n * n // 2)
 
 
-def pairwise_labels_from_scores(nodes, scores: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """All ordered pairs over ``nodes`` with labels 1 iff the first node's
-    score is strictly larger (the shared protocol for learned rankers and
-    score-based baselines alike)."""
-    nodes = [int(v) for v in nodes]
-    pairs = [(i, j) for i in nodes for j in nodes if i != j]
-    labels = np.array([1 if scores[i] > scores[j] else 0 for i, j in pairs], dtype=np.int64)
-    return pairs, labels
+def labelled_pairs(nodes, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All ordered pairs ``(i, j)``, ``i != j``, over ``nodes`` in row-major
+    order, labelled 1 iff the first node's score is strictly larger (the
+    shared protocol for learned rankers and score-based baselines alike).
+
+    Returns ``(pi, pj, labels)``, three int64 arrays of length z*(z-1).
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    s = np.asarray(scores, dtype=np.float64)[nodes]
+    off = nodes[:, None] != nodes[None, :]
+    a, b = np.nonzero(off)
+    return nodes[a], nodes[b], (s[:, None] > s[None, :])[off].astype(np.int64)
 
 
 def report_for_ranking(ranking, scores, pair_nodes=None) -> MetricReport:
@@ -119,21 +126,18 @@ def report_for_ranking(ranking, scores, pair_nodes=None) -> MetricReport:
     ``pair_nodes`` (default: every ranked node), diff over the full
     ranking list.
     """
-    ranking = [int(v) for v in ranking]
+    ranking = np.asarray([int(v) for v in ranking], dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    nodes = [int(v) for v in (pair_nodes if pair_nodes is not None else ranking)]
-    position = {v: idx for idx, v in enumerate(ranking)}
-    for v in nodes:
-        if v not in position:
-            raise ValidationError(f"node {v} missing from the ranking")
-    pairs, truth = pairwise_labels_from_scores(nodes, scores)
-    predicted = np.array([1 if position[i] < position[j] else 0 for i, j in pairs],
-                         dtype=np.int64)
-    micro, macro = micro_macro_f1(predicted, truth)
-    return MetricReport(
-        micro_f1=micro,
-        macro_f1=macro,
-        diff=diff_metric(ranking, scores),
-        pairs=len(pairs),
-        confusion=confusion_counts(predicted, truth),
-    )
+    diff = diff_metric(ranking, scores)
+    nodes = ranking if pair_nodes is None else np.asarray(
+        [int(v) for v in pair_nodes], dtype=np.int64)
+    position = np.full(scores.size, -1, dtype=np.int64)
+    position[ranking] = np.arange(ranking.size)
+    absent = [int(v) for v in nodes if not 0 <= v < scores.size or position[v] < 0]
+    if absent:
+        raise ValidationError(f"node {absent[0]} missing from the ranking")
+    pi, pj, truth = labelled_pairs(nodes, scores)
+    confusion = confusion_counts(position[pi] < position[pj], truth)
+    micro, macro = _f1_from_counts(confusion)
+    return MetricReport(micro_f1=micro, macro_f1=macro, diff=diff,
+                        pairs=pi.size, confusion=confusion)

@@ -10,7 +10,7 @@ import numpy as np
 from . import encoder
 from .encoder import EmbedParams, minmax_scale_columns, vertex_features, zero_grads
 from .graph import RoadNetwork, ValidationError
-from .ranker import EPS, RankerParams, _branch_forward, pair_backward, pair_forward
+from .ranker import RankerParams, _branch_forward, bce_loss, pair_backward, pair_forward
 from .walks import SampleSet
 
 ABLATIONS = ("full", "NoMG", "NoBiLSTM", "NoEmb")
@@ -180,8 +180,7 @@ class PairScorer:
             h = h * mask
 
         ratings, rcache = pair_forward(h[li], h[lj], self.ranker)
-        clipped = np.clip(ratings, EPS, 1.0 - EPS)
-        loss = float(-np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped)))
+        loss = bce_loss(ratings, y)
 
         rgrads = zero_grads(self.ranker.tensors())
         dlogit = (ratings - y) / y.size

@@ -10,7 +10,7 @@ totalized into a descending node list by Copeland counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import groupby
 
 import numpy as np
 
@@ -145,23 +145,6 @@ def pair_backward(dlogit: np.ndarray, cache, p: RankerParams,
     return dhi, dhj
 
 
-def siamese_forward(hi: np.ndarray, hj: np.ndarray, p: RankerParams) -> float:
-    """Rating that the first node outranks the second, for one pair."""
-    hi = np.asarray(hi, dtype=np.float64)
-    hj = np.asarray(hj, dtype=np.float64)
-    if hi.shape != hj.shape or hi.ndim != 1 or hi.shape[0] != p.input_dim:
-        raise ValidationError(
-            f"embedding shapes {hi.shape}/{hj.shape} do not match ranker input {p.input_dim}"
-        )
-    ratings, _ = pair_forward(hi[None], hj[None], p)
-    return float(ratings[0])
-
-
-def pair_label(scr_i: float, scr_j: float) -> int:
-    """Ground-truth pair label: 1 iff the first score is strictly larger."""
-    return 1 if scr_i > scr_j else 0
-
-
 def bce_loss(ratings, labels) -> float:
     """Mean binary cross entropy with ratings clamped to [eps, 1-eps]."""
     r = np.asarray(ratings, dtype=np.float64)
@@ -184,57 +167,13 @@ class RankingResult:
     tie_groups: tuple[tuple[int, ...], ...]
 
 
-def _totalize(nodes, copeland, rating_sum) -> RankingResult:
-    order = sorted(nodes, key=lambda v: (-copeland[v], -rating_sum[v], v))
-    groups = []
-    run = [order[0]]
-    for v in order[1:]:
-        prev = run[-1]
-        if copeland[v] == copeland[prev] and rating_sum[v] == rating_sum[prev]:
-            run.append(v)
-        else:
-            if len(run) > 1:
-                groups.append(tuple(run))
-            run = [v]
-    if len(run) > 1:
-        groups.append(tuple(run))
-    return RankingResult(
-        order=tuple(order),
-        copeland=dict(copeland),
-        rating_sum=dict(rating_sum),
-        tie_groups=tuple(groups),
-    )
-
-
-def rank_nodes(ratings: Mapping[tuple[int, int], float]) -> RankingResult:
-    """Totalize pairwise ratings into a descending node list.
-
-    Requires a rating for every ordered pair over the node set.  A node's
-    primary score is its Copeland count (pairs won at the 0.5 threshold);
-    ties break by total rating mass, then by node id.
-    """
-    nodes = sorted({i for i, _ in ratings} | {j for _, j in ratings})
-    if len(nodes) < 2:
-        raise ValidationError("need ratings over at least two nodes")
-    copeland = {v: 0 for v in nodes}
-    rating_sum = {v: 0.0 for v in nodes}
-    for i in nodes:
-        for j in nodes:
-            if i == j:
-                continue
-            if (i, j) not in ratings:
-                raise ValidationError(f"missing rating for ordered pair ({i}, {j})")
-            r = ratings[(i, j)]
-            rating_sum[i] += r
-            if r > 0.5:
-                copeland[i] += 1
-    return _totalize(nodes, copeland, rating_sum)
-
-
 def rank_from_matrix(r: np.ndarray, nodes) -> RankingResult:
-    """Matrix fast path: ``r[a, b]`` rates ``nodes[a]`` over ``nodes[b]``
-    (the diagonal is ignored).  Equivalent to :func:`rank_nodes` on the
-    corresponding pair map."""
+    """Totalize a rating matrix into a descending node list.
+
+    ``r[a, b]`` rates ``nodes[a]`` over ``nodes[b]`` (the diagonal is
+    ignored).  A node's primary score is its Copeland count (pairs won at
+    the 0.5 threshold); ties break by total rating mass, then by node id.
+    """
     nodes = [int(v) for v in nodes]
     z = len(nodes)
     if r.shape != (z, z):
@@ -244,4 +183,11 @@ def rank_from_matrix(r: np.ndarray, nodes) -> RankingResult:
     sums = np.where(off, r, 0.0).sum(axis=1)
     copeland = {v: int(wins[a]) for a, v in enumerate(nodes)}
     rating_sum = {v: float(sums[a]) for a, v in enumerate(nodes)}
-    return _totalize(nodes, copeland, rating_sum)
+
+    def strength(v):
+        return -copeland[v], -rating_sum[v]
+
+    order = sorted(nodes, key=lambda v: (*strength(v), v))
+    runs = (tuple(run) for _, run in groupby(order, key=strength))
+    return RankingResult(order=tuple(order), copeland=copeland, rating_sum=rating_sum,
+                         tie_groups=tuple(run for run in runs if len(run) > 1))

@@ -3,6 +3,7 @@ finite-difference gradient check."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -11,9 +12,9 @@ import numpy as np
 from .cascade import ImportanceScores
 from .encoder import EmbedParams
 from .graph import RoadNetwork, ValidationError
-from .metrics import diff_metric, micro_macro_f1
+from .metrics import diff_metric, labelled_pairs, micro_macro_f1
 from .model import ABLATIONS, PairScorer, apply_ablation, embedding_width
-from .ranker import RankerParams, pair_label, rank_from_matrix
+from .ranker import RankerParams, rank_from_matrix
 from .walks import SampleSet
 
 
@@ -43,12 +44,17 @@ class TrainConfig:
     rdim: int = 8
 
     def __post_init__(self):
-        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise ValidationError("split fractions must sum to 1")
+        fracs = (self.train_frac, self.val_frac, self.test_frac)
+        if not (min(fracs) >= 0.0 and abs(sum(fracs) - 1.0) <= 1e-9):
+            raise ValidationError("split fractions must be >= 0 and sum to 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError("dropout must be in [0, 1)")
-        if self.lr < 0:
-            raise ValidationError("lr must be >= 0")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValidationError("lr must be finite and >= 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValidationError("beta1 and beta2 must be in [0, 1)")
+        if not 0.0 < self.eps < math.inf:
+            raise ValidationError("eps must be finite and > 0")
         if self.batch < 1 or self.epochs < 1 or self.strata < 1:
             raise ValidationError("batch, epochs and strata must be >= 1")
         if self.ablation not in ABLATIONS:
@@ -118,13 +124,13 @@ def stratified_split(scores, cfg: TrainConfig) -> SplitAssignment:
                            test=tuple(sorted(test)), stratum=stratum)
 
 
-def make_pairs(nodes, scores) -> list[tuple[int, int, int]]:
-    """All ordered pairs over ``nodes`` with ground-truth labels."""
-    aff = _score_array(scores)
+def make_pairs(nodes, scores) -> np.ndarray:
+    """All ordered pairs over the sorted ``nodes`` with ground-truth labels,
+    one ``(i, j, label)`` row per pair."""
     nodes = sorted(int(v) for v in nodes)
     if len(nodes) < 2:
         raise ValidationError("need at least 2 nodes to form pairs")
-    return [(i, j, pair_label(aff[i], aff[j])) for i in nodes for j in nodes if i != j]
+    return np.column_stack(labelled_pairs(nodes, _score_array(scores)))
 
 
 class Adam:
@@ -172,16 +178,8 @@ def _evaluate_split(scorer: PairScorer, nodes, aff: np.ndarray):
     if len(nodes) < 2:
         return float("nan"), float("nan"), float("nan")
     r = scorer.rating_matrix(nodes)
-    idx = {v: a for a, v in enumerate(nodes)}
-    predicted = []
-    truth = []
-    for i in nodes:
-        for j in nodes:
-            if i == j:
-                continue
-            predicted.append(1 if r[idx[i], idx[j]] > 0.5 else 0)
-            truth.append(pair_label(aff[i], aff[j]))
-    micro, macro = micro_macro_f1(predicted, truth)
+    _, _, truth = labelled_pairs(nodes, aff)
+    micro, macro = micro_macro_f1(r[~np.eye(len(nodes), dtype=bool)] > 0.5, truth)
     order = rank_from_matrix(r, nodes).order
     return micro, macro, diff_metric(order, aff)
 
@@ -212,10 +210,8 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
         width, cfg.f1, cfg.f2, cfg.rdim, ss_ranker)
     scorer = PairScorer(net, samples, embed, ranker, variant)
 
-    pairs = make_pairs(splits.train, aff)
-    pi = np.array([p[0] for p in pairs], dtype=np.int64)
-    pj = np.array([p[1] for p in pairs], dtype=np.int64)
-    py = np.array([p[2] for p in pairs], dtype=np.float64)
+    pi, pj, py = make_pairs(splits.train, aff).T
+    py = py.astype(np.float64)
 
     adam = Adam(scorer.tensors(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     shuffle_rng = np.random.default_rng(ss_shuffle)

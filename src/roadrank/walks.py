@@ -163,6 +163,8 @@ def sample_walks(net: RoadNetwork, views: NormalizedViews, cfg: WalkConfig) -> S
 
 
 _SAMPLES_MAGIC = "roadrank-samples v1"
+_SAMPLES_HEADER = (("n", int), ("m", int), ("num", int), ("l", int), ("alpha", float),
+                   ("seed", int))
 
 
 def save_samples(samples: SampleSet, path) -> None:
@@ -189,25 +191,33 @@ def load_samples(path) -> SampleSet:
         magic = fh.readline().rstrip("\n")
         if magic != _SAMPLES_MAGIC:
             raise ValidationError(f"{path}: unrecognized sample file header {magic!r}")
-        header: dict[str, str] = {}
-        for _ in range(6):
-            key, _, value = fh.readline().rstrip("\n").partition(" ")
-            header[key] = value
-        n = int(header["n"])
-        m = int(header["m"])
-        cfg = WalkConfig(
-            alpha=float(header["alpha"]),
-            num=int(header["num"]),
-            length=int(header["l"]),
-            seed=int(header["seed"]),
-        )
+        header = {}
+        for ln, (key, cast) in enumerate(_SAMPLES_HEADER, start=2):
+            line = fh.readline().rstrip("\n")
+            got, _, value = line.partition(" ")
+            try:
+                if got == key:
+                    header[key] = cast(value)
+                    continue
+            except ValueError:
+                pass
+            raise ValidationError(
+                f"{path}:{ln}: expected header line '{key} <value>', got {line!r}")
+        n, m = header["n"], header["m"]
+        if n < 0 or m < 0:
+            raise ValidationError(f"{path}: negative n or m in header")
+        cfg = WalkConfig(alpha=header["alpha"], num=header["num"], length=header["l"],
+                         seed=header["seed"])
         seqs = np.empty((n, cfg.num, cfg.length), dtype=np.int64)
         for i in range(n):
             for w in range(cfg.num):
                 line = fh.readline()
                 if not line:
                     raise ValidationError(f"{path}: truncated sample file")
-                ids = [int(v) for v in line.split()]
+                try:
+                    ids = [int(v) for v in line.split()]
+                except ValueError:
+                    raise ValidationError(f"{path}: non-integer vertex id for node {i}") from None
                 if len(ids) != cfg.length:
                     raise ValidationError(f"{path}: sequence of wrong length for node {i}")
                 seqs[i, w] = ids

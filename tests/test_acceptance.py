@@ -8,9 +8,8 @@ import numpy as np
 import roadrank as rr
 from roadrank.alias import build_alias, reconstruct
 from roadrank.cli import main as cli_main
-from roadrank.metrics import micro_macro_f1
+from roadrank.metrics import labelled_pairs, micro_macro_f1
 from roadrank.model import PairScorer, apply_ablation
-from roadrank.ranker import pair_label
 from roadrank.training import gradient_check, make_pairs
 from roadrank.walks import _AliasCache, _walk, _walk_rng
 
@@ -36,13 +35,7 @@ def test_criterion_1_gradient_oracle():
         embed = rr.EmbedParams.init(net.m, 8, 2, seed + 20)  # hdim = 8
         ranker = rr.RankerParams.init(embed.hdim, seed=seed + 30)
         scorer = PairScorer(net, samples, embed, ranker, apply_ablation("full"))
-        pairs = make_pairs(range(net.n), scores)
-        report = gradient_check(
-            scorer,
-            np.array([p[0] for p in pairs]),
-            np.array([p[1] for p in pairs]),
-            np.array([p[2] for p in pairs], dtype=float),
-        )
+        report = gradient_check(scorer, *make_pairs(range(net.n), scores).T)
         worst = max(worst, report.worst)
     elapsed = time.monotonic() - start
     _report(1, "gradient oracle", worst < 1e-4 and elapsed < 60.0,
@@ -144,16 +137,11 @@ def test_criterion_7_learnable_task_threshold():
     result = rr.train_model(net, samples, scores, splits, cfg)
 
     scorer = PairScorer(net, samples, result.embed, result.ranker, apply_ablation("full"))
-    test_nodes = list(splits.test)
-    pairs = [(i, j) for i in test_nodes for j in test_nodes if i != j]
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
-    truth = np.array([pair_label(scores[i], scores[j]) for i, j in pairs])
+    pi, pj, truth = labelled_pairs(splits.test, scores)
     predicted = (scorer.rate_pairs(pi, pj) > 0.5).astype(int)
     micro, _ = micro_macro_f1(predicted, truth)
 
-    dc = rr.degree_centrality(net)
-    dc_predicted = np.array([pair_label(dc[i], dc[j]) for i, j in pairs])
+    _, _, dc_predicted = labelled_pairs(splits.test, rr.degree_centrality(net))
     dc_micro, _ = micro_macro_f1(dc_predicted, truth)
     elapsed = time.monotonic() - start
     _report(7, "learnable-task threshold",
@@ -212,14 +200,14 @@ def test_criterion_9_determinism(tmp_path):
         cfgfile = base / "train.cfg"
         cfgfile.write_text("epochs=2\nstrata=2\nseed=3\n")
         run_stage(["synth", "--rows", "4", "--cols", "3", "--seed", "1", "--out", str(net)])
-        run_stage(["generate", "--network", str(net), "--threads", "1", "--out", str(scores)])
+        run_stage(["generate", "--network", str(net), "--out", str(scores)])
         run_stage(["sample", "--network", str(net), "--num", "5", "--seed", "2",
-                   "--threads", "1", "--out", str(samples)])
+                   "--out", str(samples)])
         run_stage(["train", "--network", str(net), "--scores", str(scores),
                    "--samples", str(samples), "--config", str(cfgfile),
-                   "--threads", "1", "--out", str(ckpt)])
+                   "--out", str(ckpt)])
         run_stage(["rank", "--network", str(net), "--ckpt", str(ckpt),
-                   "--samples", str(samples), "--threads", "1", "--out", str(ranking)])
+                   "--samples", str(samples), "--out", str(ranking)])
         run_stage(["baseline", "--method", "dc", "--network", str(net),
                    "--out", str(baseline)])
         run_stage(["eval", "--ranking", str(ranking), "--truth", str(scores),

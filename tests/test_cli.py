@@ -224,3 +224,104 @@ def test_stage_outputs_reproducible(tmp_path):
         outs.append((scores.read_bytes(), samples.read_bytes(),
                      ckpt.read_bytes(), ranking.read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    base = tmp_path_factory.mktemp("pipeline")
+    net_dir, scores, samples, ckpt = build_pipeline(base)
+    ranking = base / "ranking.csv"
+    assert run("rank", "--network", str(net_dir), "--ckpt", str(ckpt),
+               "--samples", str(samples), "--out", str(ranking)) == EXIT_OK
+    return base, net_dir, scores, samples, ckpt, ranking
+
+
+def invalid(capsys, *argv) -> str:
+    """Run a command that must fail validation; return its one-line error."""
+    capsys.readouterr()
+    assert run(*argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_threads_flag_removed(tmp_path):
+    assert run("sample", "--network", str(tmp_path), "--threads", "1",
+               "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("body", ["0,abc\n", "x,1.0\n", "0\n"])
+def test_eval_rejects_malformed_truth(pipeline, tmp_path, capsys, body):
+    base, _, scores, _, _, ranking = pipeline
+    truth = tmp_path / "truth.csv"
+    truth.write_text(scores.read_text() + body)
+    lines = len(scores.read_text().splitlines())
+    err = invalid(capsys, "eval", "--ranking", str(ranking), "--truth", str(truth),
+                  "--out", str(tmp_path / "report.txt"))
+    assert f"{truth}:{lines + 1}:" in err
+
+
+def test_node_readers_reject_bad_ids_and_short_rows(pipeline, tmp_path, capsys):
+    base, net_dir, scores, samples, ckpt, ranking = pipeline
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("3\nfoo\n")
+    err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(ckpt),
+                  "--samples", str(samples), "--nodes", str(nodes),
+                  "--out", str(tmp_path / "r.csv"))
+    assert f"{nodes}:2:" in err and "'foo'" in err
+    nodes.write_text("3\n99\n")
+    err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(ckpt),
+                  "--samples", str(samples), "--nodes", str(nodes),
+                  "--out", str(tmp_path / "r.csv"))
+    assert "0..11" in err
+    bad_ranking = tmp_path / "ranking.csv"
+    bad_ranking.write_text("node_id\n1\n2.5\n")
+    err = invalid(capsys, "eval", "--ranking", str(bad_ranking), "--truth", str(scores),
+                  "--out", str(tmp_path / "report.txt"))
+    assert f"{bad_ranking}:3:" in err
+    pairs = tmp_path / "splits.csv"
+    pairs.write_text("node_id,split,stratum\n0,test,0\n1,test\n")
+    err = invalid(capsys, "eval", "--ranking", str(ranking), "--truth", str(scores),
+                  "--pairs", str(pairs), "--out", str(tmp_path / "report.txt"))
+    assert f"{pairs}:3: expected 3 fields" in err
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("n 12", "n x"), ("alpha 0.0001", ""), ("seed 2", "seed"), ("m 5", "num 5"),
+    ("n 12", "n -1"),
+])
+def test_samples_header_rejected(pipeline, tmp_path, capsys, line, replacement):
+    base, net_dir, scores, samples, ckpt, _ = pipeline
+    text = samples.read_text()
+    assert f"\n{line}\n" in text
+    bad = tmp_path / "samples.txt"
+    bad.write_text(text.replace(f"\n{line}\n", f"\n{replacement}\n", 1))
+    err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(ckpt),
+                  "--samples", str(bad), "--out", str(tmp_path / "r.csv"))
+    assert f"{bad}:" in err and "header" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("input_dim", None), ("input_dim", "8.5"), ("m", None), ("x", "eight"), ("dim", None),
+])
+def test_checkpoint_meta_rejected(pipeline, tmp_path, capsys, key, value):
+    base, net_dir, scores, samples, ckpt, _ = pipeline
+    lines = ckpt.read_text().splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(f"meta {key} ")]
+    assert len(kept) == len(lines) - 1
+    if value is not None:
+        kept.insert(1, f"meta {key} {value}\n")
+    bad = tmp_path / "model.ckpt"
+    bad.write_text("".join(kept))
+    err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(bad),
+                  "--samples", str(samples), "--out", str(tmp_path / "r.csv"))
+    assert f"meta {key}" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--beta1", "1.0"), ("--eps", "inf")])
+def test_train_rejects_bad_optimizer_values(pipeline, tmp_path, capsys, flag, value):
+    base, net_dir, scores, samples, _, _ = pipeline
+    err = invalid(capsys, "train", "--network", str(net_dir), "--scores", str(scores),
+                  "--samples", str(samples), "--epochs", "1", flag, value,
+                  "--out", str(tmp_path / "model.ckpt"))
+    assert flag[2:] in err

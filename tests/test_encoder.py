@@ -4,22 +4,42 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roadrank.encoder import (EmbedParams, LSTMCellParams, bilstm_forward,
-                              embed_all, initial_encode, lstm_forward,
-                              minmax_scale_columns, pool_embedding,
-                              vertex_features)
+from roadrank.encoder import (EmbedParams, LSTMCellParams, _bilstm_batch,
+                              _cell_forward, _encode_batch, _pool_batch,
+                              minmax_scale_columns, vertex_features)
 from roadrank.graph import ValidationError, normalized_views
+from roadrank.model import PairScorer, apply_ablation
+from roadrank.ranker import RankerParams
 from roadrank.synth import synth_grid_network
 from roadrank.walks import WalkConfig, sample_walks
+
+
+def encode(seq, A, p):
+    """Initial encoding of one sequence, (len(seq), x)."""
+    x, _ = _encode_batch(np.asarray([seq]), vertex_features(A), p)
+    return x[0]
+
+
+def lstm(xs, cell):
+    """One direction over a single sequence (L, x) -> (L, dim)."""
+    h, _ = _cell_forward(np.asarray(xs, dtype=float)[None], cell)
+    return h[0]
+
+
+def embed_all(ss, net, p):
+    """Every node's pooled embedding through the scorer's embedding path."""
+    scorer = PairScorer(net, ss, p, RankerParams.zeros(p.hdim), apply_ablation("full"))
+    h, _ = scorer.node_embeddings(np.arange(net.n))
+    return h
 
 
 def test_zero_params_zero_outputs():
     p = EmbedParams.zeros(m=3, x=4, dim=2)
     A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    xs = initial_encode([0, 1, 3], A, p)  # node, node, attribute
+    xs = encode([0, 1, 3], A, p)  # node, node, attribute
     npt.assert_array_equal(xs, np.zeros((3, 4)))
-    h = bilstm_forward(np.ones((4, 4)), p)
-    npt.assert_array_equal(h, np.zeros((4, 4)))
+    h, _ = _bilstm_batch(np.ones((1, 4, 4)), p)
+    npt.assert_array_equal(h, np.zeros((1, 4, 4)))
 
 
 def test_initial_encode_one_hot_identity():
@@ -30,7 +50,7 @@ def test_initial_encode_one_hot_identity():
     p = EmbedParams.zeros(m=m, x=4, dim=1)
     p.w_in[...] = W
     A = np.array([[0.5, 0.5]])
-    out = initial_encode([1], A, p)  # vertex id 1 = attribute 0 -> one-hot (1, 0)
+    out = encode([1], A, p)  # vertex id 1 = attribute 0 -> one-hot (1, 0)
     assert out[0, 0] == pytest.approx(math.tanh(1.0), abs=1e-12)
     assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -39,10 +59,9 @@ def test_initial_encode_range_and_id_bounds():
     rng = np.random.default_rng(0)
     p = EmbedParams.init(m=3, x=5, dim=2, seed=1)
     A = rng.uniform(0, 1, size=(4, 3))
-    out = initial_encode([0, 1, 2, 3, 4, 5, 6], A, p)
+    out = encode([0, 1, 2, 3, 4, 5, 6], A, p)  # every id in 0..n+m-1
+    assert out.shape == (7, 5)
     assert (np.abs(out) < 1.0).all()
-    with pytest.raises(ValidationError):
-        initial_encode([7], A, p)  # n + m == 7 is out of range
 
 
 def test_lstm_single_step_hand_values():
@@ -50,7 +69,7 @@ def test_lstm_single_step_hand_values():
     cell = LSTMCellParams.zeros(x=1, dim=1)
     for name in ("w_xi", "w_xf", "w_xc", "w_xo", "w_hi", "w_hf", "w_hc", "w_ho"):
         getattr(cell, name)[...] = 0.5
-    h = lstm_forward(np.array([[1.0]]), cell)
+    h = lstm(np.array([[1.0]]), cell)
 
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
     gate = sig(0.5)
@@ -67,7 +86,7 @@ def test_lstm_two_steps_hand_recurrence():
     for name in ("w_xi", "w_xf", "w_xc", "w_xo", "w_hi", "w_hf", "w_hc", "w_ho"):
         getattr(cell, name)[...] = 0.5
     xs = np.array([[1.0], [0.25]])
-    h = lstm_forward(xs, cell)
+    h = lstm(xs, cell)
 
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
     h_prev, c_prev = 0.0, 0.0
@@ -85,17 +104,17 @@ def test_lstm_two_steps_hand_recurrence():
 def test_bilstm_reversal_symmetry():
     p = EmbedParams.init(m=3, x=4, dim=2, seed=7)
     xs = np.random.default_rng(2).normal(size=(5, 4))
-    h2 = bilstm_forward(xs, p)
-    backward_half = h2[:, p.dim:]
-    npt.assert_allclose(backward_half, lstm_forward(xs[::-1], p.bw)[::-1], atol=1e-15)
-    forward_half = h2[:, :p.dim]
-    npt.assert_allclose(forward_half, lstm_forward(xs, p.fw), atol=1e-15)
+    h2, _ = _bilstm_batch(xs[None], p)
+    backward_half = h2[0, :, p.dim:]
+    npt.assert_allclose(backward_half, lstm(xs[::-1], p.bw)[::-1], atol=1e-15)
+    forward_half = h2[0, :, :p.dim]
+    npt.assert_allclose(forward_half, lstm(xs, p.fw), atol=1e-15)
 
 
 def test_pool_single_sequence_constant():
     v = np.array([1.0, -2.0])
     hs = np.tile(v, (1, 3, 1))  # num=1, l=3
-    npt.assert_allclose(pool_embedding(hs), np.concatenate([v, v]))
+    npt.assert_allclose(_pool_batch(hs[None])[0], np.concatenate([v, v]))
 
 
 def test_pool_two_sequences_mean():
@@ -104,14 +123,14 @@ def test_pool_two_sequences_mean():
     hs = np.zeros((2, 2, 2))
     hs[0, 0] = u
     hs[1, 0] = w
-    out = pool_embedding(hs)
+    out = _pool_batch(hs[None])[0]
     npt.assert_allclose(out[:2], (u + w) / 2)
 
 
 def test_pool_hand_computed():
     rng = np.random.default_rng(4)
     hs = rng.normal(size=(2, 3, 2))  # num=2, l=3, width=2
-    out = pool_embedding(hs)
+    out = _pool_batch(hs[None])[0]
     # independent plain-loop evaluation
     hbar = [[(hs[0, j, d] + hs[1, j, d]) / 2 for d in range(2)] for j in range(3)]
     hhat = [(hbar[1][d] + hbar[2][d]) / 2 for d in range(2)]
@@ -121,8 +140,9 @@ def test_pool_hand_computed():
 
 
 def test_pool_rejects_short_sequences():
+    # pooling needs length >= 2; sample sets of shorter sequences cannot exist
     with pytest.raises(ValidationError, match="length"):
-        pool_embedding(np.zeros((2, 1, 4)))
+        WalkConfig(alpha=0.5, num=2, length=1, seed=0)
 
 
 def test_embed_all_contracts():
@@ -169,7 +189,7 @@ def test_vertex_features_layout():
 
 
 def test_encoder_gradients_finite_difference():
-    """Weighted-sum loss over embed_all, checked element by element."""
+    """Weighted-sum loss over PairScorer.node_embeddings, checked element by element."""
     net = synth_grid_network(2, 2, seed=6)
     views = normalized_views(net)
     ss = sample_walks(net, views, WalkConfig(alpha=0.5, num=2, length=4, seed=3))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from roadrank.graph import (ValidationError, load_network, load_network_dir,
                             normalize_adjacency, normalize_attributes,
-                            normalized_views, save_network, SegmentAttributes)
+                            normalized_views, save_network)
 
 
 def write_net(tmp_path, edge_lines, attr_lines):
@@ -196,14 +196,3 @@ def test_production_scale_format(tmp_path):
     assert len(net.edges) == 3168
     assert net.m == 16
 
-
-def test_segment_attributes():
-    rng = np.random.default_rng(5)
-    from roadrank.synth import synth_grid_network
-    net = synth_grid_network(2, 2, seed=1)
-    seg = SegmentAttributes.from_network(net, 0)
-    assert seg.limiv >= 0 and seg.nlan >= 1
-    with pytest.raises(ValidationError, match="nlan"):
-        SegmentAttributes(limiv=10, nlan=0, len=5, vol=1, avgv=2)
-    # measured speed above the limit is allowed
-    SegmentAttributes(limiv=10, nlan=1, len=5, vol=1, avgv=12)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from roadrank.graph import ValidationError
 from roadrank.metrics import (confusion_counts, descending_order, diff_metric,
-                              micro_macro_f1, report_for_ranking)
+                              labelled_pairs, micro_macro_f1, report_for_ranking)
 
 
 def test_f1_all_correct():
@@ -108,3 +108,34 @@ def test_report_restricted_pairs():
     assert report.micro_f1 == 0.0
     lines = report.lines()
     assert any(line.startswith("micro_f1") for line in lines)
+
+
+def test_report_matches_plain_pair_loop():
+    """Oracle: every ordered pair of distinct ids, one at a time."""
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        scores = rng.integers(0, 4, size=n).astype(float)  # plenty of ties
+        ranking = rng.permutation(n).tolist()
+        pair_nodes = rng.choice(ranking, size=int(rng.integers(2, n + 3))).tolist()
+        for nodes in (ranking, pair_nodes):
+            pairs = [(i, j) for i in nodes for j in nodes if i != j]
+            truth = [int(scores[i] > scores[j]) for i, j in pairs]
+            predicted = [int(ranking.index(i) < ranking.index(j)) for i, j in pairs]
+            pi, pj, labels = labelled_pairs(nodes, scores)
+            assert list(zip(pi.tolist(), pj.tolist())) == pairs
+            assert labels.tolist() == truth
+            if not pairs:
+                continue
+            report = report_for_ranking(ranking, scores,
+                                        None if nodes is ranking else nodes)
+            assert report.pairs == len(pairs)
+            assert report.confusion == confusion_counts(predicted, truth)
+            assert (report.micro_f1, report.macro_f1) == micro_macro_f1(predicted, truth)
+
+
+def test_report_rejects_unranked_pair_node():
+    with pytest.raises(ValidationError, match="node 5 missing"):
+        report_for_ranking([0, 1, 2], np.ones(6), pair_nodes=[0, 5])
+    with pytest.raises(ValidationError, match="node 9 missing"):
+        report_for_ranking([0, 1, 2], np.ones(6), pair_nodes=[0, 9])

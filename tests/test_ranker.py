@@ -6,13 +6,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadrank.graph import ValidationError
-from roadrank.ranker import (RankerParams, bce_loss, pair_label,
-                             rank_from_matrix, rank_nodes, siamese_forward)
+from roadrank.metrics import labelled_pairs
+from roadrank.model import PairScorer, apply_ablation
+from roadrank.ranker import RankerParams, bce_loss, pair_forward, rank_from_matrix
+from roadrank.synth import synth_grid_network
+
+
+def rate(hi, hj, p) -> float:
+    """Rating that ``hi`` outranks ``hj``, through the batched forward pass."""
+    ratings, _ = pair_forward(np.asarray(hi, dtype=float)[None],
+                              np.asarray(hj, dtype=float)[None], p)
+    return float(ratings[0])
+
+
+def pair_label(a, b) -> int:
+    """Label of the ordered pair (0, 1) when node 0 scores ``a`` and node 1
+    scores ``b``."""
+    pi, pj, labels = labelled_pairs([0, 1], [a, b])
+    assert (pi.tolist(), pj.tolist()) == ([0, 1], [1, 0])
+    return int(labels[0])
+
+
+def rank_nodes(ratings):
+    """Dict-based oracle for :func:`rank_from_matrix`: Copeland counts at
+    the 0.5 threshold, ties broken by rating mass, then by node id.
+    Returns ``(order, copeland, rating_sum, tie_groups)``."""
+    nodes = sorted({i for i, _ in ratings} | {j for _, j in ratings})
+    copeland = {v: 0 for v in nodes}
+    rating_sum = {v: 0.0 for v in nodes}
+    for i in nodes:
+        for j in nodes:
+            if i != j:
+                rating_sum[i] += ratings[(i, j)]
+                copeland[i] += int(ratings[(i, j)] > 0.5)
+    order = sorted(nodes, key=lambda v: (-copeland[v], -rating_sum[v], v))
+    groups = [[order[0]]]
+    for v in order[1:]:
+        prev = groups[-1][-1]
+        if copeland[v] == copeland[prev] and rating_sum[v] == rating_sum[prev]:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return tuple(order), copeland, rating_sum, tuple(tuple(g) for g in groups if len(g) > 1)
+
+
+def rank_dict(ratings):
+    """:func:`rank_from_matrix` over a pair map, checked against the oracle."""
+    nodes = sorted({i for i, _ in ratings} | {j for _, j in ratings})
+    r = np.full((len(nodes), len(nodes)), 0.5)
+    for (i, j), value in ratings.items():
+        r[nodes.index(i), nodes.index(j)] = value
+    result = rank_from_matrix(r, nodes)
+    order, copeland, rating_sum, groups = rank_nodes(ratings)
+    assert (result.order, result.copeland, result.tie_groups) == (order, copeland, groups)
+    assert result.rating_sum == pytest.approx(rating_sum, abs=1e-12)
+    return result
 
 
 def test_zero_params_rate_half():
     p = RankerParams.zeros(input_dim=4)
-    assert siamese_forward(np.ones(4), np.zeros(4), p) == 0.5
+    assert rate(np.ones(4), np.zeros(4), p) == 0.5
 
 
 def test_hand_forward():
@@ -39,7 +92,7 @@ def test_hand_forward():
     hj = [-0.1, 0.9]
     logit = 1.5 * branch(hi) - 2.0 * branch(hj) + 0.1
     expected = 1.0 / (1.0 + math.exp(-logit))
-    assert siamese_forward(np.array(hi), np.array(hj), p) == pytest.approx(expected, abs=1e-14)
+    assert rate(hi, hj, p) == pytest.approx(expected, abs=1e-14)
 
 
 def test_identical_inputs_give_identical_halves():
@@ -48,7 +101,7 @@ def test_identical_inputs_give_identical_halves():
     from roadrank.ranker import _branch_forward
     s, _ = _branch_forward(h[None], p)
     # the shared branch makes both halves of the pair feature equal
-    r = siamese_forward(h, h, p)
+    r = rate(h, h, p)
     logit = float(s[0] @ p.w_out[:p.rdim] + s[0] @ p.w_out[p.rdim:] + p.b_out[0])
     assert r == pytest.approx(1.0 / (1.0 + math.exp(-logit)), abs=1e-14)
 
@@ -63,19 +116,25 @@ def test_antisymmetric_projection_identity():
     p.b_out[...] = 0.0
     hi = np.array([0.3, -0.2, 0.9, 0.0])
     hj = np.array([-0.5, 0.1, 0.4, 0.7])
-    assert siamese_forward(hi, hj, p) + siamese_forward(hj, hi, p) == pytest.approx(1.0, abs=1e-12)
+    assert rate(hi, hj, p) + rate(hj, hi, p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dimension_mismatch_rejected():
-    p = RankerParams.zeros(input_dim=4)
-    with pytest.raises(ValidationError):
-        siamese_forward(np.ones(3), np.ones(4), p)
+    # the scorer refuses a ranker whose input width is not the embedding width
+    net = synth_grid_network(2, 2, seed=0)
+    with pytest.raises(ValidationError, match="does not match"):
+        PairScorer(net, None, None, RankerParams.zeros(input_dim=net.m + 1),
+                   apply_ablation("NoEmb"))
 
 
 def test_pair_label():
     assert pair_label(3.2, 1.1) == 1
     assert pair_label(2.0, 2.0) == 0  # ties go to the <= branch
     assert pair_label(0.0, 5.0) == 0
+    # every ordered pair in row-major order, labelled by the first node's score
+    pi, pj, labels = labelled_pairs([4, 1, 6], np.array([0, 2.0, 0, 0, 1.0, 0, 3.0]))
+    assert list(zip(pi.tolist(), pj.tolist(), labels.tolist())) == [
+        (4, 1, 0), (4, 6, 0), (1, 4, 1), (1, 6, 0), (6, 4, 1), (6, 1, 1)]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -108,14 +167,14 @@ def test_rank_consistent_tournament():
     ratings = {(0, 1): 0.9, (1, 0): 0.1,
                (1, 2): 0.8, (2, 1): 0.2,
                (0, 2): 0.7, (2, 0): 0.3}
-    result = rank_nodes(ratings)
+    result = rank_dict(ratings)
     assert result.order == (0, 1, 2)
     assert result.tie_groups == ()
 
 
 def test_rank_all_ties():
     ratings = {(i, j): 0.5 for i in range(3) for j in range(3) if i != j}
-    result = rank_nodes(ratings)
+    result = rank_dict(ratings)
     assert result.order == (0, 1, 2)  # id order inside the tie
     assert result.tie_groups == ((0, 1, 2),)
 
@@ -127,7 +186,7 @@ def test_rank_rock_paper_scissors():
     ratings = {(0, 1): 0.875, (1, 0): 0.125,
                (1, 2): 0.75, (2, 1): 0.25,
                (2, 0): 0.75, (0, 2): 0.25}
-    result = rank_nodes(ratings)
+    result = rank_dict(ratings)
     assert all(result.copeland[v] == 1 for v in (0, 1, 2))
     assert result.rating_sum == {0: 1.125, 1: 0.875, 2: 1.0}
     assert result.order == (0, 2, 1)
@@ -135,9 +194,9 @@ def test_rank_rock_paper_scissors():
 
 
 def test_rank_missing_pair_rejected():
-    ratings = {(0, 1): 0.9, (1, 0): 0.1, (0, 2): 0.8, (2, 0): 0.2, (1, 2): 0.6}
-    with pytest.raises(ValidationError, match=r"\(2, 1\)"):
-        rank_nodes(ratings)
+    # a rating matrix that does not cover every ordered pair of the nodes
+    with pytest.raises(ValidationError, match="does not match 3 nodes"):
+        rank_from_matrix(np.full((2, 3), 0.5), [0, 1, 2])
 
 
 def test_rank_is_permutation_and_total_order():
@@ -163,4 +222,9 @@ def test_rank_matrix_matches_dict():
     nodes = [3, 5, 8, 9, 11]
     as_dict = {(nodes[a], nodes[b]): float(r[a, b])
                for a in range(z) for b in range(z) if a != b}
-    assert rank_nodes(as_dict).order == rank_from_matrix(r, nodes).order
+    assert rank_nodes(as_dict)[0] == rank_from_matrix(r, nodes).order
+    # tied Copeland counts across many random tournaments
+    for _ in range(50):
+        z = int(rng.integers(2, 7))
+        r = rng.choice([0.25, 0.5, 0.75], size=(z, z))
+        rank_dict({(a, b): float(r[a, b]) for a in range(z) for b in range(z) if a != b})

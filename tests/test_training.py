@@ -23,6 +23,8 @@ def grid_task(rows=4, cols=5, seed=2, alpha=0.0001, num=150):
 def test_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(train_frac=0.5, val_frac=0.2, test_frac=0.2)
+    with pytest.raises(ValidationError, match="split fractions"):
+        TrainConfig(train_frac=1.2, val_frac=-0.1, test_frac=-0.1)
     with pytest.raises(ValidationError):
         TrainConfig(dropout=1.0)
     with pytest.raises(ValidationError):
@@ -32,6 +34,18 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(ablation="NoSuchThing")
     assert TrainConfig(hdim=8).dim == 2
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lr", float("nan"), "lr"), ("lr", float("inf"), "lr"), ("lr", -1e-3, "lr"),
+    ("beta1", float("nan"), "beta1"), ("beta1", 1.0, "beta1"), ("beta1", -0.1, "beta1"),
+    ("beta2", float("nan"), "beta2"), ("beta2", 1.0, "beta2"),
+    ("eps", float("nan"), "eps"), ("eps", float("inf"), "eps"), ("eps", 0.0, "eps"),
+    ("train_frac", float("nan"), "split fractions"),
+])
+def test_config_rejects_non_finite_and_out_of_range(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        TrainConfig(**{field: value})
 
 
 def test_split_single_stratum_sizes():
@@ -79,8 +93,8 @@ def test_split_reduces_strata_with_warning():
 
 
 def test_make_pairs():
-    pairs = make_pairs([3, 7], np.array([0, 0, 0, 5.0, 0, 0, 0, 3.0]))
-    assert pairs == [(3, 7, 1), (7, 3, 0)]
+    pairs = make_pairs([7, 3], np.array([0, 0, 0, 5.0, 0, 0, 0, 3.0]))
+    assert pairs.tolist() == [[3, 7, 1], [7, 3, 0]]
     many = make_pairs(range(10), np.arange(10, dtype=float))
     assert len(many) == 90
     # a 64-node test split yields 4032 ordered pairs
@@ -164,10 +178,7 @@ def test_gradient_check_small_instance():
     embed = EmbedParams.init(net.m, 8, 2, 5)
     ranker = RankerParams.init(embed.hdim, seed=6)
     scorer = PairScorer(net, samples, embed, ranker, apply_ablation("full"))
-    pairs = make_pairs(range(net.n), scores)
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
-    py = np.array([p[2] for p in pairs], dtype=float)
+    pi, pj, py = make_pairs(range(net.n), scores).T
     report = gradient_check(scorer, pi, pj, py)
     assert report.worst < 1e-4
     assert set(report.per_tensor) == set(scorer.tensors())
@@ -178,11 +189,7 @@ def test_gradient_check_zero_params():
     embed = EmbedParams.zeros(net.m, 4, 2)
     ranker = RankerParams.zeros(embed.hdim)
     scorer = PairScorer(net, samples, embed, ranker, apply_ablation("full"))
-    pairs = make_pairs(range(net.n), scores)
-    report = gradient_check(scorer,
-                            np.array([p[0] for p in pairs]),
-                            np.array([p[1] for p in pairs]),
-                            np.array([p[2] for p in pairs], dtype=float))
+    report = gradient_check(scorer, *make_pairs(range(net.n), scores).T)
     assert report.worst < 1e-8
 
 
