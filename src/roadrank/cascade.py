@@ -11,6 +11,7 @@ into a single decayed score.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,15 +30,13 @@ class CascadeConfig:
     the decayed score; ``spillback_rate`` is the share of unmet demand
     pushed upstream each period.  ``kappa`` converts lanes x speed-limit
     into capacity and ``observation_window`` converts recorded volumes
-    into demand; ``period_length`` is carried as metadata (the dynamics
-    are scale-invariant in it).
+    into demand.
     """
 
     capacity_reduction: float = 0.10
     failure_speed_fraction: float = 0.10
     gamma: float = 0.9
     periods: int = 10
-    period_length: float = 1.0
     spillback_rate: float = 0.5
     kappa: float = 1.0
     observation_window: float = 1.0
@@ -51,8 +50,8 @@ class CascadeConfig:
             raise ValidationError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.periods < 1:
             raise ValidationError("periods must be >= 1")
-        if self.kappa <= 0 or self.observation_window <= 0 or self.period_length <= 0:
-            raise ValidationError("kappa, observation_window and period_length must be > 0")
+        if not (0.0 < self.kappa < math.inf and 0.0 < self.observation_window < math.inf):
+            raise ValidationError("kappa and observation_window must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,20 @@ from .ranker import RankerParams
 _CKPT_MAGIC = "roadrank-checkpoint v1"
 
 
+def named_tensors(embed: EmbedParams | None, ranker: RankerParams) -> dict[str, np.ndarray]:
+    """Every parameter tensor under its checkpoint name; optimizers and
+    gradient dicts use the same names.  ``embed`` may be None (NoEmb)."""
+    out = {}
+    if embed is not None:
+        out.update({f"embed.{k}": v for k, v in embed.tensors().items()})
+    out.update({f"ranker.{k}": v for k, v in ranker.tensors().items()})
+    return out
+
+
 def save_checkpoint(path, embed: EmbedParams | None, ranker: RankerParams,
                     meta: dict) -> None:
     """Write parameters and metadata; ``embed`` may be None (NoEmb)."""
-    tensors: dict[str, np.ndarray] = {}
-    if embed is not None:
-        tensors.update({f"embed.{k}": v for k, v in embed.tensors().items()})
-    tensors.update({f"ranker.{k}": v for k, v in ranker.tensors().items()})
+    tensors = named_tensors(embed, ranker)
     with open(Path(path), "w") as fh:
         fh.write(_CKPT_MAGIC + "\n")
         for key in sorted(meta):
@@ -42,7 +49,8 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
         magic = fh.readline().rstrip("\n")
         if magic != _CKPT_MAGIC:
             raise ValidationError(f"{path}: unrecognized checkpoint header {magic!r}")
-        for line in fh:
+        lines = enumerate(fh, start=2)
+        for ln, line in lines:
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -51,19 +59,19 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
                 key, _, value = rest.partition(" ")
                 meta[key] = value
             elif kind == "tensor":
-                parts = rest.split(" ")
-                name = parts[0]
+                name, *dims = rest.split(" ")
                 try:
-                    shape = tuple(int(d) for d in parts[1:])
-                    arr = np.array([float(v) for v in fh.readline().split()], dtype=np.float64)
+                    shape = tuple(int(d) for d in dims)
+                    ln, values = next(lines, (ln + 1, ""))
+                    arr = np.array([float(v) for v in values.split()], dtype=np.float64)
                 except ValueError:
                     raise ValidationError(
-                        f"{path}: tensor {name} has a non-numeric shape or value") from None
+                        f"{path}:{ln}: tensor {name} has a non-numeric shape or value") from None
                 if arr.size != int(np.prod(shape)):
-                    raise ValidationError(f"{path}: tensor {name} has wrong value count")
+                    raise ValidationError(f"{path}:{ln}: tensor {name} has wrong value count")
                 tensors[name] = arr.reshape(shape)
             else:
-                raise ValidationError(f"{path}: unexpected line {line!r}")
+                raise ValidationError(f"{path}:{ln}: unexpected line {line!r}")
 
     def meta_int(key: str, default=None) -> int:
         try:
@@ -72,19 +80,12 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
             raise ValidationError(
                 f"{path}: meta {key} must be an integer, got {meta.get(key)!r}") from None
 
-    embed = None
-    if any(name.startswith("embed.") for name in tensors):
-        embed = EmbedParams.zeros(meta_int("m"), meta_int("x"), meta_int("dim"))
-        for name, arr in embed.tensors().items():
-            key = f"embed.{name}"
-            if key not in tensors:
-                raise ValidationError(f"{path}: missing tensor {key}")
-            arr[...] = tensors[key]
-
     ranker = RankerParams.zeros(meta_int("input_dim"), meta_int("f1", 32), meta_int("f2", 16),
                                 meta_int("rdim", 8))
-    for name, arr in ranker.tensors().items():
-        key = f"ranker.{name}"
+    embed = None
+    if set(tensors) - set(named_tensors(None, ranker)):
+        embed = EmbedParams.zeros(meta_int("m"), meta_int("x"), meta_int("dim"))
+    for key, arr in named_tensors(embed, ranker).items():
         if key not in tensors:
             raise ValidationError(f"{path}: missing tensor {key}")
         arr[...] = tensors[key]

@@ -73,8 +73,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _read_kv(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_kv(path: Path) -> dict[str, tuple[int, str]]:
+    """``key -> (line number, value)`` for each ``key=value`` line."""
+    out: dict[str, tuple[int, str]] = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
@@ -83,20 +84,25 @@ def _read_kv(path: Path) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValidationError(f"{path}:{ln}: expected key=value")
-            out[key.strip()] = value.strip()
+            out[key.strip()] = ln, value.strip()
     return out
 
 
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
     """Merge flag values, --config file values, and defaults (flags win)."""
-    file_values: dict[str, str] = {}
+    file_values: dict[str, tuple[int, str]] = {}
     if getattr(args, "config", None):
         file_values = _read_kv(Path(args.config))
     resolved = {}
     for name, (cast, default, required) in spec.items():
         value = getattr(args, name)
         if value is None and name in file_values:
-            value = cast(file_values[name])
+            ln, text = file_values[name]
+            try:
+                value = cast(text)
+            except ValueError:
+                raise ValidationError(
+                    f"{args.config}:{ln}: {name} must be {cast.__name__}, got {text!r}") from None
         if value is None:
             value = default
         if value is None and required:

@@ -6,23 +6,21 @@ framework and gradients can be checked against finite differences.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import ValidationError
 
-GATES = ("i", "f", "c", "o")
+# column-block order of the packed gate arrays: the three sigmoid gates,
+# then the tanh candidate, so one sigmoid call covers the first 3*dim columns
+GATE_ORDER = "ifoc"
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function in its tanh form, which cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -32,46 +30,38 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 @dataclass
 class LSTMCellParams:
-    """One direction's gate weights: input matrices (x, dim), recurrent
-    matrices (dim, dim), and biases (dim,) for gates i, f, c, o."""
+    """One direction's weights, packed in ``GATE_ORDER`` column blocks of
+    width dim: input weights ``w_x`` (x, 4*dim), recurrent weights ``w_h``
+    (dim, 4*dim) and biases ``b`` (4*dim,)."""
 
-    w_xi: np.ndarray
-    w_hi: np.ndarray
-    b_i: np.ndarray
-    w_xf: np.ndarray
-    w_hf: np.ndarray
-    b_f: np.ndarray
-    w_xc: np.ndarray
-    w_hc: np.ndarray
-    b_c: np.ndarray
-    w_xo: np.ndarray
-    w_ho: np.ndarray
-    b_o: np.ndarray
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.w_h.shape[0]
 
     @classmethod
     def init(cls, x: int, dim: int, rng: np.random.Generator) -> "LSTMCellParams":
-        kw = {}
-        for g in GATES:
-            kw[f"w_x{g}"] = _uniform(rng, (x, dim), x)
-            kw[f"w_h{g}"] = _uniform(rng, (dim, dim), dim)
-            kw[f"b_{g}"] = _uniform(rng, (dim,), dim)
-        return cls(**kw)
+        cell = cls.zeros(x, dim)
+        # one gate at a time in i, f, c, o order: this order fixes what a seed draws
+        for g in "ifco":
+            w_x, w_h, b = cell.gate(g)
+            w_x[...] = _uniform(rng, (x, dim), x)
+            w_h[...] = _uniform(rng, (dim, dim), dim)
+            b[...] = _uniform(rng, (dim,), dim)
+        return cell
 
     @classmethod
     def zeros(cls, x: int, dim: int) -> "LSTMCellParams":
-        kw = {}
-        for g in GATES:
-            kw[f"w_x{g}"] = np.zeros((x, dim))
-            kw[f"w_h{g}"] = np.zeros((dim, dim))
-            kw[f"b_{g}"] = np.zeros(dim)
-        return cls(**kw)
+        return cls(w_x=np.zeros((x, 4 * dim)), w_h=np.zeros((dim, 4 * dim)), b=np.zeros(4 * dim))
 
-    def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {}
-        for g in GATES:
-            for kind in (f"w_x{g}", f"w_h{g}", f"b_{g}"):
-                out[f"{prefix}.{kind}"] = getattr(self, kind)
-        return out
+    def gate(self, g: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views ``(w_x, w_h, b)`` of gate ``g``'s column block."""
+        k = GATE_ORDER.index(g) * self.dim
+        cols = slice(k, k + self.dim)
+        return self.w_x[:, cols], self.w_h[:, cols], self.b[cols]
 
 
 @dataclass
@@ -124,20 +114,17 @@ class EmbedParams:
         )
 
     def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor by name; the per-gate names (``fw.w_xi``, ...) are
+        views into the packed cell arrays."""
         out = {"w_in": self.w_in, "b_in": self.b_in}
-        out.update(self.fw.tensors("fw"))
-        out.update(self.bw.tensors("bw"))
+        for side, cell in (("fw", self.fw), ("bw", self.bw)):
+            for g in GATE_ORDER:
+                w_x, w_h, b = cell.gate(g)
+                out.update({f"{side}.w_x{g}": w_x, f"{side}.w_h{g}": w_h, f"{side}.b_{g}": b})
         return out
 
     def copy(self) -> "EmbedParams":
-        c = EmbedParams.zeros(self.m, self.x, self.dim)
-        for name, arr in self.tensors().items():
-            c.tensors()[name][...] = arr
-        return c
-
-
-def zero_grads(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in tensors.items()}
+        return copy.deepcopy(self)
 
 
 def minmax_scale_columns(A: np.ndarray) -> np.ndarray:
@@ -171,28 +158,28 @@ def _encode_batch(ids: np.ndarray, feats: np.ndarray, p: EmbedParams):
 
 
 def _cell_forward(x: np.ndarray, cell: LSTMCellParams):
-    """Run one LSTM direction over (B, L, x); returns (h, cache)."""
+    """Run one LSTM direction over (B, L, x); returns (h, cache).  One
+    matmul projects every step's input into ``a``; each step then turns
+    its slice in place into the gate activations."""
     b, l, _ = x.shape
-    dim = cell.b_i.shape[0]
-    gi = np.empty((b, l, dim))
-    gf = np.empty((b, l, dim))
-    gg = np.empty((b, l, dim))
-    go = np.empty((b, l, dim))
+    dim = cell.dim
+    a = x @ cell.w_x
     cs = np.empty((b, l, dim))
     hs = np.empty((b, l, dim))
-    h_prev = np.zeros((b, dim))
-    c_prev = np.zeros((b, dim))
+    h = np.zeros((b, dim))
+    c = np.zeros((b, dim))
     for t in range(l):
-        xt = x[:, t]
-        gi[:, t] = sigmoid(xt @ cell.w_xi + h_prev @ cell.w_hi + cell.b_i)
-        gf[:, t] = sigmoid(xt @ cell.w_xf + h_prev @ cell.w_hf + cell.b_f)
-        gg[:, t] = np.tanh(xt @ cell.w_xc + h_prev @ cell.w_hc + cell.b_c)
-        go[:, t] = sigmoid(xt @ cell.w_xo + h_prev @ cell.w_ho + cell.b_o)
-        c_prev = gf[:, t] * c_prev + gi[:, t] * gg[:, t]
-        cs[:, t] = c_prev
-        h_prev = go[:, t] * np.tanh(c_prev)
-        hs[:, t] = h_prev
-    return hs, (x, gi, gf, gg, go, cs, hs)
+        at = a[:, t]
+        at += h @ cell.w_h
+        at += cell.b
+        at[:, :3 * dim] = sigmoid(at[:, :3 * dim])
+        np.tanh(at[:, 3 * dim:], out=at[:, 3 * dim:])
+        i, f, o, g = np.split(at, 4, axis=1)
+        c = f * c + i * g
+        cs[:, t] = c
+        h = o * np.tanh(c)
+        hs[:, t] = h
+    return hs, (x, a, cs, hs)
 
 
 def _bilstm_batch(x: np.ndarray, p: EmbedParams):
@@ -215,57 +202,50 @@ def _pool_batch(h: np.ndarray) -> np.ndarray:
 # backward passes
 # ---------------------------------------------------------------------------
 
-def _encode_backward(dx: np.ndarray, cache, p: EmbedParams, grads: dict[str, np.ndarray]):
+def _encode_backward(dx: np.ndarray, cache, p: EmbedParams, grads: EmbedParams):
     x0, x = cache
     dpre = dx * (1.0 - x * x)
     flat_in = x0.reshape(-1, p.m)
     flat_d = dpre.reshape(-1, p.x)
-    grads["w_in"] += flat_in.T @ flat_d
-    grads["b_in"] += flat_d.sum(axis=0)
+    grads.w_in += flat_in.T @ flat_d
+    grads.b_in += flat_d.sum(axis=0)
 
 
 def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
-                   grads: dict[str, np.ndarray], prefix: str) -> np.ndarray:
-    x, gi, gf, gg, go, cs, hs = cache
-    b, l, _ = x.shape
-    dim = cell.b_i.shape[0]
-    dx = np.zeros_like(x)
+                   grads: LSTMCellParams) -> np.ndarray:
+    """Backprop one direction into ``grads``; returns dx.  The steps fill
+    ``da``, the packed gate pre-activation gradients, for one matmul each
+    to the weights and inputs."""
+    x, a, cs, hs = cache
+    b, l, xdim = x.shape
+    dim = cell.dim
+    da = np.empty_like(a)
     dh_next = np.zeros((b, dim))
     dc_next = np.zeros((b, dim))
     for t in range(l - 1, -1, -1):
+        i, f, o, g = np.split(a[:, t], 4, axis=1)
+        da_i, da_f, da_o, da_c = np.split(da[:, t], 4, axis=1)
         dh = dh_out[:, t] + dh_next
         tc = np.tanh(cs[:, t])
-        do = dh * tc
-        dc = dh * go[:, t] * (1.0 - tc * tc) + dc_next
-        c_prev = cs[:, t - 1] if t > 0 else np.zeros((b, dim))
-        h_prev = hs[:, t - 1] if t > 0 else np.zeros((b, dim))
-        di = dc * gg[:, t]
-        dg = dc * gi[:, t]
-        df = dc * c_prev
-        dc_next = dc * gf[:, t]
-        da = {
-            "i": di * gi[:, t] * (1.0 - gi[:, t]),
-            "f": df * gf[:, t] * (1.0 - gf[:, t]),
-            "c": dg * (1.0 - gg[:, t] * gg[:, t]),
-            "o": do * go[:, t] * (1.0 - go[:, t]),
-        }
-        xt = x[:, t]
-        dh_next = np.zeros((b, dim))
-        for g in GATES:
-            grads[f"{prefix}.w_x{g}"] += xt.T @ da[g]
-            grads[f"{prefix}.w_h{g}"] += h_prev.T @ da[g]
-            grads[f"{prefix}.b_{g}"] += da[g].sum(axis=0)
-            dx[:, t] += da[g] @ getattr(cell, f"w_x{g}").T
-            dh_next += da[g] @ getattr(cell, f"w_h{g}").T
-    return dx
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        c_prev = cs[:, t - 1] if t > 0 else 0.0
+        da_i[...] = dc * g * i * (1.0 - i)
+        da_f[...] = dc * c_prev * f * (1.0 - f)
+        da_o[...] = dh * tc * o * (1.0 - o)
+        da_c[...] = dc * i * (1.0 - g * g)
+        dc_next = dc * f
+        dh_next = da[:, t] @ cell.w_h.T
+    grads.w_x += x.reshape(-1, xdim).T @ da.reshape(-1, 4 * dim)
+    grads.w_h += hs[:, :-1].reshape(-1, dim).T @ da[:, 1:].reshape(-1, 4 * dim)
+    grads.b += da.sum(axis=(0, 1))
+    return da @ cell.w_x.T
 
 
-def _bilstm_backward(dh2: np.ndarray, cache, p: EmbedParams,
-                     grads: dict[str, np.ndarray]) -> np.ndarray:
+def _bilstm_backward(dh2: np.ndarray, cache, p: EmbedParams, grads: EmbedParams) -> np.ndarray:
     cache_fw, cache_bw = cache
     dim = p.dim
-    dx = _cell_backward(dh2[:, :, :dim], cache_fw, p.fw, grads, "fw")
-    dx_rev = _cell_backward(dh2[:, ::-1, dim:], cache_bw, p.bw, grads, "bw")
+    dx = _cell_backward(dh2[:, :, :dim], cache_fw, p.fw, grads.fw)
+    dx_rev = _cell_backward(dh2[:, ::-1, dim:], cache_bw, p.bw, grads.bw)
     return dx + dx_rev[:, ::-1]
 
 
@@ -276,4 +256,3 @@ def _pool_backward(dpooled: np.ndarray, num: int, l: int) -> np.ndarray:
     dhbar[:, 0] = dpooled[:, :w]
     dhbar[:, 1:] = dpooled[:, None, w:] / (l - 1)
     return np.broadcast_to(dhbar[:, None], (g, num, l, w)) / num
-

@@ -41,12 +41,6 @@ class RoadNetwork:
         self.M.flags.writeable = False
         self.A.flags.writeable = False
 
-    def out_degree(self) -> np.ndarray:
-        return self.M.sum(axis=1)
-
-    def in_degree(self) -> np.ndarray:
-        return self.M.sum(axis=0)
-
     def attr_index(self, name: str) -> int:
         try:
             return self.attr_names.index(name)

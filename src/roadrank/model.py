@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .encoder import EmbedParams, minmax_scale_columns, vertex_features, zero_grads
+from .checkpoint import named_tensors
+from .encoder import EmbedParams, minmax_scale_columns, vertex_features
 from .graph import RoadNetwork, ValidationError
 from .ranker import RankerParams, _branch_forward, bce_loss, pair_backward, pair_forward
 from .walks import SampleSet
@@ -75,6 +76,10 @@ class PairScorer:
                 raise ValidationError(f"encoder expects m={embed.m}, network has m={net.m}")
             if samples.sequences.shape[0] != net.n:
                 raise ValidationError("sample set does not cover the network's nodes")
+            if variant.sample_alpha is not None and samples.config.alpha != variant.sample_alpha:
+                raise ValidationError(
+                    f"variant {variant.name} needs samples drawn with alpha="
+                    f"{variant.sample_alpha}, got alpha={samples.config.alpha}")
             self.ids = samples.sequences
             self.feats = vertex_features(a_scaled)
             width = embedding_width(variant, net.m, embed.x, embed.dim)
@@ -91,11 +96,7 @@ class PairScorer:
         self.width = width
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        if self.embed is not None and self.variant.use_embedding:
-            out.update({f"embed.{k}": v for k, v in self.embed.tensors().items()})
-        out.update({f"ranker.{k}": v for k, v in self.ranker.tensors().items()})
-        return out
+        return named_tensors(self.embed if self.variant.use_embedding else None, self.ranker)
 
     # -- embeddings --------------------------------------------------------
 
@@ -116,7 +117,7 @@ class PairScorer:
             return pooled, None
         return pooled, (enc_cache, lstm_cache, num, l)
 
-    def _embed_backward(self, dpooled: np.ndarray, cache, grads: dict[str, np.ndarray]):
+    def _embed_backward(self, dpooled: np.ndarray, cache, grads: EmbedParams):
         enc_cache, lstm_cache, num, l = cache
         dh = encoder._pool_backward(dpooled, num, l)
         dh = dh.reshape(-1, l, dh.shape[-1])
@@ -182,18 +183,18 @@ class PairScorer:
         ratings, rcache = pair_forward(h[li], h[lj], self.ranker)
         loss = bce_loss(ratings, y)
 
-        rgrads = zero_grads(self.ranker.tensors())
+        r = self.ranker
+        rgrads = RankerParams.zeros(r.input_dim, r.b1.size, r.b2.size, r.rdim)
         dlogit = (ratings - y) / y.size
-        dhi, dhj = pair_backward(dlogit, rcache, self.ranker, rgrads)
+        dhi, dhj = pair_backward(dlogit, rcache, r, rgrads)
         dh = np.zeros_like(h)
         np.add.at(dh, li, dhi)
         np.add.at(dh, lj, dhj)
         if mask is not None:
             dh = dh * mask
 
-        grads = {f"ranker.{k}": v for k, v in rgrads.items()}
+        egrads = None
         if self.variant.use_embedding:
-            egrads = zero_grads(self.embed.tensors())
+            egrads = EmbedParams.zeros(self.embed.m, self.embed.x, self.embed.dim)
             self._embed_backward(dh, cache, egrads)
-            grads.update({f"embed.{k}": v for k, v in egrads.items()})
-        return loss, grads, ratings
+        return loss, named_tensors(egrads, rgrads), ratings

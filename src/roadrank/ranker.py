@@ -9,6 +9,7 @@ totalized into a descending node list by Copeland counts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -79,18 +80,10 @@ class RankerParams:
         )
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": self.w1, "b1": self.b1,
-            "w2": self.w2, "b2": self.b2,
-            "w3": self.w3, "b3": self.b3,
-            "w_out": self.w_out, "b_out": self.b_out,
-        }
+        return dict(vars(self))  # every field is a tensor
 
     def copy(self) -> "RankerParams":
-        c = RankerParams.zeros(self.input_dim, self.b1.size, self.b2.size, self.rdim)
-        for name, arr in self.tensors().items():
-            c.tensors()[name][...] = arr
-        return c
+        return copy.deepcopy(self)
 
 
 def _branch_forward(h: np.ndarray, p: RankerParams):
@@ -104,17 +97,17 @@ def _branch_forward(h: np.ndarray, p: RankerParams):
 
 
 def _branch_backward(ds: np.ndarray, cache, p: RankerParams,
-                     grads: dict[str, np.ndarray]) -> np.ndarray:
+                     grads: RankerParams) -> np.ndarray:
     h, z1, a1, z2, a2, z3 = cache
     dz3 = ds * (z3 > 0)
-    grads["w3"] += a2.T @ dz3
-    grads["b3"] += dz3.sum(axis=0)
+    grads.w3 += a2.T @ dz3
+    grads.b3 += dz3.sum(axis=0)
     dz2 = (dz3 @ p.w3.T) * (z2 > 0)
-    grads["w2"] += a1.T @ dz2
-    grads["b2"] += dz2.sum(axis=0)
+    grads.w2 += a1.T @ dz2
+    grads.b2 += dz2.sum(axis=0)
     dz1 = (dz2 @ p.w2.T) * (z1 > 0)
-    grads["w1"] += h.T @ dz1
-    grads["b1"] += dz1.sum(axis=0)
+    grads.w1 += h.T @ dz1
+    grads.b1 += dz1.sum(axis=0)
     return dz1 @ p.w1.T
 
 
@@ -131,13 +124,13 @@ def pair_forward(hi: np.ndarray, hj: np.ndarray, p: RankerParams):
 
 
 def pair_backward(dlogit: np.ndarray, cache, p: RankerParams,
-                  grads: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                  grads: RankerParams) -> tuple[np.ndarray, np.ndarray]:
     """Backprop from d(loss)/d(logit) to branch inputs; accumulates grads."""
     cache_i, cache_j, si, sj, _ = cache
     r = p.rdim
-    grads["w_out"][:r] += dlogit @ si
-    grads["w_out"][r:] += dlogit @ sj
-    grads["b_out"] += dlogit.sum(keepdims=True)
+    grads.w_out[:r] += dlogit @ si
+    grads.w_out[r:] += dlogit @ sj
+    grads.b_out += dlogit.sum(keepdims=True)
     dsi = np.outer(dlogit, p.w_out[:r])
     dsj = np.outer(dlogit, p.w_out[r:])
     dhi = _branch_backward(dsi, cache_i, p, grads)

@@ -299,17 +299,16 @@ def gradient_check(scorer: PairScorer, pi, pj, labels, step: float = 1e-5) -> Gr
     for name, tensor in scorer.tensors().items():
         worst = 0.0
         grad = analytic[name]
-        flat = tensor.reshape(-1)
-        gflat = grad.reshape(-1)
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + step
+        # indexed in place: tensors may be strided views of packed arrays
+        for k in np.ndindex(tensor.shape):
+            keep = tensor[k]
+            tensor[k] = keep + step
             up = loss_only()
-            flat[k] = keep - step
+            tensor[k] = keep - step
             down = loss_only()
-            flat[k] = keep
+            tensor[k] = keep
             numeric = (up - down) / (2.0 * step)
-            err = abs(numeric - gflat[k]) / max(1.0, abs(numeric), abs(gflat[k]))
+            err = abs(numeric - grad[k]) / max(1.0, abs(numeric), abs(grad[k]))
             if err > worst:
                 worst = err
         per_tensor[name] = worst

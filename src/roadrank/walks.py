@@ -208,19 +208,19 @@ def load_samples(path) -> SampleSet:
             raise ValidationError(f"{path}: negative n or m in header")
         cfg = WalkConfig(alpha=header["alpha"], num=header["num"], length=header["l"],
                          seed=header["seed"])
-        seqs = np.empty((n, cfg.num, cfg.length), dtype=np.int64)
-        for i in range(n):
-            for w in range(cfg.num):
-                line = fh.readline()
-                if not line:
-                    raise ValidationError(f"{path}: truncated sample file")
-                try:
-                    ids = [int(v) for v in line.split()]
-                except ValueError:
-                    raise ValidationError(f"{path}: non-integer vertex id for node {i}") from None
-                if len(ids) != cfg.length:
-                    raise ValidationError(f"{path}: sequence of wrong length for node {i}")
-                seqs[i, w] = ids
+        seqs = np.empty((n * cfg.num, cfg.length), dtype=np.int64)
+        # sequence lines follow the magic line and the header lines
+        for ln, row in enumerate(seqs, start=len(_SAMPLES_HEADER) + 2):
+            line = fh.readline()
+            if not line:
+                raise ValidationError(f"{path}:{ln}: truncated sample file")
+            try:
+                ids = [int(v) for v in line.split()]
+            except ValueError:
+                raise ValidationError(f"{path}:{ln}: non-integer vertex id") from None
+            if len(ids) != cfg.length:
+                raise ValidationError(f"{path}:{ln}: sequence of wrong length")
+            row[:] = ids
     if seqs.size and (seqs.min() < 0 or seqs.max() >= n + m):
         raise ValidationError(f"{path}: vertex id out of range")
-    return SampleSet(sequences=seqs, n=n, m=m, config=cfg)
+    return SampleSet(sequences=seqs.reshape(n, cfg.num, cfg.length), n=n, m=m, config=cfg)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,34 +289,52 @@ def test_node_readers_reject_bad_ids_and_short_rows(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("line, replacement", [
     ("n 12", "n x"), ("alpha 0.0001", ""), ("seed 2", "seed"), ("m 5", "num 5"),
-    ("n 12", "n -1"),
+    ("n 12", "n -1"), (9, "12 x 3 4"), (9, "12 3"), (67, None),
 ])
 def test_samples_header_rejected(pipeline, tmp_path, capsys, line, replacement):
+    """Header lines are given by their text, sequence lines by number."""
     base, net_dir, scores, samples, ckpt, _ = pipeline
-    text = samples.read_text()
-    assert f"\n{line}\n" in text
+    lines = samples.read_text().splitlines(keepends=True)
+    assert len(lines) == 67
+    ln = line if isinstance(line, int) else lines.index(f"{line}\n") + 1
+    if replacement is None:
+        del lines[ln - 1:]  # the file ends where line ln should be
+    else:
+        lines[ln - 1] = f"{replacement}\n"
     bad = tmp_path / "samples.txt"
-    bad.write_text(text.replace(f"\n{line}\n", f"\n{replacement}\n", 1))
+    bad.write_text("".join(lines))
     err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(ckpt),
                   "--samples", str(bad), "--out", str(tmp_path / "r.csv"))
-    assert f"{bad}:" in err and "header" in err
+    if isinstance(line, int):
+        assert f"{bad}:{ln}: " in err
+    else:
+        assert f"{bad}:" in err and "header" in err
 
 
 @pytest.mark.parametrize("key, value", [
     ("input_dim", None), ("input_dim", "8.5"), ("m", None), ("x", "eight"), ("dim", None),
+    ("ranker.b_out", "0.5x"), ("embed.fw.w_hc", "0.1 0.2 three 0.4"),
 ])
 def test_checkpoint_meta_rejected(pipeline, tmp_path, capsys, key, value):
+    """Meta keys are dropped or replaced; a tensor's value line is replaced."""
     base, net_dir, scores, samples, ckpt, _ = pipeline
     lines = ckpt.read_text().splitlines(keepends=True)
-    kept = [ln for ln in lines if not ln.startswith(f"meta {key} ")]
-    assert len(kept) == len(lines) - 1
-    if value is not None:
-        kept.insert(1, f"meta {key} {value}\n")
     bad = tmp_path / "model.ckpt"
-    bad.write_text("".join(kept))
+    if key.startswith(("embed.", "ranker.")):
+        ln = next(k for k, text in enumerate(lines, start=1)
+                  if text.startswith(f"tensor {key} ")) + 1
+        lines[ln - 1] = f"{value}\n"
+        expected = f"{bad}:{ln}: tensor {key}"
+    else:
+        kept = [ln for ln in lines if not ln.startswith(f"meta {key} ")]
+        assert len(kept) == len(lines) - 1
+        if value is not None:
+            kept.insert(1, f"meta {key} {value}\n")
+        lines, expected = kept, f"meta {key}"
+    bad.write_text("".join(lines))
     err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(bad),
                   "--samples", str(samples), "--out", str(tmp_path / "r.csv"))
-    assert f"meta {key}" in err
+    assert expected in err
 
 
 @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--beta1", "1.0"), ("--eps", "inf")])
@@ -325,3 +344,52 @@ def test_train_rejects_bad_optimizer_values(pipeline, tmp_path, capsys, flag, va
                   "--samples", str(samples), "--epochs", "1", flag, value,
                   "--out", str(tmp_path / "model.ckpt"))
     assert flag[2:] in err
+
+
+@pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--observation-window", "inf")])
+def test_generate_rejects_non_finite_cascade_values(pipeline, tmp_path, capsys, flag, value):
+    base, net_dir, _, _, _, _ = pipeline
+    out = tmp_path / "scores.csv"
+    err = invalid(capsys, "generate", "--network", str(net_dir), flag, value, "--out", str(out))
+    assert flag[2:].replace("-", "_") in err and not out.exists()
+
+
+def test_config_value_failing_its_cast_names_the_line(pipeline, tmp_path, capsys):
+    base, net_dir, _, _, _, _ = pipeline
+    cfg = tmp_path / "sample.cfg"
+    cfg.write_text("# walks\nalpha=0.5\nnum=abc\n")
+    err = invalid(capsys, "sample", "--network", str(net_dir), "--config", str(cfg),
+                  "--out", str(tmp_path / "s.txt"))
+    assert f"{cfg}:3: num" in err and "'abc'" in err
+
+
+def test_nomg_needs_samples_drawn_at_alpha_one(pipeline, tmp_path, capsys):
+    base, net_dir, scores, samples, _, _ = pipeline
+    train = ("train", "--network", str(net_dir), "--scores", str(scores), "--ablation", "NoMG",
+             "--epochs", "1", "--strata", "2")
+    err = invalid(capsys, *train, "--samples", str(samples), "--out", str(tmp_path / "a.ckpt"))
+    assert "NoMG" in err and "alpha=1.0" in err
+
+    walks = tmp_path / "walks.txt"
+    ckpt = tmp_path / "nomg.ckpt"
+    assert run("sample", "--network", str(net_dir), "--alpha", "1", "--num", "5",
+               "--out", str(walks)) == EXIT_OK
+    assert run(*train, "--samples", str(walks), "--out", str(ckpt)) == EXIT_OK
+    rank = ("rank", "--network", str(net_dir), "--ckpt", str(ckpt),
+            "--out", str(tmp_path / "r.csv"))
+    assert run(*rank, "--samples", str(walks)) == EXIT_OK
+    err = invalid(capsys, *rank, "--samples", str(samples))
+    assert "NoMG" in err and "alpha=0.0001" in err
+
+
+def test_v1_checkpoint_reproduces_its_ranking(tmp_path):
+    """tests/data/v1 holds a roadrank-checkpoint v1 file and the ranking that
+    ``rank`` wrote from it while the LSTM still held one array per gate."""
+    data = Path(__file__).parent / "data" / "v1"
+    out = tmp_path / "ranking.csv"
+    assert run("rank", "--network", str(data / "net"), "--ckpt", str(data / "model.ckpt"),
+               "--samples", str(data / "samples.txt"), "--out", str(out)) == EXIT_OK
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    want = np.loadtxt(data / "ranking.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(got[:, :3], want[:, :3])  # rank, node_id, copeland
+    np.testing.assert_allclose(got[:, 3], want[:, 3], rtol=0, atol=1e-12)

@@ -64,12 +64,17 @@ def test_initial_encode_range_and_id_bounds():
     assert (np.abs(out) < 1.0).all()
 
 
-def test_lstm_single_step_hand_values():
-    # x = (1,), dim 1, every weight 0.5, zero biases
+def half_weights_cell():
+    """x = (1,), dim 1, every input and recurrent weight 0.5, zero biases."""
     cell = LSTMCellParams.zeros(x=1, dim=1)
-    for name in ("w_xi", "w_xf", "w_xc", "w_xo", "w_hi", "w_hf", "w_hc", "w_ho"):
-        getattr(cell, name)[...] = 0.5
-    h = lstm(np.array([[1.0]]), cell)
+    assert cell.w_x.shape == (1, 4) and cell.w_h.shape == (1, 4) and cell.b.shape == (4,)
+    cell.w_x[...] = 0.5
+    cell.w_h[...] = 0.5
+    return cell
+
+
+def test_lstm_single_step_hand_values():
+    h = lstm(np.array([[1.0]]), half_weights_cell())
 
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
     gate = sig(0.5)
@@ -82,9 +87,10 @@ def test_lstm_single_step_hand_values():
 
 
 def test_lstm_two_steps_hand_recurrence():
+    # distinct weights per gate block, so a wrong block order changes h
     cell = LSTMCellParams.zeros(x=1, dim=1)
-    for name in ("w_xi", "w_xf", "w_xc", "w_xo", "w_hi", "w_hf", "w_hc", "w_ho"):
-        getattr(cell, name)[...] = 0.5
+    wx, wh, bias = (0.5, -0.25, 0.75, 0.4), (0.3, 0.6, -0.2, 0.9), (0.1, -0.1, 0.05, 0.0)
+    cell.w_x[0], cell.w_h[0], cell.b[...] = wx, wh, bias  # blocks i, f, o, c
     xs = np.array([[1.0], [0.25]])
     h = lstm(xs, cell)
 
@@ -92,9 +98,8 @@ def test_lstm_two_steps_hand_recurrence():
     h_prev, c_prev = 0.0, 0.0
     expected = []
     for x in (1.0, 0.25):
-        pre = 0.5 * x + 0.5 * h_prev
-        i = f = o = sig(pre)
-        g = math.tanh(pre)
+        pre = [wx[k] * x + wh[k] * h_prev + bias[k] for k in range(4)]
+        i, f, o, g = sig(pre[0]), sig(pre[1]), sig(pre[2]), math.tanh(pre[3])
         c_prev = f * c_prev + i * g
         h_prev = o * math.tanh(c_prev)
         expected.append(h_prev)
@@ -198,8 +203,7 @@ def test_encoder_gradients_finite_difference():
     weights = rng.normal(size=(net.n, p.hdim))
 
     from roadrank.encoder import (_bilstm_backward, _bilstm_batch, _encode_backward,
-                                  _encode_batch, _pool_backward, _pool_batch,
-                                  zero_grads)
+                                  _encode_batch, _pool_backward, _pool_batch)
 
     feats = vertex_features(minmax_scale_columns(net.A))
     n, num, l = ss.sequences.shape
@@ -211,21 +215,21 @@ def test_encoder_gradients_finite_difference():
     x, enc_cache = _encode_batch(ids, feats, p)
     h, lstm_cache = _bilstm_batch(x, p)
     _pool_batch(h.reshape(n, num, l, 2 * p.dim))
-    grads = zero_grads(p.tensors())
+    grads = EmbedParams.zeros(p.m, p.x, p.dim)
     dh = _pool_backward(weights, num, l).reshape(n * num, l, 2 * p.dim)
     dx = _bilstm_backward(dh, lstm_cache, p, grads)
     _encode_backward(dx, enc_cache, p, grads)
 
     step = 1e-6
+    analytic = grads.tensors()
     for name, tensor in p.tensors().items():
-        flat = tensor.reshape(-1)
-        g = grads[name].reshape(-1)
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + step
+        g = analytic[name]
+        for k in np.ndindex(tensor.shape):  # in place: per-gate tensors are strided views
+            keep = tensor[k]
+            tensor[k] = keep + step
             up = loss()
-            flat[k] = keep - step
+            tensor[k] = keep - step
             down = loss()
-            flat[k] = keep
+            tensor[k] = keep
             numeric = (up - down) / (2 * step)
             assert abs(numeric - g[k]) / max(1.0, abs(numeric), abs(g[k])) < 1e-6, name

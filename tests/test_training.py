@@ -122,6 +122,20 @@ def test_adam_lr_zero_is_identity():
     npt.assert_array_equal(t["w"], [1.0, -2.0])
 
 
+def test_adam_step_through_scorer_tensors_moves_packed_weights():
+    net, samples, scores = grid_task(rows=2, cols=3, seed=1, num=3)
+    embed = EmbedParams.init(net.m, 8, 2, 11)
+    scorer = PairScorer(net, samples, embed, RankerParams.init(8, seed=12),
+                        apply_ablation("full"))
+    tensors = scorer.tensors()
+    assert np.shares_memory(tensors["embed.fw.w_xc"], embed.fw.w_x)
+    before = embed.fw.w_x.copy()
+    adam = Adam(tensors, lr=0.01)
+    _, grads, _ = scorer.loss_and_grads(*make_pairs(range(net.n), scores).T)
+    adam.step(grads)
+    assert (embed.fw.w_x != before).all()
+
+
 def test_train_lr_zero_leaves_params():
     net, samples, scores = grid_task()
     cfg = TrainConfig(seed=1, epochs=2, lr=0.0, dropout=0.0)
