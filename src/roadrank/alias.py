@@ -43,10 +43,12 @@ def build_alias(p) -> AliasTable:
     if abs(total - 1.0) > _SUM_TOL:
         raise ValidationError(f"alias input sums to {total!r}, expected 1 within {_SUM_TOL}")
 
+    # Vose's loop on Python floats: the same IEEE operations as float64
+    # scalars, without numpy's per-element indexing cost
     n = p.size
-    prob = np.ones(n, dtype=np.float64)
-    alias = np.arange(n, dtype=np.int64)
-    scaled = p * n
+    prob = [1.0] * n
+    alias = list(range(n))
+    scaled = (p * n).tolist()
     small = [i for i in range(n) if scaled[i] < 1.0]
     large = [i for i in range(n) if scaled[i] >= 1.0]
     while small and large:
@@ -59,12 +61,10 @@ def build_alias(p) -> AliasTable:
             small.append(g)
         else:
             large.append(g)
-    # leftovers are numerically 1 (either queue may hold them at the end)
-    for q in (small, large):
-        for g in q:
-            prob[g] = 1.0
-            alias[g] = g
-    return AliasTable(prob=prob, alias=alias)
+    # leftovers in either queue are numerically 1: they keep prob 1 and
+    # alias themselves
+    return AliasTable(prob=np.array(prob, dtype=np.float64),
+                      alias=np.array(alias, dtype=np.int64))
 
 
 def alias_draw(table: AliasTable, rng: np.random.Generator) -> int:

@@ -21,10 +21,12 @@ def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
     """
     n = net.n
     succ = [np.flatnonzero(net.M[v]).tolist() for v in range(n)]
-    bc = np.zeros(n)
+    # Python lists and floats: the same IEEE arithmetic as float64 scalars,
+    # without numpy's per-element indexing cost
+    bc = [0.0] * n
     for s in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n)
+        dist = [-1] * n
+        sigma = [0.0] * n
         preds: list[list[int]] = [[] for _ in range(n)]
         dist[s] = 0
         sigma[s] = 1.0
@@ -40,13 +42,13 @@ def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = np.zeros(n)
+        delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
             if w != s:
                 bc[w] += delta[w]
-    return bc
+    return np.array(bc)
 
 
 def pagerank(net: RoadNetwork, damping: float = 0.85, tol: float = 1e-10,

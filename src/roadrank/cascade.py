@@ -103,6 +103,56 @@ def assign_baseline_state(net: RoadNetwork, kappa: float = 1.0,
                          speed=_congested_speed(limiv, capacity, demand))
 
 
+# Targets simulated together: each (targets x in-edges) float temporary of
+# a block stays near 1 MB.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _in_edges(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Non-self-loop edges ``src -> dst`` sorted by (dst, src)."""
+    dst, src = np.nonzero(net.M.T)
+    keep = src != dst
+    return src[keep], dst[keep]
+
+
+def _simulate_block(net: RoadNetwork, state: BaselineState, src: np.ndarray,
+                    dst: np.ndarray, targets: np.ndarray, cfg: CascadeConfig) -> np.ndarray:
+    """Failure counts per period, one row per target in ``targets``.
+
+    Every target's cascade is independent, so the block runs them as rows
+    of a (targets x n) demand matrix.  Per-segment sums go through
+    ``np.bincount``, which adds in input order from 0.0; with edges sorted
+    by (dst, src) that is the order of a plain loop over segments, so each
+    row equals a one-target, one-segment-at-a-time simulation bit for bit.
+    """
+    n, b = net.n, targets.size
+    limiv = net.A[:, net.attr_index("limiv")]
+    threshold = cfg.failure_speed_fraction * limiv
+    rows = np.arange(b)
+    cap = np.tile(state.capacity, (b, 1))
+    cap[rows, targets] *= cfg.capacity_reduction
+    dem = np.tile(state.demand, (b, 1))
+    offset = (rows * n)[:, None]
+    by_dst = (offset + dst).ravel()
+    by_src = (offset + src).ravel()
+    uniform = 1.0 / np.bincount(dst)[dst]  # equal shares when upstream demand is 0
+    failed = np.zeros((b, n), dtype=bool)
+    counts = np.zeros((b, cfg.periods), dtype=np.int64)
+    for t in range(cfg.periods):
+        if t > 0:
+            unmet = np.maximum(dem - cap, 0.0)
+            ups = dem[:, src]
+            total = np.bincount(by_dst, weights=ups.ravel(), minlength=b * n).reshape(b, n)[:, dst]
+            positive = total > 0
+            share = np.where(positive, ups / np.where(positive, total, 1.0), uniform)
+            pushed = (cfg.spillback_rate * unmet[:, dst]) * share
+            dem = dem + np.bincount(by_src, weights=pushed.ravel(), minlength=b * n).reshape(b, n)
+        newly = (_congested_speed(limiv, cap, dem) < threshold) & ~failed
+        counts[:, t] = newly.sum(axis=1)
+        failed |= newly
+    return counts
+
+
 def cascade_failure(net: RoadNetwork, state: BaselineState, target: int,
                     cfg: CascadeConfig) -> np.ndarray:
     """Simulate the failure of ``target`` and count newly failed segments
@@ -117,34 +167,8 @@ def cascade_failure(net: RoadNetwork, state: BaselineState, target: int,
     """
     if not 0 <= target < net.n:
         raise ValidationError(f"unknown target id {target}")
-    limiv = net.A[:, net.attr_index("limiv")]
-    in_neighbors = [
-        np.array([i for i in np.flatnonzero(net.M[:, j]) if i != j], dtype=np.int64)
-        for j in range(net.n)
-    ]
-    cap = state.capacity.copy()
-    cap[target] *= cfg.capacity_reduction
-    dem = state.demand.copy()
-    failed = np.zeros(net.n, dtype=bool)
-    counts = np.zeros(cfg.periods, dtype=np.int64)
-    for t in range(1, cfg.periods + 1):
-        if t > 1:
-            unmet = np.maximum(dem - cap, 0.0)
-            inc = np.zeros(net.n)
-            for s in np.flatnonzero(unmet > 0):
-                ups = in_neighbors[s]
-                if ups.size == 0:
-                    continue
-                weights = dem[ups]
-                total = weights.sum()
-                share = weights / total if total > 0 else np.full(ups.size, 1.0 / ups.size)
-                inc[ups] += cfg.spillback_rate * unmet[s] * share
-            dem = dem + inc
-        speed = _congested_speed(limiv, cap, dem)
-        newly = (speed < cfg.failure_speed_fraction * limiv) & ~failed
-        counts[t - 1] = int(newly.sum())
-        failed |= newly
-    return counts
+    src, dst = _in_edges(net)
+    return _simulate_block(net, state, src, dst, np.array([target]), cfg)[0]
 
 
 def importance_score(counts, gamma: float) -> float:
@@ -160,9 +184,13 @@ def generate_ground_truth(net: RoadNetwork, cfg: CascadeConfig) -> ImportanceSco
     """Score every node by simulating its failure once."""
     state = assign_baseline_state(net, kappa=cfg.kappa,
                                   observation_window=cfg.observation_window)
+    src, dst = _in_edges(net)
+    block = max(1, _BLOCK_ELEMENTS // max(src.size, 1))
     aff = np.empty(net.n)
-    for target in range(net.n):
-        aff[target] = importance_score(cascade_failure(net, state, target, cfg), cfg.gamma)
+    for lo in range(0, net.n, block):
+        targets = np.arange(lo, min(lo + block, net.n))
+        for target, counts in zip(targets, _simulate_block(net, state, src, dst, targets, cfg)):
+            aff[target] = importance_score(counts, cfg.gamma)
     return ImportanceScores(aff=aff, gamma=cfg.gamma, periods=cfg.periods,
                             provenance="simulated")
 

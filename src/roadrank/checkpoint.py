@@ -44,7 +44,7 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`."""
     path = Path(path)
     meta: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
+    tensors: dict[str, tuple[int, np.ndarray]] = {}  # name -> (shape line, values)
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != _CKPT_MAGIC:
@@ -60,6 +60,7 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
                 meta[key] = value
             elif kind == "tensor":
                 name, *dims = rest.split(" ")
+                shape_ln = ln
                 try:
                     shape = tuple(int(d) for d in dims)
                     ln, values = next(lines, (ln + 1, ""))
@@ -69,7 +70,9 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
                         f"{path}:{ln}: tensor {name} has a non-numeric shape or value") from None
                 if arr.size != int(np.prod(shape)):
                     raise ValidationError(f"{path}:{ln}: tensor {name} has wrong value count")
-                tensors[name] = arr.reshape(shape)
+                if not np.isfinite(arr).all():
+                    raise ValidationError(f"{path}:{ln}: tensor {name} has a non-finite value")
+                tensors[name] = shape_ln, arr.reshape(shape)
             else:
                 raise ValidationError(f"{path}:{ln}: unexpected line {line!r}")
 
@@ -88,5 +91,9 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
     for key, arr in named_tensors(embed, ranker).items():
         if key not in tensors:
             raise ValidationError(f"{path}: missing tensor {key}")
-        arr[...] = tensors[key]
+        ln, values = tensors[key]
+        if values.shape != arr.shape:
+            raise ValidationError(f"{path}:{ln}: tensor {key} has shape {values.shape}, "
+                                  f"expected {arr.shape} from the metadata")
+        arr[...] = values
     return embed, ranker, meta

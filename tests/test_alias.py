@@ -60,3 +60,48 @@ def test_draw_determinism():
 def test_bad_inputs_rejected(bad):
     with pytest.raises(ValidationError):
         build_alias(bad)
+
+
+def vose_numpy(p):
+    """Reference Vose construction indexing numpy arrays element by
+    element; ``build_alias`` must give exactly its tables."""
+    p = np.asarray(p, dtype=np.float64)
+    n = p.size
+    prob = np.ones(n, dtype=np.float64)
+    alias = np.arange(n, dtype=np.int64)
+    scaled = p * n
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        if scaled[g] < 1.0:
+            small.append(g)
+        else:
+            large.append(g)
+    for q in (small, large):
+        for g in q:
+            prob[g] = 1.0
+            alias[g] = g
+    return prob, alias
+
+
+_weights = st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1.0)),
+                    min_size=1, max_size=64).filter(any)
+_uniform = st.integers(min_value=1, max_value=64).map(lambda n: [1.0] * n)
+
+
+@given(st.one_of(_weights, _uniform))
+@settings(max_examples=200, deadline=None)
+def test_build_alias_matches_numpy_vose(weights):
+    p = np.array(weights)
+    p = p / p.sum()
+    p = p / p.sum()
+    prob, alias = vose_numpy(p)
+    t = build_alias(p)
+    npt.assert_array_equal(t.prob, prob)
+    npt.assert_array_equal(t.alias, alias)
+    assert t.prob.dtype == np.float64 and t.alias.dtype == np.int64

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from roadrank import cascade
 from roadrank.cascade import (CascadeConfig, ImportanceScores,
                               assign_baseline_state, cascade_failure,
                               generate_ground_truth, import_scores,
@@ -183,6 +184,45 @@ def test_cascade_matches_reference_on_random_networks():
             ref_counts, _ = reference_cascade(net, target, cfg)
             npt.assert_array_equal(counts, ref_counts)
             assert counts.sum() <= n  # nothing fails twice
+
+
+def test_cascade_matches_reference_with_a_high_in_degree_hub():
+    # a hub fed by 8..12 segments: its upstream demand total is a sum of
+    # at least 8 terms, which a pairwise summation would round differently
+    # from the reference's running sum
+    rng = np.random.default_rng(22)
+    cfg = CascadeConfig(spillback_rate=0.7, failure_speed_fraction=0.3, periods=6)
+    for trial in range(6):
+        n = int(rng.integers(10, 15))
+        feeders = rng.permutation(np.arange(1, n))[:int(rng.integers(8, n))]
+        edges = {(int(u), 0) for u in feeders}
+        edges |= {(i, j) for i in range(n) for j in range(n)
+                  if i != j and rng.random() < 0.15}
+        net = make_net(sorted(edges),
+                       limiv=rng.choice([30, 50, 80], size=n),
+                       nlan=rng.integers(1, 4, size=n),
+                       vol=rng.uniform(0, 300, size=n) * 10.0 ** rng.uniform(-2, 1, size=n))
+        assert int(net.M[1:, 0].sum()) >= 8
+        state = assign_baseline_state(net)
+        scores = generate_ground_truth(net, cfg)
+        for target in range(n):
+            ref_counts, _ = reference_cascade(net, target, cfg)
+            npt.assert_array_equal(cascade_failure(net, state, target, cfg), ref_counts)
+            assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
+
+
+def test_ground_truth_over_several_blocks_matches_reference(monkeypatch):
+    # 81 targets in blocks of 7 (the last one short) must score exactly as
+    # one reference simulation per target
+    net = synth_grid_network(9, 9, seed=4)
+    src, _ = cascade._in_edges(net)
+    monkeypatch.setattr(cascade, "_BLOCK_ELEMENTS", 7 * src.size)
+    cfg = CascadeConfig()
+    scores = generate_ground_truth(net, cfg)
+    assert (scores.aff > 0).sum() > net.n // 2
+    for target in range(net.n):
+        ref_counts, _ = reference_cascade(net, target, cfg)
+        assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
 
 
 def test_cascade_unknown_target():

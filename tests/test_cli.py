@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -227,6 +228,30 @@ def test_stage_outputs_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+# sha256 of the oracle stages' outputs on a 6x6 grid; a change that moves
+# any of these bytes must say so and update the digest on purpose
+GOLDEN_SHA256 = {
+    "scores.csv": "5a6a61d9afae6856a4c9bfa2968a1c9524753e9804e74eb8bad2802e1fc7188b",
+    "samples.txt": "76c60a6dfd0433de2b6512c238def8f9b3adb19cc6d6866907d53a93749f4bfa",
+    "bc.csv": "5d1afd68faf6ecc3366fdc8e670f7d4bcc7f250018c7d311115f70ecb705972e",
+}
+
+
+def test_oracle_stage_outputs_match_golden_digests(tmp_path):
+    net_dir = tmp_path / "net"
+    assert run("synth", "--rows", "6", "--cols", "6", "--seed", "1",
+               "--out", str(net_dir)) == EXIT_OK
+    assert run("generate", "--network", str(net_dir),
+               "--out", str(tmp_path / "scores.csv")) == EXIT_OK
+    assert run("sample", "--network", str(net_dir), "--seed", "1",
+               "--out", str(tmp_path / "samples.txt")) == EXIT_OK
+    assert run("baseline", "--method", "bc", "--network", str(net_dir),
+               "--out", str(tmp_path / "bc.csv")) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     base = tmp_path_factory.mktemp("pipeline")
@@ -314,16 +339,24 @@ def test_samples_header_rejected(pipeline, tmp_path, capsys, line, replacement):
 @pytest.mark.parametrize("key, value", [
     ("input_dim", None), ("input_dim", "8.5"), ("m", None), ("x", "eight"), ("dim", None),
     ("ranker.b_out", "0.5x"), ("embed.fw.w_hc", "0.1 0.2 three 0.4"),
+    ("ranker.b_out", "nan"), ("ranker.b_out", "-inf"),
+    ("ranker.b_out", ("2", "0.1 0.2")), ("ranker.b_out", ("1 1", "0.1")),
 ])
 def test_checkpoint_meta_rejected(pipeline, tmp_path, capsys, key, value):
-    """Meta keys are dropped or replaced; a tensor's value line is replaced."""
+    """Meta keys are dropped or replaced; a tensor's value line, or its
+    shape and value lines given as a pair, are replaced."""
     base, net_dir, scores, samples, ckpt, _ = pipeline
     lines = ckpt.read_text().splitlines(keepends=True)
     bad = tmp_path / "model.ckpt"
     if key.startswith(("embed.", "ranker.")):
-        ln = next(k for k, text in enumerate(lines, start=1)
-                  if text.startswith(f"tensor {key} ")) + 1
-        lines[ln - 1] = f"{value}\n"
+        head = next(k for k, text in enumerate(lines, start=1)
+                    if text.startswith(f"tensor {key} "))
+        shape, values = value if isinstance(value, tuple) else (None, value)
+        if shape is not None:
+            lines[head - 1] = f"tensor {key} {shape}\n"
+        lines[head] = f"{values}\n"
+        # a shape the metadata does not imply is named at its shape line
+        ln = head if shape is not None else head + 1
         expected = f"{bad}:{ln}: tensor {key}"
     else:
         kept = [ln for ln in lines if not ln.startswith(f"meta {key} ")]
