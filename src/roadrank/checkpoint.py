@@ -78,10 +78,13 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
 
     def meta_int(key: str, default=None) -> int:
         try:
-            return int(meta.get(key, default))
+            value = int(meta.get(key, default))
         except (TypeError, ValueError):
+            value = 0
+        if value < 1:
             raise ValidationError(
-                f"{path}: meta {key} must be an integer, got {meta.get(key)!r}") from None
+                f"{path}: meta {key} must be a positive integer, got {meta.get(key)!r}")
+        return value
 
     ranker = RankerParams.zeros(meta_int("input_dim"), meta_int("f1", 32), meta_int("f2", 16),
                                 meta_int("rdim", 8))

@@ -343,8 +343,13 @@ def cmd_rank(args) -> int:
     scorer = PairScorer(net, samples, embed, ranker, variant)
     if cfg["nodes"] is not None:
         nodes = sorted(_read_node_ids(_require_file(cfg["nodes"]), cfg["split"]))
-        if nodes and not 0 <= nodes[0] <= nodes[-1] < net.n:
+        if not nodes:
+            raise ValidationError(f"{cfg['nodes']}: no node ids")
+        if not 0 <= nodes[0] <= nodes[-1] < net.n:
             raise ValidationError(f"{cfg['nodes']}: node ids must lie in 0..{net.n - 1}")
+        dups = sorted({a for a, b in zip(nodes, nodes[1:]) if a == b})
+        if dups:
+            raise ValidationError(f"{cfg['nodes']}: duplicate node id(s) {dups}")
     else:
         nodes = list(range(net.n))
     matrix = scorer.rating_matrix(nodes)
@@ -357,10 +362,8 @@ def cmd_rank(args) -> int:
     if cfg["ratings_out"] is not None:
         with open(cfg["ratings_out"], "w") as fh:
             fh.write("i,j,rating\n")
-            for a, i in enumerate(nodes):
-                for b, j in enumerate(nodes):
-                    if i != j:
-                        fh.write(f"{i},{j},{float(matrix[a, b])!r}\n")
+            for i, row in zip(nodes, matrix.tolist()):
+                fh.write("".join(f"{i},{j},{r!r}\n" for j, r in zip(nodes, row) if i != j))
     _write_manifest(out, "rank", cfg,
                     [net_dir / "edges.csv", net_dir / "attributes.csv",
                      cfg["ckpt"], cfg["samples"], cfg["nodes"], args.config], started)

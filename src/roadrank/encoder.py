@@ -148,54 +148,62 @@ def vertex_features(a_scaled: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # forward passes
+#
+# Batched arrays are laid out (L, width, B): step t of every sequence is the
+# contiguous (width, B) block ``arr[t]``, so each gate of a step is a
+# contiguous (dim, B) row block however small dim is.
 # ---------------------------------------------------------------------------
 
 def _encode_batch(ids: np.ndarray, feats: np.ndarray, p: EmbedParams):
-    """tanh(row @ w_in + b_in) for a (B, L) id batch; returns (X, cache)."""
-    x0 = feats[ids]
-    x = np.tanh(x0 @ p.w_in + p.b_in)
-    return x, (x0, x)
+    """tanh(row @ w_in + b_in) for a (B, L) id batch; returns ((L, x, B), cache).
+    Each vertex is encoded once and the batch gathers its rows by id."""
+    enc = np.tanh(feats @ p.w_in + p.b_in)
+    x = enc.T[:, ids.T].transpose(1, 0, 2)
+    return x, (ids, feats, enc)
 
 
 def _cell_forward(x: np.ndarray, cell: LSTMCellParams):
-    """Run one LSTM direction over (B, L, x); returns (h, cache).  One
-    matmul projects every step's input into ``a``; each step then turns
-    its slice in place into the gate activations."""
-    b, l, _ = x.shape
+    """Run one LSTM direction over (L, x, B); returns ((L, dim, B), cache).
+    One matmul projects every step's input into ``a``; each step then turns
+    its block in place into the gate activations."""
+    l, _, b = x.shape
     dim = cell.dim
-    a = x @ cell.w_x
-    cs = np.empty((b, l, dim))
-    hs = np.empty((b, l, dim))
-    h = np.zeros((b, dim))
-    c = np.zeros((b, dim))
+    a = cell.w_x.T @ x
+    bias = cell.b[:, None]
+    cs = np.empty((l, dim, b))
+    hs = np.empty((l, dim, b))
+    h = np.zeros((dim, b))
+    c = np.zeros((dim, b))
     for t in range(l):
-        at = a[:, t]
-        at += h @ cell.w_h
-        at += cell.b
-        at[:, :3 * dim] = sigmoid(at[:, :3 * dim])
-        np.tanh(at[:, 3 * dim:], out=at[:, 3 * dim:])
-        i, f, o, g = np.split(at, 4, axis=1)
+        at = a[t]
+        at += cell.w_h.T @ h
+        at += bias
+        at[:3 * dim] = sigmoid(at[:3 * dim])
+        np.tanh(at[3 * dim:], out=at[3 * dim:])
+        i, f, o, g = np.split(at, 4)
         c = f * c + i * g
-        cs[:, t] = c
+        cs[t] = c
         h = o * np.tanh(c)
-        hs[:, t] = h
+        hs[t] = h
     return hs, (x, a, cs, hs)
 
 
 def _bilstm_batch(x: np.ndarray, p: EmbedParams):
-    """Both directions over (B, L, x); returns ((B, L, 2*dim), cache)."""
+    """Both directions over (L, x, B); returns ((L, 2*dim, B), cache)."""
     h_fw, cache_fw = _cell_forward(x, p.fw)
-    h_bw_rev, cache_bw = _cell_forward(x[:, ::-1], p.bw)
-    h2 = np.concatenate([h_fw, h_bw_rev[:, ::-1]], axis=2)
+    h_bw_rev, cache_bw = _cell_forward(x[::-1], p.bw)
+    h2 = np.concatenate([h_fw, h_bw_rev[::-1]], axis=1)
     return h2, (cache_fw, cache_bw)
 
 
-def _pool_batch(h: np.ndarray) -> np.ndarray:
-    """(G, num, L, w) -> (G, 2w): mean over sequences per position, then
-    first position concatenated with the mean of the remaining positions."""
-    hbar = h.mean(axis=1)
-    hhat = hbar[:, 1:].mean(axis=1)
-    return np.concatenate([hbar[:, 0], hhat], axis=1)
+def _pool_batch(h: np.ndarray, num: int) -> np.ndarray:
+    """(L, w, G*num) -> (G, 2w), node g owning sequences g*num..g*num+num-1:
+    mean over a node's sequences per position, then the first position
+    concatenated with the mean of the remaining positions."""
+    l, w, b = h.shape
+    hbar = h.reshape(l, w, b // num, num).mean(axis=3)
+    hhat = hbar[1:].mean(axis=0)
+    return np.concatenate([hbar[0], hhat]).T
 
 
 # ---------------------------------------------------------------------------
@@ -203,56 +211,62 @@ def _pool_batch(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _encode_backward(dx: np.ndarray, cache, p: EmbedParams, grads: EmbedParams):
-    x0, x = cache
-    dpre = dx * (1.0 - x * x)
-    flat_in = x0.reshape(-1, p.m)
-    flat_d = dpre.reshape(-1, p.x)
-    grads.w_in += flat_in.T @ flat_d
-    grads.b_in += flat_d.sum(axis=0)
+    """Sum dx per vertex, then one matmul from the vertex rows to ``w_in``."""
+    ids, feats, enc = cache
+    flat_ids = ids.T.ravel()
+    dsum = np.stack([np.bincount(flat_ids, weights=dx[:, k].ravel(), minlength=enc.shape[0])
+                     for k in range(p.x)], axis=1)
+    dpre = dsum * (1.0 - enc * enc)
+    grads.w_in += feats.T @ dpre
+    grads.b_in += dpre.sum(axis=0)
 
 
 def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
                    grads: LSTMCellParams) -> np.ndarray:
-    """Backprop one direction into ``grads``; returns dx.  The steps fill
-    ``da``, the packed gate pre-activation gradients, for one matmul each
-    to the weights and inputs."""
+    """Backprop one direction into ``grads``; returns dx (L, x, B).  The
+    steps fill ``da``, the packed gate pre-activation gradients, and add
+    each step's weight gradients; one matmul after the loop gives dx."""
     x, a, cs, hs = cache
-    b, l, xdim = x.shape
+    l = x.shape[0]
     dim = cell.dim
     da = np.empty_like(a)
-    dh_next = np.zeros((b, dim))
-    dc_next = np.zeros((b, dim))
+    dh_next = 0.0
+    dc_next = 0.0
     for t in range(l - 1, -1, -1):
-        i, f, o, g = np.split(a[:, t], 4, axis=1)
-        da_i, da_f, da_o, da_c = np.split(da[:, t], 4, axis=1)
-        dh = dh_out[:, t] + dh_next
-        tc = np.tanh(cs[:, t])
+        i, f, o, g = np.split(a[t], 4)
+        da_t = da[t]
+        da_i, da_f, da_o, da_c = np.split(da_t, 4)
+        dh = dh_out[t] + dh_next
+        tc = np.tanh(cs[t])
         dc = dh * o * (1.0 - tc * tc) + dc_next
-        c_prev = cs[:, t - 1] if t > 0 else 0.0
+        c_prev = cs[t - 1] if t > 0 else 0.0
         da_i[...] = dc * g * i * (1.0 - i)
         da_f[...] = dc * c_prev * f * (1.0 - f)
         da_o[...] = dh * tc * o * (1.0 - o)
         da_c[...] = dc * i * (1.0 - g * g)
         dc_next = dc * f
-        dh_next = da[:, t] @ cell.w_h.T
-    grads.w_x += x.reshape(-1, xdim).T @ da.reshape(-1, 4 * dim)
-    grads.w_h += hs[:, :-1].reshape(-1, dim).T @ da[:, 1:].reshape(-1, 4 * dim)
-    grads.b += da.sum(axis=(0, 1))
-    return da @ cell.w_x.T
+        dh_next = cell.w_h @ da_t
+        grads.w_x += x[t] @ da_t.T
+        if t > 0:
+            grads.w_h += hs[t - 1] @ da_t.T
+    grads.b += da.sum(axis=(0, 2))
+    return cell.w_x @ da
 
 
 def _bilstm_backward(dh2: np.ndarray, cache, p: EmbedParams, grads: EmbedParams) -> np.ndarray:
     cache_fw, cache_bw = cache
     dim = p.dim
-    dx = _cell_backward(dh2[:, :, :dim], cache_fw, p.fw, grads.fw)
-    dx_rev = _cell_backward(dh2[:, ::-1, dim:], cache_bw, p.bw, grads.bw)
-    return dx + dx_rev[:, ::-1]
+    dx = _cell_backward(dh2[:, :dim], cache_fw, p.fw, grads.fw)
+    dx_rev = _cell_backward(dh2[::-1, dim:], cache_bw, p.bw, grads.bw)
+    dx += dx_rev[::-1]
+    return dx
 
 
 def _pool_backward(dpooled: np.ndarray, num: int, l: int) -> np.ndarray:
+    """(G, 2w) -> (L, w, G*num), the gradient of :func:`_pool_batch`."""
     g, twow = dpooled.shape
     w = twow // 2
-    dhbar = np.zeros((g, l, w))
-    dhbar[:, 0] = dpooled[:, :w]
-    dhbar[:, 1:] = dpooled[:, None, w:] / (l - 1)
-    return np.broadcast_to(dhbar[:, None], (g, num, l, w)) / num
+    dhbar = np.empty((l, w, g))
+    dhbar[0] = dpooled[:, :w].T
+    dhbar[1:] = dpooled[:, w:].T / (l - 1)
+    return np.repeat(dhbar / num, num, axis=2)

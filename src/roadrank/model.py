@@ -112,7 +112,7 @@ class PairScorer:
             h, lstm_cache = encoder._bilstm_batch(x, self.embed)
         else:
             h, lstm_cache = x, None
-        pooled = encoder._pool_batch(h.reshape(g, num, l, h.shape[-1]))
+        pooled = encoder._pool_batch(h, num)
         if not with_cache:
             return pooled, None
         return pooled, (enc_cache, lstm_cache, num, l)
@@ -120,7 +120,6 @@ class PairScorer:
     def _embed_backward(self, dpooled: np.ndarray, cache, grads: EmbedParams):
         enc_cache, lstm_cache, num, l = cache
         dh = encoder._pool_backward(dpooled, num, l)
-        dh = dh.reshape(-1, l, dh.shape[-1])
         if self.variant.use_bilstm:
             dx = encoder._bilstm_backward(dh, lstm_cache, self.embed, grads)
         else:

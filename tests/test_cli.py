@@ -1,9 +1,13 @@
 import hashlib
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadrank.cli import (EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
                           export_plotdata, main)
@@ -312,6 +316,22 @@ def test_node_readers_reject_bad_ids_and_short_rows(pipeline, tmp_path, capsys):
     assert f"{pairs}:3: expected 3 fields" in err
 
 
+@pytest.mark.parametrize("body, message", [
+    pytest.param("3\n3\n5\n", "duplicate node id(s) [3]", id="one-repeat"),
+    pytest.param("node_id\n7\n2\n7\n2\n", "duplicate node id(s) [2, 7]", id="two-repeats"),
+    pytest.param("node_id\n", "no node ids", id="header-only"),
+])
+def test_rank_nodes_rejects_duplicates_and_empty_list(pipeline, tmp_path, capsys, body, message):
+    base, net_dir, scores, samples, ckpt, ranking = pipeline
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(body)
+    out = tmp_path / "r.csv"
+    err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(ckpt),
+                  "--samples", str(samples), "--nodes", str(nodes), "--out", str(out))
+    assert f"{nodes}: {message}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, replacement", [
     ("n 12", "n x"), ("alpha 0.0001", ""), ("seed 2", "seed"), ("m 5", "num 5"),
     ("n 12", "n -1"), (9, "12 x 3 4"), (9, "12 3"), (67, None),
@@ -341,6 +361,7 @@ def test_samples_header_rejected(pipeline, tmp_path, capsys, line, replacement):
     ("ranker.b_out", "0.5x"), ("embed.fw.w_hc", "0.1 0.2 three 0.4"),
     ("ranker.b_out", "nan"), ("ranker.b_out", "-inf"),
     ("ranker.b_out", ("2", "0.1 0.2")), ("ranker.b_out", ("1 1", "0.1")),
+    ("x", "-1"), ("input_dim", "-3"), ("f2", "0"),
 ])
 def test_checkpoint_meta_rejected(pipeline, tmp_path, capsys, key, value):
     """Meta keys are dropped or replaced; a tensor's value line, or its
@@ -426,3 +447,67 @@ def test_v1_checkpoint_reproduces_its_ranking(tmp_path):
     want = np.loadtxt(data / "ranking.csv", delimiter=",", skiprows=1)
     np.testing.assert_array_equal(got[:, :3], want[:, :3])  # rank, node_id, copeland
     np.testing.assert_allclose(got[:, 3], want[:, 3], rtol=0, atol=1e-12)
+
+
+V1_DATA = Path(__file__).parent / "data" / "v1"
+FUZZ_TOKENS = ["", "x", "-1", "0", "3", "17", "99", "0.5", "-0", "+2", "nan", "inf", "1e309",
+               "0x10", "1_0", "tensor", "meta"]
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    """Valid inputs for ``rank`` (checkpoint, samples) and ``eval`` (ranking,
+    scores): the v1 data plus a scores CSV covering its 16 nodes."""
+    base = tmp_path_factory.mktemp("fuzz")
+    files = {name: base / name for name in ("model.ckpt", "samples.txt", "ranking.csv")}
+    for name, path in files.items():
+        shutil.copy(V1_DATA / name, path)
+    files["scores.csv"] = base / "scores.csv"
+    files["scores.csv"].write_text(
+        "node_id,aff\n" + "".join(f"{v},{0.25 * (v % 5)!r}\n" for v in range(16)))
+    return base, files
+
+
+def corrupt(text: str, op: str, k: int, j: int, junk: str, token: str) -> str:
+    """Truncate ``text`` at a byte, or delete, garble or change one token of a line."""
+    if op == "truncate":
+        return text[:k % len(text)]
+    lines = text.splitlines(keepends=True)
+    i = k % len(lines)
+    if op == "delete":
+        del lines[i]
+    elif op == "garble":
+        lines[i] = junk + "\n"
+    else:
+        parts = re.split(r"([ ,\n])", lines[i])
+        words = [w for w, part in enumerate(parts) if part not in ("", " ", ",", "\n")]
+        if words:
+            parts[words[j % len(words)]] = token
+        lines[i] = "".join(parts)
+    return "".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(["model.ckpt", "samples.txt", "ranking.csv", "scores.csv"]),
+       op=st.sampled_from(["truncate", "delete", "garble", "token"]),
+       k=st.integers(0, 10**6), j=st.integers(0, 100),
+       junk=st.text(alphabet="0123456789 ,.-+einaftx", max_size=24),
+       token=st.sampled_from(FUZZ_TOKENS))
+def test_readers_survive_corrupted_inputs(reader_inputs, target, op, k, j, junk, token):
+    """A damaged input ends in exit 0 or a ValidationError (exit 4), never
+    in any other exception."""
+    base, files = reader_inputs
+    paths = dict(files)
+    paths[target] = base / f"bad-{target}"
+    paths[target].write_text(corrupt(files[target].read_text(), op, k, j, junk, token))
+    if target in ("model.ckpt", "samples.txt"):
+        argv = ["rank", "--network", str(V1_DATA / "net"), "--ckpt", str(paths["model.ckpt"]),
+                "--samples", str(paths["samples.txt"]), "--out", str(base / "out.csv")]
+    else:
+        argv = ["eval", "--ranking", str(paths["ranking.csv"]), "--truth",
+                str(paths["scores.csv"]), "--out", str(base / "report.txt")]
+    try:
+        code = main(argv)
+    except ValidationError:
+        return
+    assert code in (EXIT_OK, EXIT_INVALID)

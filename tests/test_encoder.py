@@ -6,24 +6,24 @@ import pytest
 
 from roadrank.encoder import (EmbedParams, LSTMCellParams, _bilstm_batch,
                               _cell_forward, _encode_batch, _pool_batch,
-                              minmax_scale_columns, vertex_features)
+                              minmax_scale_columns, sigmoid, vertex_features)
 from roadrank.graph import ValidationError, normalized_views
-from roadrank.model import PairScorer, apply_ablation
+from roadrank.model import PairScorer, apply_ablation, embedding_width
 from roadrank.ranker import RankerParams
 from roadrank.synth import synth_grid_network
-from roadrank.walks import WalkConfig, sample_walks
+from roadrank.walks import SampleSet, WalkConfig, sample_walks
 
 
 def encode(seq, A, p):
     """Initial encoding of one sequence, (len(seq), x)."""
     x, _ = _encode_batch(np.asarray([seq]), vertex_features(A), p)
-    return x[0]
+    return x[:, :, 0]
 
 
 def lstm(xs, cell):
     """One direction over a single sequence (L, x) -> (L, dim)."""
-    h, _ = _cell_forward(np.asarray(xs, dtype=float)[None], cell)
-    return h[0]
+    h, _ = _cell_forward(np.asarray(xs, dtype=float)[:, :, None], cell)
+    return h[:, :, 0]
 
 
 def embed_all(ss, net, p):
@@ -38,8 +38,8 @@ def test_zero_params_zero_outputs():
     A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     xs = encode([0, 1, 3], A, p)  # node, node, attribute
     npt.assert_array_equal(xs, np.zeros((3, 4)))
-    h, _ = _bilstm_batch(np.ones((1, 4, 4)), p)
-    npt.assert_array_equal(h, np.zeros((1, 4, 4)))
+    h, _ = _bilstm_batch(np.ones((4, 4, 1)), p)
+    npt.assert_array_equal(h, np.zeros((4, 4, 1)))
 
 
 def test_initial_encode_one_hot_identity():
@@ -109,17 +109,22 @@ def test_lstm_two_steps_hand_recurrence():
 def test_bilstm_reversal_symmetry():
     p = EmbedParams.init(m=3, x=4, dim=2, seed=7)
     xs = np.random.default_rng(2).normal(size=(5, 4))
-    h2, _ = _bilstm_batch(xs[None], p)
-    backward_half = h2[0, :, p.dim:]
+    h2, _ = _bilstm_batch(xs[:, :, None], p)
+    backward_half = h2[:, p.dim:, 0]
     npt.assert_allclose(backward_half, lstm(xs[::-1], p.bw)[::-1], atol=1e-15)
-    forward_half = h2[0, :, :p.dim]
+    forward_half = h2[:, :p.dim, 0]
     npt.assert_allclose(forward_half, lstm(xs, p.fw), atol=1e-15)
+
+
+def pool(hs):
+    """Pool one node's sequences, given as (num, L, width)."""
+    return _pool_batch(np.asarray(hs).transpose(1, 2, 0), len(hs))[0]
 
 
 def test_pool_single_sequence_constant():
     v = np.array([1.0, -2.0])
     hs = np.tile(v, (1, 3, 1))  # num=1, l=3
-    npt.assert_allclose(_pool_batch(hs[None])[0], np.concatenate([v, v]))
+    npt.assert_allclose(pool(hs), np.concatenate([v, v]))
 
 
 def test_pool_two_sequences_mean():
@@ -128,14 +133,14 @@ def test_pool_two_sequences_mean():
     hs = np.zeros((2, 2, 2))
     hs[0, 0] = u
     hs[1, 0] = w
-    out = _pool_batch(hs[None])[0]
+    out = pool(hs)
     npt.assert_allclose(out[:2], (u + w) / 2)
 
 
 def test_pool_hand_computed():
     rng = np.random.default_rng(4)
     hs = rng.normal(size=(2, 3, 2))  # num=2, l=3, width=2
-    out = _pool_batch(hs[None])[0]
+    out = pool(hs)
     # independent plain-loop evaluation
     hbar = [[(hs[0, j, d] + hs[1, j, d]) / 2 for d in range(2)] for j in range(3)]
     hhat = [(hbar[1][d] + hbar[2][d]) / 2 for d in range(2)]
@@ -165,7 +170,6 @@ def test_embed_all_contracts():
     # permuting a node's sequences cannot change its embedding
     shuffled = ss.sequences.copy()
     shuffled[0] = shuffled[0][::-1]
-    from roadrank.walks import SampleSet
     ss2 = SampleSet(sequences=shuffled, n=ss.n, m=ss.m, config=ss.config)
     npt.assert_allclose(embed_all(ss2, net, p), H, atol=1e-15)
 
@@ -201,24 +205,14 @@ def test_encoder_gradients_finite_difference():
     p = EmbedParams.init(net.m, x=4, dim=2, seed=8)
     rng = np.random.default_rng(1)
     weights = rng.normal(size=(net.n, p.hdim))
-
-    from roadrank.encoder import (_bilstm_backward, _bilstm_batch, _encode_backward,
-                                  _encode_batch, _pool_backward, _pool_batch)
-
-    feats = vertex_features(minmax_scale_columns(net.A))
-    n, num, l = ss.sequences.shape
-    ids = ss.sequences.reshape(n * num, l)
+    scorer = PairScorer(net, ss, p, RankerParams.zeros(p.hdim), apply_ablation("full"))
 
     def loss():
         return float((embed_all(ss, net, p) * weights).sum())
 
-    x, enc_cache = _encode_batch(ids, feats, p)
-    h, lstm_cache = _bilstm_batch(x, p)
-    _pool_batch(h.reshape(n, num, l, 2 * p.dim))
+    _, cache = scorer.node_embeddings(np.arange(net.n), with_cache=True)
     grads = EmbedParams.zeros(p.m, p.x, p.dim)
-    dh = _pool_backward(weights, num, l).reshape(n * num, l, 2 * p.dim)
-    dx = _bilstm_backward(dh, lstm_cache, p, grads)
-    _encode_backward(dx, enc_cache, p, grads)
+    scorer._embed_backward(weights, cache, grads)
 
     step = 1e-6
     analytic = grads.tensors()
@@ -233,3 +227,143 @@ def test_encoder_gradients_finite_difference():
             tensor[k] = keep
             numeric = (up - down) / (2 * step)
             assert abs(numeric - g[k]) / max(1.0, abs(numeric), abs(g[k])) < 1e-6, name
+
+
+# ---------------------------------------------------------------------------
+# Reference encoder: the earlier (B, L, width) layout, each sequence position
+# encoded on its own.  The (L, width, B) code must agree with it.
+# ---------------------------------------------------------------------------
+
+def ref_encode_batch(ids, feats, p):
+    x0 = feats[ids]
+    x = np.tanh(x0 @ p.w_in + p.b_in)
+    return x, (x0, x)
+
+
+def ref_cell_forward(x, cell):
+    b, l, _ = x.shape
+    dim = cell.dim
+    a = x @ cell.w_x
+    cs = np.empty((b, l, dim))
+    hs = np.empty((b, l, dim))
+    h = np.zeros((b, dim))
+    c = np.zeros((b, dim))
+    for t in range(l):
+        at = a[:, t]
+        at += h @ cell.w_h
+        at += cell.b
+        at[:, :3 * dim] = sigmoid(at[:, :3 * dim])
+        np.tanh(at[:, 3 * dim:], out=at[:, 3 * dim:])
+        i, f, o, g = np.split(at, 4, axis=1)
+        c = f * c + i * g
+        cs[:, t] = c
+        h = o * np.tanh(c)
+        hs[:, t] = h
+    return hs, (x, a, cs, hs)
+
+
+def ref_bilstm_batch(x, p):
+    h_fw, cache_fw = ref_cell_forward(x, p.fw)
+    h_bw_rev, cache_bw = ref_cell_forward(x[:, ::-1], p.bw)
+    return np.concatenate([h_fw, h_bw_rev[:, ::-1]], axis=2), (cache_fw, cache_bw)
+
+
+def ref_pool_batch(h):
+    hbar = h.mean(axis=1)
+    hhat = hbar[:, 1:].mean(axis=1)
+    return np.concatenate([hbar[:, 0], hhat], axis=1)
+
+
+def ref_encode_backward(dx, cache, p, grads):
+    x0, x = cache
+    dpre = dx * (1.0 - x * x)
+    flat_d = dpre.reshape(-1, p.x)
+    grads.w_in += x0.reshape(-1, p.m).T @ flat_d
+    grads.b_in += flat_d.sum(axis=0)
+
+
+def ref_cell_backward(dh_out, cache, cell, grads):
+    x, a, cs, hs = cache
+    b, l, xdim = x.shape
+    dim = cell.dim
+    da = np.empty_like(a)
+    dh_next = np.zeros((b, dim))
+    dc_next = np.zeros((b, dim))
+    for t in range(l - 1, -1, -1):
+        i, f, o, g = np.split(a[:, t], 4, axis=1)
+        da_i, da_f, da_o, da_c = np.split(da[:, t], 4, axis=1)
+        dh = dh_out[:, t] + dh_next
+        tc = np.tanh(cs[:, t])
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        c_prev = cs[:, t - 1] if t > 0 else 0.0
+        da_i[...] = dc * g * i * (1.0 - i)
+        da_f[...] = dc * c_prev * f * (1.0 - f)
+        da_o[...] = dh * tc * o * (1.0 - o)
+        da_c[...] = dc * i * (1.0 - g * g)
+        dc_next = dc * f
+        dh_next = da[:, t] @ cell.w_h.T
+    grads.w_x += x.reshape(-1, xdim).T @ da.reshape(-1, 4 * dim)
+    grads.w_h += hs[:, :-1].reshape(-1, dim).T @ da[:, 1:].reshape(-1, 4 * dim)
+    grads.b += da.sum(axis=(0, 1))
+    return da @ cell.w_x.T
+
+
+def ref_bilstm_backward(dh2, cache, p, grads):
+    cache_fw, cache_bw = cache
+    dx = ref_cell_backward(dh2[:, :, :p.dim], cache_fw, p.fw, grads.fw)
+    dx_rev = ref_cell_backward(dh2[:, ::-1, p.dim:], cache_bw, p.bw, grads.bw)
+    return dx + dx_rev[:, ::-1]
+
+
+def ref_pool_backward(dpooled, num, l):
+    g, twow = dpooled.shape
+    w = twow // 2
+    dhbar = np.zeros((g, l, w))
+    dhbar[:, 0] = dpooled[:, :w]
+    dhbar[:, 1:] = dpooled[:, None, w:] / (l - 1)
+    return np.broadcast_to(dhbar[:, None], (g, num, l, w)) / num
+
+
+def ref_embed(seqs, feats, p, use_bilstm, dpooled):
+    """Pooled embeddings of (G, num, L) id sequences and the EmbedParams
+    gradient of sum(pooled * dpooled), on the reference layout."""
+    g, num, l = seqs.shape
+    x, enc_cache = ref_encode_batch(seqs.reshape(g * num, l), feats, p)
+    h, lstm_cache = ref_bilstm_batch(x, p) if use_bilstm else (x, None)
+    w = h.shape[-1]
+    pooled = ref_pool_batch(h.reshape(g, num, l, w))
+    grads = EmbedParams.zeros(p.m, p.x, p.dim)
+    dh = ref_pool_backward(dpooled, num, l).reshape(g * num, l, w)
+    dx = ref_bilstm_backward(dh, lstm_cache, p, grads) if use_bilstm else dh
+    ref_encode_backward(dx, enc_cache, p, grads)
+    return pooled, grads
+
+
+@pytest.mark.parametrize("mode", ["full", "NoBiLSTM"])
+@pytest.mark.parametrize("num", [1, 3])
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_encoder_matches_reference_layout(mode, num, length):
+    net = synth_grid_network(2, 3, seed=4)
+    rng = np.random.default_rng(100 * length + num)
+    # few distinct vertex ids, so every batch repeats ids within and across sequences
+    seqs = rng.integers(0, net.n + net.m, size=(net.n, num, length))
+    ss = SampleSet(sequences=seqs, n=net.n, m=net.m,
+                   config=WalkConfig(alpha=0.5, num=num, length=length, seed=0))
+    p = EmbedParams.init(net.m, x=5, dim=2, seed=length)
+    variant = apply_ablation(mode)
+    width = embedding_width(variant, net.m, p.x, p.dim)
+    scorer = PairScorer(net, ss, p, RankerParams.zeros(width), variant)
+    nodes = np.array([4, 0, 5, 2])
+    dpooled = rng.normal(size=(nodes.size, width))
+
+    pooled, cache = scorer.node_embeddings(nodes, with_cache=True)
+    grads = EmbedParams.zeros(p.m, p.x, p.dim)
+    scorer._embed_backward(dpooled, cache, grads)
+
+    feats = vertex_features(minmax_scale_columns(net.A))
+    ref_pooled, ref_grads = ref_embed(seqs[nodes], feats, p, variant.use_bilstm, dpooled)
+    npt.assert_allclose(pooled, ref_pooled, rtol=0, atol=1e-12)
+    expected = ref_grads.tensors()
+    for name, g in grads.tensors().items():
+        npt.assert_allclose(g, expected[name], rtol=0, atol=1e-12, err_msg=name)
+    assert np.abs(grads.w_in).max() > 0
