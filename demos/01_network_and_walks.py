@@ -9,19 +9,21 @@ import numpy as np
 import roadrank as rr
 
 net = rr.synth_grid_network(rows=4, cols=5, seed=7)
-print(f"network: {net.n} segments, {len(net.edges)} directed edges, "
+print(f"network: {net.n} segments, {net.src.size} directed edges, "
       f"{net.m} attributes {net.attr_names}")
 print("attribute rows (first 3):")
 print(np.round(net.A[:3], 2))
 
 # %% [markdown]
 # ## Normalized views
-# Column i of the adjacency view is the out-edge distribution of segment i;
-# row k of the attribute view is attribute k's share across segments.
+# An adjacency step from segment i is uniform over its out-neighbours, read
+# from the network's CSR; row k of the attribute view is attribute k's share
+# across segments.
 
 # %%
 views = rr.normalized_views(net)
-print("adjacency view column sums (all 1):", views.mbar.sum(axis=0)[:5])
+print("out-neighbours of segment 0:       ",
+      net.out_idx[net.out_ptr[0]:net.out_ptr[1]])
 print("attribute view row sums (all 1):   ", views.abar.sum(axis=1))
 print("\nstep distribution from segment 0:",
       np.round(rr.node_step_distribution(0, views), 3)[:8])

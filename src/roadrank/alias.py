@@ -32,7 +32,7 @@ class AliasTable:
 def build_alias(p) -> AliasTable:
     """Build an alias table for probability vector ``p``.
 
-    ``p`` must be entrywise >= 0 and sum to 1 within 1e-9.
+    ``p`` must be entrywise finite and >= 0 and sum to 1 within 1e-9.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
@@ -40,7 +40,7 @@ def build_alias(p) -> AliasTable:
     if (p < 0).any():
         raise ValidationError(f"alias input has negative entry at {int(np.argmin(p))}")
     total = p.sum()
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:  # a nan or inf entry makes the total non-finite
         raise ValidationError(f"alias input sums to {total!r}, expected 1 within {_SUM_TOL}")
 
     # Vose's loop on Python floats: the same IEEE operations as float64

@@ -6,12 +6,13 @@ from collections import deque
 
 import numpy as np
 
-from .graph import RoadNetwork, ValidationError, normalize_adjacency
+from .graph import RoadNetwork, ValidationError
 
 
 def degree_centrality(net: RoadNetwork) -> np.ndarray:
     """In-degree plus out-degree per node, counting self-loops once."""
-    return net.M.sum(axis=0) + net.M.sum(axis=1) - np.diag(net.M)
+    ends = np.concatenate([net.src, net.dst[net.src != net.dst]])
+    return np.bincount(ends, minlength=net.n).astype(np.float64)
 
 
 def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
@@ -20,7 +21,7 @@ def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
     Endpoints are excluded; unreachable pairs contribute nothing.
     """
     n = net.n
-    succ = [np.flatnonzero(net.M[v]).tolist() for v in range(n)]
+    succ = [s.tolist() for s in np.split(net.out_idx, net.out_ptr[1:-1])]
     # Python lists and floats: the same IEEE arithmetic as float64 scalars,
     # without numpy's per-element indexing cost
     bc = [0.0] * n
@@ -53,16 +54,16 @@ def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
 
 def pagerank(net: RoadNetwork, damping: float = 0.85, tol: float = 1e-10,
              max_iter: int = 1000) -> np.ndarray:
-    """Power iteration on the column-stochastic walk matrix with uniform
-    teleport; converged when the l1 change drops below ``tol``."""
+    """Power iteration of the uniform out-edge walk with uniform teleport;
+    converged when the l1 change drops below ``tol``."""
     if not 0.0 <= damping < 1.0:
         raise ValidationError(f"damping must be in [0, 1), got {damping}")
-    mbar = normalize_adjacency(net)
     n = net.n
+    step = (1.0 / np.diff(net.out_ptr))[net.src]  # the share each edge carries
     p = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
     for _ in range(max_iter):
-        nxt = damping * (mbar @ p) + teleport
+        nxt = damping * np.bincount(net.dst, weights=step * p[net.src], minlength=n) + teleport
         residual = np.abs(nxt - p).sum()
         p = nxt
         if residual < tol:

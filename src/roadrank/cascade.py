@@ -110,9 +110,9 @@ _BLOCK_ELEMENTS = 1 << 17
 
 def _in_edges(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Non-self-loop edges ``src -> dst`` sorted by (dst, src)."""
-    dst, src = np.nonzero(net.M.T)
-    keep = src != dst
-    return src[keep], dst[keep]
+    keep = np.flatnonzero(net.src != net.dst)
+    order = keep[np.lexsort((net.src[keep], net.dst[keep]))]
+    return net.src[order], net.dst[order]
 
 
 def _simulate_block(net: RoadNetwork, state: BaselineState, src: np.ndarray,

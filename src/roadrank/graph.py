@@ -1,13 +1,14 @@
 """Road-network data model: file ingestion, validation, and the two
-normalized views (column-stochastic adjacency, row-normalized attributes)
-that drive every sampling probability downstream."""
+normalized views (uniform out-edge steps, row-normalized attributes) that
+drive every sampling probability downstream."""
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -20,26 +21,36 @@ class ValidationError(ValueError):
 class RoadNetwork:
     """Directed, unweighted, attributed graph over road segments.
 
-    Nodes are dense integer ids ``0..n-1``.  ``M[i, j] == 1`` iff there is
-    a directed edge from segment ``i`` to segment ``j``.  ``A`` holds one
-    non-negative attribute row per node; every row has at least one
-    strictly positive entry, and every node has out-degree >= 1 (sinks are
-    patched with a self-loop at load time and recorded in
+    Nodes are dense integer ids ``0..n-1``.  Edge ``e`` runs from segment
+    ``src[e]`` to segment ``dst[e]``, in file order; ``out_ptr``/``out_idx``
+    index the same edges by source (CSR sorted by (src, dst)), so the
+    out-neighbours of ``i`` are ``out_idx[out_ptr[i]:out_ptr[i + 1]]``.
+    ``A`` holds one non-negative attribute row per node; every row has at
+    least one strictly positive entry, and every node has out-degree >= 1
+    (sinks are patched with a self-loop at load time and recorded in
     ``self_loop_nodes``).  Instances are immutable after construction and
     safe for shared concurrent reads.
     """
 
     n: int
     m: int
-    edges: tuple[tuple[int, int], ...]
-    M: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
     A: np.ndarray
     attr_names: tuple[str, ...]
     self_loop_nodes: tuple[int, ...] = ()
+    out_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    out_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.M.flags.writeable = False
-        self.A.flags.writeable = False
+        outdeg = np.bincount(self.src, minlength=self.n)
+        if (outdeg == 0).any():
+            raise ValidationError(f"node {int(np.argmin(outdeg))} has out-degree 0; "
+                                  "patch sinks with a self-loop as load_network does")
+        object.__setattr__(self, "out_ptr", np.concatenate(([0], np.cumsum(outdeg))))
+        object.__setattr__(self, "out_idx", self.dst[np.lexsort((self.dst, self.src))])
+        for array in (self.src, self.dst, self.out_ptr, self.out_idx, self.A):
+            array.flags.writeable = False
 
     def attr_index(self, name: str) -> int:
         try:
@@ -52,41 +63,41 @@ class RoadNetwork:
 class NormalizedViews:
     """The two probability views of a network.
 
-    ``mbar[j, i]`` is the probability of stepping from node ``i`` to node
-    ``j`` along an edge (each column sums to 1).  ``abar[k, i]`` is the
-    l1-normalized share node ``i`` holds of attribute ``k`` (each row sums
-    to 1 unless the attribute is all-zero, in which case the row stays
-    zero and its index appears in ``zero_attr_rows``).
+    An adjacency step from node ``i`` is uniform over its out-neighbours
+    ``out_idx[out_ptr[i]:out_ptr[i + 1]]`` (the network's CSR).
+    ``abar[k, i]`` is the l1-normalized share node ``i`` holds of attribute
+    ``k`` (each row sums to 1 unless the attribute is all-zero, in which
+    case the row stays zero and its index appears in ``zero_attr_rows``).
     """
 
-    mbar: np.ndarray
+    out_ptr: np.ndarray
+    out_idx: np.ndarray
     abar: np.ndarray
     zero_attr_rows: tuple[int, ...] = ()
 
     def __post_init__(self):
-        self.mbar.flags.writeable = False
         self.abar.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.mbar.shape[0]
+        return self.out_ptr.size - 1
 
     @property
     def m(self) -> int:
         return self.abar.shape[0]
 
 
-def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
-    """Read a CSV, returning (1-based line number, fields) per data row."""
-    rows = []
+def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Stream a CSV as (1-based line number, fields) per data row."""
+    empty = True
     with open(path, newline="") as fh:
         for ln, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not f.strip() for f in row):
                 continue
-            rows.append((ln, [f.strip() for f in row]))
-    if not rows:
+            empty = False
+            yield ln, [f.strip() for f in row]
+    if empty:
         raise ValidationError(f"{path}: file is empty")
-    return rows
 
 
 def load_network(edge_file, attr_file) -> RoadNetwork:
@@ -99,13 +110,13 @@ def load_network(edge_file, attr_file) -> RoadNetwork:
     via a warning and ``RoadNetwork.self_loop_nodes``.
 
     Raises :class:`ValidationError` (naming the offending line) for a
-    missing node row, a negative attribute, a dangling edge endpoint, a
-    duplicate node id, or a duplicate edge.
+    missing node row, a negative or non-finite attribute, a dangling edge
+    endpoint, a duplicate node id, or a duplicate edge.
     """
     edge_file = Path(edge_file)
     attr_file = Path(attr_file)
 
-    attr_rows = _read_rows(attr_file)
+    attr_rows = list(_read_rows(attr_file))
     header_ln, header = attr_rows[0]
     if not header or header[0] != "node_id":
         raise ValidationError(
@@ -144,15 +155,12 @@ def load_network(edge_file, attr_file) -> RoadNetwork:
         except ValueError:
             raise ValidationError(f"{attr_file}:{ln}: non-numeric attribute value") from None
         for k, v in enumerate(values):
-            if v < 0:
+            if not 0 <= v < np.inf:  # also false for nan
                 raise ValidationError(
-                    f"{attr_file}:{ln}: negative attribute {attr_names[k]}={v} for node {node}"
-                )
+                    f"{attr_file}:{ln}: {'negative' if v < 0 else 'non-finite'} attribute "
+                    f"{attr_names[k]}={v} for node {node}")
         A[node] = values
 
-    if len(seen_line) != n:
-        missing = sorted(set(range(n)) - set(seen_line))[0]
-        raise ValidationError(f"{attr_file}: missing node row for id {missing}")
     zero_rows = np.flatnonzero(~(A > 0).any(axis=1))
     if zero_rows.size:
         raise ValidationError(
@@ -161,14 +169,14 @@ def load_network(edge_file, attr_file) -> RoadNetwork:
         )
 
     edge_rows = _read_rows(edge_file)
-    e_ln, e_header = edge_rows[0]
+    e_ln, e_header = next(edge_rows)
     if e_header[:2] != ["src", "dst"]:
         raise ValidationError(f"{edge_file}:{e_ln}: edge header must be 'src,dst'")
 
-    M = np.zeros((n, n), dtype=np.float64)
-    edges: list[tuple[int, int]] = []
+    srcs: list[int] = []
+    dsts: list[int] = []
     seen_edges: dict[tuple[int, int], int] = {}
-    for ln, row in edge_rows[1:]:
+    for ln, row in edge_rows:
         if len(row) != 2:
             raise ValidationError(f"{edge_file}:{ln}: expected 'src,dst'")
         try:
@@ -185,28 +193,24 @@ def load_network(edge_file, attr_file) -> RoadNetwork:
                 f"(first at line {seen_edges[(src, dst)]})"
             )
         seen_edges[(src, dst)] = ln
-        edges.append((src, dst))
-        M[src, dst] = 1.0
+        srcs.append(src)
+        dsts.append(dst)
 
-    sinks = np.flatnonzero(M.sum(axis=1) == 0)
-    for i in sinks:
-        M[i, i] = 1.0
-        edges.append((int(i), int(i)))
-    if sinks.size:
+    loops = sorted(set(range(n)).difference(srcs))
+    if loops:
         warnings.warn(
-            f"added self-loops to {sinks.size} zero-out-degree node(s): "
-            f"{[int(i) for i in sinks]}",
+            f"added self-loops to {len(loops)} zero-out-degree node(s): {loops}",
             stacklevel=2,
         )
 
     return RoadNetwork(
         n=n,
         m=m,
-        edges=tuple(edges),
-        M=M,
+        src=np.array(srcs + loops, dtype=np.int64),
+        dst=np.array(dsts + loops, dtype=np.int64),
         A=A,
         attr_names=attr_names,
-        self_loop_nodes=tuple(int(i) for i in sinks),
+        self_loop_nodes=tuple(loops),
     )
 
 
@@ -220,8 +224,8 @@ def save_network(net: RoadNetwork, out_dir) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "edges.csv", "w", newline="") as fh:
         fh.write("src,dst\n")
-        for src, dst in net.edges:
-            fh.write(f"{src},{dst}\n")
+        for s, d in zip(net.src.tolist(), net.dst.tolist()):
+            fh.write(f"{s},{d}\n")
     with open(out_dir / "attributes.csv", "w", newline="") as fh:
         fh.write("node_id," + ",".join(net.attr_names) + "\n")
         for i in range(net.n):
@@ -232,19 +236,6 @@ def load_network_dir(net_dir) -> RoadNetwork:
     """Load a network from a directory written by :func:`save_network`."""
     net_dir = Path(net_dir)
     return load_network(net_dir / "edges.csv", net_dir / "attributes.csv")
-
-
-def normalize_adjacency(net: RoadNetwork) -> np.ndarray:
-    """Column-stochastic transition matrix over edges.
-
-    Column ``i`` of the result is the out-edge distribution of node ``i``:
-    ``mbar[j, i] = M[i, j] / out_degree(i)``.
-    """
-    outdeg = net.M.sum(axis=1)
-    if (outdeg == 0).any():
-        bad = int(np.flatnonzero(outdeg == 0)[0])
-        raise ValidationError(f"node {bad} has out-degree 0; load_network should prevent this")
-    return net.M.T / outdeg
 
 
 def normalize_attributes(net: RoadNetwork) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -271,4 +262,5 @@ def normalize_attributes(net: RoadNetwork) -> tuple[np.ndarray, tuple[int, ...]]
 def normalized_views(net: RoadNetwork) -> NormalizedViews:
     """Build both probability views of a network in one call."""
     abar, zero_rows = normalize_attributes(net)
-    return NormalizedViews(mbar=normalize_adjacency(net), abar=abar, zero_attr_rows=zero_rows)
+    return NormalizedViews(out_ptr=net.out_ptr, out_idx=net.out_idx, abar=abar,
+                           zero_attr_rows=zero_rows)

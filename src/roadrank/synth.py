@@ -24,15 +24,10 @@ def synth_grid_network(rows: int, cols: int, seed: int) -> RoadNetwork:
     def nid(r: int, c: int) -> int:
         return r * cols + c
 
-    edges: list[tuple[int, int]] = []
-    M = np.zeros((n, n))
-    for r in range(rows):
-        for c in range(cols):
-            for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < rows and 0 <= cc < cols:
-                    edges.append((nid(r, c), nid(rr, cc)))
-                    M[nid(r, c), nid(rr, cc)] = 1.0
+    edges = [(nid(r, c), nid(r + dr, c + dc))
+             for r in range(rows) for c in range(cols)
+             for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0))
+             if 0 <= r + dr < rows and 0 <= c + dc < cols]
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9215)))
     limiv = rng.choice([30.0, 50.0, 60.0, 80.0], size=n)
@@ -42,5 +37,5 @@ def synth_grid_network(rows: int, cols: int, seed: int) -> RoadNetwork:
     avgv = rng.uniform(0.3, 1.0, size=n) * limiv
     A = np.column_stack([limiv, nlan, length, vol, avgv])
 
-    return RoadNetwork(n=n, m=len(ATTR_NAMES), edges=tuple(edges), M=M, A=A,
-                       attr_names=ATTR_NAMES)
+    src, dst = np.array(edges, dtype=np.int64).T
+    return RoadNetwork(n=n, m=len(ATTR_NAMES), src=src, dst=dst, A=A, attr_names=ATTR_NAMES)

@@ -51,10 +51,13 @@ class SampleSet:
 
 
 def node_step_distribution(i: int, views: NormalizedViews) -> np.ndarray:
-    """Adjacency-step distribution from node ``i`` (column ``i`` of mbar)."""
+    """Adjacency-step distribution from node ``i``: uniform over its out-neighbours."""
     if not 0 <= i < views.n:
         raise ValidationError(f"node id {i} out of range")
-    return views.mbar[:, i].copy()
+    lo, hi = views.out_ptr[i], views.out_ptr[i + 1]
+    p = np.zeros(views.n)
+    p[views.out_idx[lo:hi]] = 1.0 / (hi - lo)
+    return p
 
 
 def node_to_attr_distribution(i: int, views: NormalizedViews) -> np.ndarray:
@@ -203,11 +206,18 @@ def load_samples(path) -> SampleSet:
                 pass
             raise ValidationError(
                 f"{path}:{ln}: expected header line '{key} <value>', got {line!r}")
+        line_of = {key: ln for ln, (key, _) in enumerate(_SAMPLES_HEADER, start=2)}
         n, m = header["n"], header["m"]
-        if n < 0 or m < 0:
-            raise ValidationError(f"{path}: negative n or m in header")
-        cfg = WalkConfig(alpha=header["alpha"], num=header["num"], length=header["l"],
-                         seed=header["seed"])
+        for key in ("n", "m"):
+            if header[key] < 0:
+                raise ValidationError(f"{path}:{line_of[key]}: negative {key} in header")
+        try:
+            cfg = WalkConfig(alpha=header["alpha"], num=header["num"], length=header["l"],
+                             seed=header["seed"])
+        except ValidationError as exc:
+            # WalkConfig's messages start with the field they reject; 'l' is length
+            key = str(exc).split()[0].replace("length", "l")
+            raise ValidationError(f"{path}:{line_of[key]}: header {exc}") from None
         seqs = np.empty((n * cfg.num, cfg.length), dtype=np.int64)
         # sequence lines follow the magic line and the header lines
         for ln, row in enumerate(seqs, start=len(_SAMPLES_HEADER) + 2):

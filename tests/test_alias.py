@@ -56,7 +56,8 @@ def test_draw_determinism():
     assert [alias_draw(t, a) for _ in range(50)] == [alias_draw(t, b) for _ in range(50)]
 
 
-@pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [0.2, 0.2]])
+@pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [0.2, 0.2], [np.nan, 0.5],
+                                 [0.5, 0.5, np.nan], [np.inf, 0.0], [1.0, np.inf, -np.inf]])
 def test_bad_inputs_rejected(bad):
     with pytest.raises(ValidationError):
         build_alias(bad)

@@ -6,28 +6,25 @@ import numpy.testing as npt
 import pytest
 
 from roadrank.baselines import betweenness_centrality, degree_centrality, pagerank
-from roadrank.graph import RoadNetwork, ValidationError, normalize_adjacency
+from roadrank.graph import RoadNetwork, ValidationError
+from test_graph import edge_list, normalize_adjacency
 
 ATTRS = ("a",)
 
 
 def net_from_edges(n, edges):
-    M = np.zeros((n, n))
-    all_edges = list(edges)
-    for i, j in edges:
-        M[i, j] = 1.0
-    for i in range(n):
-        if M[i].sum() == 0:
-            M[i, i] = 1.0
-            all_edges.append((i, i))
-    A = np.ones((n, 1))
-    return RoadNetwork(n=n, m=1, edges=tuple(all_edges), M=M, A=A, attr_names=ATTRS)
+    """Network over ``edges`` with a self-loop on each sink, as the loader adds."""
+    sinks = sorted(set(range(n)) - {i for i, _ in edges})
+    src, dst = np.array(list(edges) + [(i, i) for i in sinks], dtype=np.int64).T
+    return RoadNetwork(n=n, m=1, src=src, dst=dst, A=np.ones((n, 1)), attr_names=ATTRS)
 
 
 def brute_force_betweenness(net):
     """Enumerate every shortest path explicitly (exponential, n <= 12)."""
     n = net.n
-    succ = [list(np.flatnonzero(net.M[v])) for v in range(n)]
+    succ = [[] for _ in range(n)]
+    for i, j in edge_list(net):
+        succ[i].append(j)
     bc = np.zeros(n)
     for s, t in product(range(n), range(n)):
         if s == t:
@@ -87,10 +84,11 @@ def test_degree_matches_edge_recount():
                  if i != j}
         net = net_from_edges(n, sorted(edges))
         deg = degree_centrality(net)
+        edges = edge_list(net)
         for v in range(n):
-            expected = sum(1 for (i, j) in net.edges if i == v and j != v)
-            expected += sum(1 for (i, j) in net.edges if j == v and i != v)
-            expected += sum(1 for (i, j) in net.edges if i == j == v)
+            expected = sum(1 for (i, j) in edges if i == v and j != v)
+            expected += sum(1 for (i, j) in edges if j == v and i != v)
+            expected += sum(1 for (i, j) in edges if i == j == v)
             assert deg[v] == expected
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,15 +17,9 @@ ATTRS = ("limiv", "nlan", "len", "vol", "avgv")
 
 def make_net(edges, limiv, nlan, vol):
     n = len(limiv)
-    M = np.zeros((n, n))
-    for i, j in edges:
-        M[i, j] = 1.0
     # keep out-degree >= 1 the way the loader would
-    patched = list(edges)
-    for i in range(n):
-        if M[i].sum() == 0:
-            M[i, i] = 1.0
-            patched.append((i, i))
+    sinks = sorted(set(range(n)) - {i for i, _ in edges})
+    src, dst = np.array(list(edges) + [(i, i) for i in sinks], dtype=np.int64).T
     A = np.column_stack([
         np.asarray(limiv, float),
         np.asarray(nlan, float),
@@ -31,7 +27,7 @@ def make_net(edges, limiv, nlan, vol):
         np.asarray(vol, float),
         np.asarray(limiv, float) * 0.8,
     ])
-    return RoadNetwork(n=n, m=5, edges=tuple(patched), M=M, A=A, attr_names=ATTRS)
+    return RoadNetwork(n=n, m=5, src=src, dst=dst, A=A, attr_names=ATTRS)
 
 
 def reference_cascade(net, target, cfg):
@@ -40,6 +36,7 @@ def reference_cascade(net, target, cfg):
     cap = [float(net.A[i, 1] * net.A[i, 0] * cfg.kappa) for i in range(net.n)]
     dem = [float(net.A[i, 3] / cfg.observation_window) for i in range(net.n)]
     cap[target] *= cfg.capacity_reduction
+    edges = set(zip(net.src.tolist(), net.dst.tolist()))
     failed = {}
     counts = []
     for t in range(1, cfg.periods + 1):
@@ -49,7 +46,7 @@ def reference_cascade(net, target, cfg):
                 unmet = dem[s] - cap[s]
                 if unmet <= 0:
                     continue
-                ups = [u for u in range(net.n) if net.M[u, s] and u != s]
+                ups = [u for u in range(net.n) if (u, s) in edges and u != s]
                 if not ups:
                     continue
                 total = sum(dem[u] for u in ups)
@@ -89,8 +86,7 @@ def test_baseline_state_kappa():
 
 def test_baseline_state_requires_attributes():
     net = synth_grid_network(2, 2, seed=0)
-    bad = RoadNetwork(n=net.n, m=net.m, edges=net.edges, M=net.M.copy(), A=net.A.copy(),
-                      attr_names=("a", "b", "c", "d", "e"))
+    bad = dataclasses.replace(net, attr_names=("a", "b", "c", "d", "e"))
     with pytest.raises(ValidationError, match="limiv"):
         assign_baseline_state(bad)
 
@@ -202,7 +198,7 @@ def test_cascade_matches_reference_with_a_high_in_degree_hub():
                        limiv=rng.choice([30, 50, 80], size=n),
                        nlan=rng.integers(1, 4, size=n),
                        vol=rng.uniform(0, 300, size=n) * 10.0 ** rng.uniform(-2, 1, size=n))
-        assert int(net.M[1:, 0].sum()) >= 8
+        assert int(((net.src > 0) & (net.dst == 0)).sum()) >= 8
         state = assign_baseline_state(net)
         scores = generate_ground_truth(net, cfg)
         for target in range(n):

@@ -335,6 +335,7 @@ def test_rank_nodes_rejects_duplicates_and_empty_list(pipeline, tmp_path, capsys
 @pytest.mark.parametrize("line, replacement", [
     ("n 12", "n x"), ("alpha 0.0001", ""), ("seed 2", "seed"), ("m 5", "num 5"),
     ("n 12", "n -1"), (9, "12 x 3 4"), (9, "12 3"), (67, None),
+    ("num 5", "num 0"), ("alpha 0.0001", "alpha nan"), ("l 4", "l 1"), ("m 5", "m -2"),
 ])
 def test_samples_header_rejected(pipeline, tmp_path, capsys, line, replacement):
     """Header lines are given by their text, sequence lines by number."""
@@ -350,10 +351,9 @@ def test_samples_header_rejected(pipeline, tmp_path, capsys, line, replacement):
     bad.write_text("".join(lines))
     err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(ckpt),
                   "--samples", str(bad), "--out", str(tmp_path / "r.csv"))
-    if isinstance(line, int):
-        assert f"{bad}:{ln}: " in err
-    else:
-        assert f"{bad}:" in err and "header" in err
+    assert f"{bad}:{ln}: " in err
+    if not isinstance(line, int):
+        assert "header" in err
 
 
 @pytest.mark.parametrize("key, value", [

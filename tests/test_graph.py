@@ -1,12 +1,36 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadrank import cascade
+from roadrank.baselines import degree_centrality, pagerank
 from roadrank.graph import (ValidationError, load_network, load_network_dir,
-                            normalize_adjacency, normalize_attributes,
-                            normalized_views, save_network)
+                            normalize_attributes, normalized_views, save_network)
+from roadrank.synth import synth_grid_network
+from roadrank.walks import node_step_distribution
+
+
+def edge_list(net):
+    return list(zip(net.src.tolist(), net.dst.tolist()))
+
+
+def dense_adjacency(net):
+    """Oracle: ``M[i, j] == 1`` iff the network has the edge ``i -> j``."""
+    M = np.zeros((net.n, net.n))
+    M[net.src, net.dst] = 1.0
+    return M
+
+
+def normalize_adjacency(net):
+    """Oracle: column-stochastic transition matrix, ``mbar[j, i] =
+    M[i, j] / out_degree(i)``."""
+    M = dense_adjacency(net)
+    return M.T / M.sum(axis=1)
 
 
 def write_net(tmp_path, edge_lines, attr_lines):
@@ -17,15 +41,16 @@ def write_net(tmp_path, edge_lines, attr_lines):
     return edges, attrs
 
 
-def random_network(rng, n, p=0.3, m=3):
+def random_network(rng, n, p=0.3, m=3, loops=False):
     """Random attributed digraph written through the loader (so invariants
-    hold), used by the property-style checks."""
+    hold), used by the property-style checks; ``loops`` allows explicit
+    self-loop edges."""
     import os
     import tempfile
     import warnings
 
     edge_lines = [f"{i},{j}" for i in range(n) for j in range(n)
-                  if i != j and rng.random() < p]
+                  if (loops or i != j) and rng.random() < p]
     attr_rows = rng.uniform(0.1, 9.0, size=(n, m))
     attrs_header = "node_id," + ",".join(f"a{k}" for k in range(m))
     d = tempfile.mkdtemp()
@@ -48,7 +73,7 @@ def test_minimal_two_node_graph(tmp_path):
     assert net.n == 2
     assert net.m == 2
     assert net.self_loop_nodes == ()
-    assert set(net.edges) == {(0, 1), (1, 0)}
+    assert set(edge_list(net)) == {(0, 1), (1, 0)}
     npt.assert_array_equal(net.A, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -57,8 +82,7 @@ def test_sink_gets_self_loop(tmp_path):
     with pytest.warns(UserWarning, match="self-loops"):
         net = load_network(edges, attrs)
     assert net.self_loop_nodes == (1,)
-    assert net.M[1, 1] == 1.0
-    assert (1, 1) in net.edges
+    assert edge_list(net) == [(0, 1), (1, 1)]
 
 
 @pytest.mark.parametrize("edge_lines,attr_lines,fragment", [
@@ -68,6 +92,10 @@ def test_sink_gets_self_loop(tmp_path):
     (["0,1", "0,1", "1,0"], ["0,1,1", "1,1,1"], "duplicate edge"),
     (["0,1", "1,0"], ["0,1,1", "3,1,1"], "missing node row"),
     (["0,1", "1,0"], ["0,1,1", "1,0,0"], "no positive attribute"),
+    (["0,1", "1,0"], ["0,1,1", "1,nan,1"], "non-finite attribute a=nan"),
+    (["0,1", "1,0"], ["0,1,inf", "1,1,1"], "non-finite attribute b=inf"),
+    (["0,1", "1,0"], ["0,1,1", "1,1,1e400"], "non-finite attribute b=inf"),
+    (["0,1", "1,0"], ["0,-inf,1", "1,1,1"], "negative attribute a=-inf"),
 ])
 def test_load_rejections(tmp_path, edge_lines, attr_lines, fragment):
     edges, attrs = write_net(tmp_path, edge_lines, attr_lines)
@@ -79,6 +107,9 @@ def test_rejections_name_the_line(tmp_path):
     edges, attrs = write_net(tmp_path, ["0,1", "1,0"], ["0,1,1", "1,-2,1"])
     with pytest.raises(ValidationError, match=r":3:"):
         load_network(edges, attrs)  # offending attribute row is file line 3
+    edges, attrs = write_net(tmp_path, ["0,1", "1,0"], ["0,1,1", "1,nan,1"])
+    with pytest.raises(ValidationError, match=r"attributes.csv:3:"):
+        load_network(edges, attrs)
 
 
 def test_normalize_adjacency_column(tmp_path):
@@ -86,17 +117,18 @@ def test_normalize_adjacency_column(tmp_path):
                              ["0,1,1", "1,1,1", "2,1,1"])
     net = load_network(edges, attrs)
     mbar = normalize_adjacency(net)
-    npt.assert_allclose(mbar[:, 0], [0.0, 0.5, 0.5])
-    npt.assert_allclose(mbar[:, 1], [0.0, 0.0, 1.0])  # single out-edge
-    npt.assert_allclose(mbar.sum(axis=0), np.ones(3), atol=1e-12)
+    views = normalized_views(net)
+    for i, col in enumerate([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]):
+        npt.assert_array_equal(mbar[:, i], col)
+        npt.assert_array_equal(node_step_distribution(i, views), col)
 
 
 def test_normalize_adjacency_self_loop_only(tmp_path):
     edges, attrs = write_net(tmp_path, ["0,1"], ["0,1,1", "1,1,1"])
     with pytest.warns(UserWarning):
         net = load_network(edges, attrs)
-    mbar = normalize_adjacency(net)
-    assert mbar[1, 1] == 1.0
+    assert normalize_adjacency(net)[1, 1] == 1.0
+    npt.assert_array_equal(node_step_distribution(1, normalized_views(net)), [0.0, 1.0])
 
 
 def test_normalize_attributes_values(tmp_path):
@@ -139,11 +171,12 @@ def test_view_sums_on_random_graphs():
         n = int(rng.integers(2, 15))
         net = random_network(rng, n)
         views = normalized_views(net)
-        npt.assert_allclose(views.mbar.sum(axis=0), np.ones(n), atol=1e-12)
+        steps = np.array([node_step_distribution(i, views) for i in range(n)])
+        npt.assert_allclose(steps.sum(axis=1), np.ones(n), atol=1e-12)
         row_sums = views.abar.sum(axis=1)
         for k, s in enumerate(row_sums):
             assert abs(s - 1.0) < 1e-12 or s == 0.0
-        assert views.mbar.min() >= 0.0 and views.mbar.max() <= 1.0
+        assert steps.min() >= 0.0 and steps.max() <= 1.0
         assert views.abar.min() >= 0.0 and views.abar.max() <= 1.0
 
 
@@ -152,7 +185,8 @@ def test_round_trip_identity(tmp_path):
     net = random_network(rng, 9)
     save_network(net, tmp_path / "out")
     net2 = load_network_dir(tmp_path / "out")
-    assert net2.edges == net.edges
+    npt.assert_array_equal(net2.src, net.src)
+    npt.assert_array_equal(net2.dst, net.dst)
     npt.assert_array_equal(net2.A, net.A)
     assert net2.attr_names == net.attr_names
 
@@ -165,10 +199,7 @@ def test_abar_scale_invariance(c):
     abar_before, _ = normalize_attributes(net)
     A = net.A.copy()
     A[:, 1] *= c
-    from roadrank.graph import RoadNetwork
-    scaled = RoadNetwork(n=net.n, m=net.m, edges=net.edges, M=net.M.copy(), A=A,
-                         attr_names=net.attr_names)
-    abar_after, _ = normalize_attributes(scaled)
+    abar_after, _ = normalize_attributes(dataclasses.replace(net, A=A))
     npt.assert_allclose(abar_after, abar_before, atol=1e-12)
 
 
@@ -193,6 +224,65 @@ def test_production_scale_format(tmp_path):
         str(i) + "," + ",".join(f"{v:.3f}" for v in rows[i]) + "\n" for i in range(n)))
     net = load_network(edges, attrs)
     assert net.n == 929
-    assert len(net.edges) == 3168
+    assert net.src.size == 3168
     assert net.m == 16
 
+
+
+def test_sparse_core_matches_dense_oracle():
+    """Bit for bit on random networks with sinks and explicit self-loops:
+    the step distribution is the dense column, the cascade's in-edges are
+    the dense (dst, src) scan without self-loops, and the CSR successors
+    are the dense row's nonzeros."""
+    rng = np.random.default_rng(8)
+    sinks = loops = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 15))
+        net = random_network(rng, n, p=rng.uniform(0.05, 0.4), loops=True)
+        dense = dense_adjacency(net)
+        mbar = normalize_adjacency(net)
+        views = normalized_views(net)
+        for v in range(n):
+            assert node_step_distribution(v, views).tobytes() == mbar[:, v].tobytes()
+            npt.assert_array_equal(net.out_idx[net.out_ptr[v]:net.out_ptr[v + 1]],
+                                   np.flatnonzero(dense[v]))
+        dst, src = np.nonzero(dense.T)
+        keep = src != dst
+        got_src, got_dst = cascade._in_edges(net)
+        npt.assert_array_equal(got_src, src[keep])
+        npt.assert_array_equal(got_dst, dst[keep])
+        sinks += len(net.self_loop_nodes)
+        loops += int((net.src == net.dst).sum()) - len(net.self_loop_nodes)
+    assert sinks and loops
+
+
+def test_graph_core_allocates_no_dense_matrix(tmp_path):
+    """On a 60x60 grid (3,600 nodes, 14,160 edges) no graph-core stage
+    comes near one n x n float64 array (99 MiB)."""
+    peaks = {}
+
+    def traced(name, fn, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        peaks[name] = tracemalloc.get_traced_memory()[1] - before
+        return out
+
+    tracemalloc.start()
+    try:
+        net = traced("synth", synth_grid_network, 60, 60, 1)
+        traced("save_network", save_network, net, tmp_path)
+        net = traced("load_network_dir", load_network_dir, tmp_path)
+        traced("normalized_views", normalized_views, net)
+        traced("degree_centrality", degree_centrality, net)
+        traced("pagerank", pagerank, net)
+        traced("in_edges", cascade._in_edges, net)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 8e6, peaks
+
+
+def test_network_rejects_a_sink():
+    net = synth_grid_network(2, 2, seed=0)
+    with pytest.raises(ValidationError, match="node 3 has out-degree 0"):
+        dataclasses.replace(net, src=net.src[net.src != 3], dst=net.dst[net.src != 3])

@@ -10,21 +10,21 @@ from roadrank.walks import (WalkConfig, attr_to_node_distribution,
                             save_samples)
 
 
-def views_from(mbar_cols=None, abar_rows=None, n=3, m=2):
-    """Hand-built views for distribution unit tests."""
-    mbar = np.zeros((n, n))
-    if mbar_cols:
-        for i, col in mbar_cols.items():
-            mbar[:, i] = col
+def views_from(succ=None, abar_rows=None, n=3, m=2):
+    """Hand-built views for distribution unit tests; ``succ[i]`` lists the
+    out-neighbours of node ``i``."""
+    rows = [sorted((succ or {}).get(i, [])) for i in range(n)]
+    out_ptr = np.cumsum([0] + [len(r) for r in rows])
+    out_idx = np.array([j for r in rows for j in r], dtype=np.int64)
     abar = np.zeros((m, n))
     if abar_rows:
         for k, row in abar_rows.items():
             abar[k] = row
-    return NormalizedViews(mbar=mbar, abar=abar)
+    return NormalizedViews(out_ptr=out_ptr, out_idx=out_idx, abar=abar)
 
 
 def test_node_step_distribution():
-    v = views_from(mbar_cols={0: [0.0, 0.5, 0.5], 1: [0.0, 0.0, 1.0], 2: [1.0, 0.0, 0.0]})
+    v = views_from(succ={0: [1, 2], 1: [2], 2: [0]})
     npt.assert_allclose(node_step_distribution(0, v), [0.0, 0.5, 0.5])
     npt.assert_allclose(node_step_distribution(1, v), [0.0, 0.0, 1.0])
 
