@@ -33,9 +33,11 @@ print("landing distribution via attribute 'vol' from segment 0 (first 8):")
 print(np.round(rr.attr_to_node_distribution(0, 3, views), 3)[:8])
 
 # %% [markdown]
-# ## The alias tables behind each draw
-# Every distribution is compiled once into a constant-time sampler; the
-# table reconstructs its input exactly.
+# ## The alias table behind the attribute choice
+# Each segment's attribute distribution is compiled once into a
+# constant-time sampler; the table reconstructs its input exactly. Edge
+# steps read the CSR directly, and landings are drawn by rejection from the
+# attribute's support, so neither needs a table.
 
 # %%
 p = rr.node_to_attr_distribution(0, views)

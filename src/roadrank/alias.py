@@ -15,7 +15,9 @@ _SUM_TOL = 1e-9
 @dataclass(frozen=True)
 class AliasTable:
     """Probability table ``prob`` and alias indices ``alias`` for one
-    distribution; reconstructable to the input within 1e-12 per entry."""
+    distribution; reconstructable to the input within 1e-12 per entry.
+    :func:`alias_draw` also takes a stack of tables of one size, held as
+    ``(rows, size)`` arrays."""
 
     prob: np.ndarray
     alias: np.ndarray
@@ -26,7 +28,7 @@ class AliasTable:
 
     @property
     def size(self) -> int:
-        return self.prob.shape[0]
+        return self.prob.shape[-1]
 
 
 def build_alias(p) -> AliasTable:
@@ -67,12 +69,21 @@ def build_alias(p) -> AliasTable:
                       alias=np.array(alias, dtype=np.int64))
 
 
-def alias_draw(table: AliasTable, rng: np.random.Generator) -> int:
-    """Draw one index from the table using two uniform variates."""
-    i = int(rng.integers(table.size))
-    if rng.random() < table.prob[i]:
-        return i
-    return int(table.alias[i])
+def alias_draw(table: AliasTable, rng: np.random.Generator):
+    """Draw one outcome from each table in ``table``.
+
+    A table from :func:`build_alias` (``prob`` of shape ``(size,)``) gives
+    one index.  A stack of tables, ``prob`` and ``alias`` of shape
+    ``(rows, size)``, gives an int64 array of ``rows`` indices, index ``r``
+    drawn from table ``r``.  Each draw uses one integer and one uniform
+    variate, taken as one vector call each.
+    """
+    prob = table.prob.reshape(-1, table.size)
+    alias = table.alias.reshape(-1, table.size)
+    rows = np.arange(prob.shape[0])
+    slot = rng.integers(table.size, size=rows.size)
+    keep = rng.random(rows.size) < prob[rows, slot]
+    return np.where(keep, slot, alias[rows, slot]).reshape(table.prob.shape[:-1])[()]
 
 
 def reconstruct(table: AliasTable) -> np.ndarray:

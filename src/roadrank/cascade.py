@@ -206,8 +206,8 @@ def import_scores(path, n: int | None = None) -> ImportanceScores:
     """Read externally produced scores from a ``node_id,aff`` CSV.
 
     Ids must cover ``0..n-1`` exactly (``n`` defaults to the row count);
-    scores must be non-negative.  When both imported scores and a simulator
-    config are available, the imported scores win.
+    scores must be finite and non-negative.  When both imported scores and
+    a simulator config are available, the imported scores win.
     """
     path = Path(path)
     rows: dict[int, float] = {}
@@ -226,8 +226,9 @@ def import_scores(path, n: int | None = None) -> ImportanceScores:
                                       f"got {','.join(row)!r}") from None
             if node in rows:
                 raise ValidationError(f"{path}:{ln}: duplicate node id {node}")
-            if value < 0:
-                raise ValidationError(f"{path}:{ln}: negative score for node {node}")
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{path}:{ln}: negative or non-finite score for node "
+                                      f"{node}: {row[1].strip()!r}")
             rows[node] = value
     count = n if n is not None else len(rows)
     missing = sorted(set(range(count)) - set(rows))

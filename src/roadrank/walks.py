@@ -4,11 +4,21 @@ Each step from a node flips a coin with bias ``alpha``: heads takes one
 adjacency step; tails takes the two-step bridge node -> attribute -> node,
 recording both the attribute vertex and the landing node.  Attribute
 vertices share the id space ``n..n+m-1``.
+
+Each node's walks advance together as arrays on one random stream per
+node.  Adjacency steps read the network's CSR, the attribute choice uses
+one m-outcome alias table per node, and bridge landings are drawn by
+rejection from the attribute's support, so no table grows with n per
+(node, attribute).  Sample files are ``roadrank-samples v2``;
+:func:`load_samples` also reads v1 files, whose walks came from an earlier
+sampler with one stream per walk and which ``sample`` does not reproduce.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -94,86 +104,96 @@ def attr_to_node_distribution(i: int, k: int, views: NormalizedViews) -> np.ndar
     return weights / total
 
 
-class _AliasCache:
-    """Lazily built alias tables over immutable views.
+def _bridge_landing(origin: np.ndarray, k: np.ndarray, abar: np.ndarray,
+                    sup_ptr: np.ndarray, sup_idx: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Land the bridge walk ``w`` that left node ``origin[w]`` through
+    attribute ``k[w]``, with the law of :func:`attr_to_node_distribution`.
 
-    Keyed per origin node for adjacency and node->attribute steps, and per
-    (origin, attribute) for bridge landings; the fused transition matrix is
-    never materialized.
+    Rejection sampling: propose ``j`` uniformly from attribute ``k``'s
+    support ``sup_idx[sup_ptr[k]:sup_ptr[k + 1]]`` and accept it with
+    probability ``1 - |abar[k, j] - abar[k, origin]|``; only the rejected
+    walks propose again.  The weights are <= 1, so accepted draws follow
+    the normalized weights exactly.  ``k`` is drawn only where
+    ``abar[k, origin] > 0``, so the origin lies in the support with weight
+    1 and every proposal round accepts with positive probability: the loop
+    ends, and the uniform fallback of the law is never needed here.
     """
-
-    def __init__(self, views: NormalizedViews):
-        self.views = views
-        self._adj: dict[int, AliasTable] = {}
-        self._to_attr: dict[int, AliasTable] = {}
-        self._to_node: dict[tuple[int, int], AliasTable] = {}
-
-    def adjacency(self, i: int) -> AliasTable:
-        t = self._adj.get(i)
-        if t is None:
-            t = self._adj[i] = build_alias(node_step_distribution(i, self.views))
-        return t
-
-    def to_attr(self, i: int) -> AliasTable:
-        t = self._to_attr.get(i)
-        if t is None:
-            t = self._to_attr[i] = build_alias(node_to_attr_distribution(i, self.views))
-        return t
-
-    def to_node(self, i: int, k: int) -> AliasTable:
-        t = self._to_node.get((i, k))
-        if t is None:
-            t = self._to_node[(i, k)] = build_alias(attr_to_node_distribution(i, k, self.views))
-        return t
-
-
-def _walk_rng(seed: int, node: int, walk: int) -> np.random.Generator:
-    # one independent stream per (node, sequence index) so results do not
-    # depend on scheduling order
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, node, walk))))
-
-
-def _walk(start: int, cache: _AliasCache, cfg: WalkConfig, n: int,
-          rng: np.random.Generator) -> list[int]:
-    seq = [start]
-    cur = start
-    while len(seq) < cfg.length:
-        if rng.random() < cfg.alpha:
-            cur = alias_draw(cache.adjacency(cur), rng)
-            seq.append(cur)
-        else:
-            k = alias_draw(cache.to_attr(cur), rng)
-            seq.append(n + k)
-            if len(seq) == cfg.length:
-                break  # truncate mid-bridge
-            cur = alias_draw(cache.to_node(cur, k), rng)
-            seq.append(cur)
-    return seq
+    landed = np.empty_like(origin)
+    todo = np.arange(origin.size)
+    while todo.size:
+        kk = k[todo]
+        lo = sup_ptr[kk]
+        j = sup_idx[lo + rng.integers(0, sup_ptr[kk + 1] - lo)]
+        accept = rng.random(todo.size) < 1.0 - np.abs(abar[kk, j] - abar[kk, origin[todo]])
+        landed[todo[accept]] = j[accept]
+        todo = todo[~accept]
+    return landed
 
 
 def sample_walks(net: RoadNetwork, views: NormalizedViews, cfg: WalkConfig) -> SampleSet:
     """Sample ``cfg.num`` sequences of ``cfg.length`` vertices per node.
 
     Every sequence starts at its own node; attribute visits consume a
-    position; sampling is deterministic given ``cfg.seed``.
+    position, and a bridge cut off by the sequence end keeps its attribute.
+    Node ``i``'s walks advance together, one position at a time, on their
+    own stream ``SeedSequence((cfg.seed, i))``, so a node's walks do not
+    depend on how many other nodes there are or in which order they run.
+    At each position the walks standing on a node flip the ``alpha`` coin:
+    heads steps to a uniform out-neighbour read from the CSR, tails draws
+    an attribute from the node's alias table; the walks standing on an
+    attribute land on a node by :func:`_bridge_landing`.
     """
-    cache = _AliasCache(views)
-    out = np.empty((net.n, cfg.num, cfg.length), dtype=np.int64)
-    for i in range(net.n):
-        for w in range(cfg.num):
-            out[i, w] = _walk(i, cache, cfg, net.n, _walk_rng(cfg.seed, i, w))
-    return SampleSet(sequences=out, n=net.n, m=net.m, config=cfg)
+    n, num = net.n, cfg.num
+    deg = np.diff(views.out_ptr)
+    to_attr_prob = np.empty((n, views.m))
+    to_attr_alias = np.empty((n, views.m), dtype=np.int64)
+    for i in range(n):
+        table = build_alias(node_to_attr_distribution(i, views))
+        to_attr_prob[i], to_attr_alias[i] = table.prob, table.alias
+    # each attribute's support (the nonzeros of its abar row) as a CSR
+    sup_k, sup_idx = np.nonzero(views.abar)
+    sup_ptr = np.concatenate(([0], np.cumsum(np.bincount(sup_k, minlength=views.m))))
+    out = np.empty((n, num, cfg.length), dtype=np.int64)
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
+        seqs = out[i]
+        seqs[:, 0] = i
+        for p in range(1, cfg.length):
+            prev = seqs[:, p - 1]
+            on_node = prev < n
+            heads = rng.random(num) < cfg.alpha
+            step = np.flatnonzero(on_node & heads)
+            if step.size:
+                cur = prev[step]
+                seqs[step, p] = views.out_idx[views.out_ptr[cur] + rng.integers(0, deg[cur])]
+            bridge = np.flatnonzero(on_node & ~heads)
+            if bridge.size:
+                cur = prev[bridge]
+                stack = AliasTable(prob=to_attr_prob[cur], alias=to_attr_alias[cur])
+                seqs[bridge, p] = n + alias_draw(stack, rng)
+            land = np.flatnonzero(~on_node)
+            if land.size:
+                seqs[land, p] = _bridge_landing(seqs[land, p - 2], prev[land] - n,
+                                                views.abar, sup_ptr, sup_idx, rng)
+    return SampleSet(sequences=out, n=n, m=net.m, config=cfg)
 
 
-_SAMPLES_MAGIC = "roadrank-samples v1"
+_SAMPLES_MAGIC = "roadrank-samples v2"
+# v1 files hold walks drawn by the per-walk-stream sampler; the layout is the same
+_SAMPLES_MAGICS = ("roadrank-samples v1", _SAMPLES_MAGIC)
 _SAMPLES_HEADER = (("n", int), ("m", int), ("num", int), ("l", int), ("alpha", float),
                    ("seed", int))
+# sequence lines formatted per write: a few hundred kB of text, however many nodes
+_WRITE_LINES = 4096
 
 
 def save_samples(samples: SampleSet, path) -> None:
     """Write a sample set as versioned structured text: a header carrying
     (n, m, num, l, alpha, seed) then one line of vertex ids per sequence."""
     cfg = samples.config
+    rows = samples.sequences.reshape(-1, cfg.length)
+    line = " ".join(["%d"] * cfg.length) + "\n"
     with open(Path(path), "w") as fh:
         fh.write(_SAMPLES_MAGIC + "\n")
         fh.write(f"n {samples.n}\n")
@@ -182,17 +202,38 @@ def save_samples(samples: SampleSet, path) -> None:
         fh.write(f"l {cfg.length}\n")
         fh.write(f"alpha {cfg.alpha!r}\n")
         fh.write(f"seed {cfg.seed}\n")
-        for i in range(samples.n):
-            for w in range(cfg.num):
-                fh.write(" ".join(str(v) for v in samples.sequences[i, w]) + "\n")
+        for lo in range(0, len(rows), _WRITE_LINES):
+            block = rows[lo:lo + _WRITE_LINES]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _read_sequence_lines(fh, path: Path, count: int, length: int, ids_below: int) -> np.ndarray:
+    """Read ``count`` sequence lines one by one, naming the first bad line;
+    the array is built only once every line has passed."""
+    rows = []
+    # sequence lines follow the magic line and the header lines
+    for ln in range(len(_SAMPLES_HEADER) + 2, len(_SAMPLES_HEADER) + 2 + count):
+        line = fh.readline()
+        if not line:
+            raise ValidationError(f"{path}:{ln}: truncated sample file")
+        try:
+            ids = [int(v) for v in line.split()]
+        except ValueError:
+            raise ValidationError(f"{path}:{ln}: non-integer vertex id") from None
+        if len(ids) != length:
+            raise ValidationError(f"{path}:{ln}: sequence of wrong length")
+        if min(ids) < 0 or max(ids) >= ids_below:
+            raise ValidationError(f"{path}:{ln}: vertex id out of range")
+        rows.append(ids)
+    return np.array(rows, dtype=np.int64).reshape(count, length)
 
 
 def load_samples(path) -> SampleSet:
-    """Read a sample set written by :func:`save_samples`."""
+    """Read a sample set written by :func:`save_samples` (v1 or v2)."""
     path = Path(path)
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
-        if magic != _SAMPLES_MAGIC:
+        if magic not in _SAMPLES_MAGICS:
             raise ValidationError(f"{path}: unrecognized sample file header {magic!r}")
         header = {}
         for ln, (key, cast) in enumerate(_SAMPLES_HEADER, start=2):
@@ -218,19 +259,21 @@ def load_samples(path) -> SampleSet:
             # WalkConfig's messages start with the field they reject; 'l' is length
             key = str(exc).split()[0].replace("length", "l")
             raise ValidationError(f"{path}:{line_of[key]}: header {exc}") from None
-        seqs = np.empty((n * cfg.num, cfg.length), dtype=np.int64)
-        # sequence lines follow the magic line and the header lines
-        for ln, row in enumerate(seqs, start=len(_SAMPLES_HEADER) + 2):
-            line = fh.readline()
-            if not line:
-                raise ValidationError(f"{path}:{ln}: truncated sample file")
+        count = n * cfg.num
+        body = fh.tell()
+        seqs = None
+        with warnings.catch_warnings():
+            # an all-blank body warns; the line loop below names its first line
+            warnings.simplefilter("ignore", UserWarning)
             try:
-                ids = [int(v) for v in line.split()]
+                seqs = np.loadtxt(islice(iter(fh.readline, ""), count), dtype=np.int64,
+                                  ndmin=2, comments=None)
             except ValueError:
-                raise ValidationError(f"{path}:{ln}: non-integer vertex id") from None
-            if len(ids) != cfg.length:
-                raise ValidationError(f"{path}:{ln}: sequence of wrong length")
-            row[:] = ids
-    if seqs.size and (seqs.min() < 0 or seqs.max() >= n + m):
-        raise ValidationError(f"{path}: vertex id out of range")
+                pass
+        if (seqs is None or seqs.shape != (count, cfg.length)
+                or seqs.min() < 0 or seqs.max() >= n + m):
+            # loadtxt skips blank lines, and its errors name no file: parse
+            # the body again line by line, which names the first bad line
+            fh.seek(body)
+            seqs = _read_sequence_lines(fh, path, count, cfg.length, n + m)
     return SampleSet(sequences=seqs.reshape(n, cfg.num, cfg.length), n=n, m=m, config=cfg)

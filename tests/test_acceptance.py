@@ -11,7 +11,6 @@ from roadrank.cli import main as cli_main
 from roadrank.metrics import labelled_pairs, micro_macro_f1
 from roadrank.model import PairScorer, apply_ablation
 from roadrank.training import gradient_check, make_pairs
-from roadrank.walks import _AliasCache, _walk, _walk_rng
 
 from test_baselines import brute_force_betweenness, net_from_edges
 from test_graph import normalize_adjacency
@@ -51,12 +50,9 @@ def test_criterion_2_sampler_law():
     walks = 100_000
     worst_tv = 0.0
     for alpha in (0.0, 0.5, 1.0):
-        cfg = rr.WalkConfig(alpha=alpha, num=1, length=2, seed=31)
-        cache = _AliasCache(views)
-        counts = np.zeros(net.n + net.m)
-        for w in range(walks):
-            seq = _walk(origin, cache, cfg, net.n, _walk_rng(cfg.seed, origin, w))
-            counts[seq[1]] += 1
+        cfg = rr.WalkConfig(alpha=alpha, num=walks, length=2, seed=31)
+        first_steps = rr.sample_walks(net, views, cfg).sequences[origin, :, 1]
+        counts = np.bincount(first_steps, minlength=net.n + net.m)
         analytic = np.zeros(net.n + net.m)
         analytic[:net.n] = alpha * rr.node_step_distribution(origin, views)
         analytic[net.n:] = (1 - alpha) * rr.node_to_attr_distribution(origin, views)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadrank.alias import alias_draw, build_alias, reconstruct
+from roadrank.alias import AliasTable, alias_draw, build_alias, reconstruct
 from roadrank.graph import ValidationError
 
 
@@ -46,6 +46,22 @@ def test_draw_frequencies():
     for _ in range(n):
         counts[alias_draw(t, rng)] += 1
     npt.assert_allclose(counts / n, p, atol=0.01)
+
+
+def test_stacked_draw_frequencies():
+    """A stack of tables draws row ``r`` from table ``r``; a zero-mass
+    outcome is never drawn."""
+    p = np.array([[0.2, 0.3, 0.5], [0.7, 0.0, 0.3]])
+    first, second = build_alias(p[0]), build_alias(p[1])
+    rows = np.arange(200_000) % 2
+    stack = AliasTable(prob=np.stack([first.prob, second.prob])[rows],
+                       alias=np.stack([first.alias, second.alias])[rows])
+    got = alias_draw(stack, np.random.default_rng(5))
+    assert got.shape == rows.shape
+    for r in (0, 1):
+        npt.assert_allclose(np.bincount(got[rows == r], minlength=3) / 100_000, p[r],
+                            atol=0.01)
+    assert not (got[rows == 1] == 1).any()
 
 
 def test_draw_determinism():

@@ -236,7 +236,7 @@ def test_stage_outputs_reproducible(tmp_path):
 # any of these bytes must say so and update the digest on purpose
 GOLDEN_SHA256 = {
     "scores.csv": "5a6a61d9afae6856a4c9bfa2968a1c9524753e9804e74eb8bad2802e1fc7188b",
-    "samples.txt": "76c60a6dfd0433de2b6512c238def8f9b3adb19cc6d6866907d53a93749f4bfa",
+    "samples.txt": "dd74ebb61b3cffddf0d780a504ae725c3c0ac9e664e7bea101aa653f2cb56da2",
     "bc.csv": "5d1afd68faf6ecc3366fdc8e670f7d4bcc7f250018c7d311115f70ecb705972e",
 }
 
@@ -280,7 +280,10 @@ def test_threads_flag_removed(tmp_path):
                "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("body", ["0,abc\n", "x,1.0\n", "0\n"])
+# the pipeline has 12 nodes, so id 12 is one past the last: a non-finite
+# score must be named at its line before the id is found to be extra
+@pytest.mark.parametrize("body", ["0,abc\n", "x,1.0\n", "0\n", "12,nan\n", "12,inf\n",
+                                  "12,-inf\n"])
 def test_eval_rejects_malformed_truth(pipeline, tmp_path, capsys, body):
     base, _, scores, _, _, ranking = pipeline
     truth = tmp_path / "truth.csv"
@@ -336,6 +339,7 @@ def test_rank_nodes_rejects_duplicates_and_empty_list(pipeline, tmp_path, capsys
     ("n 12", "n x"), ("alpha 0.0001", ""), ("seed 2", "seed"), ("m 5", "num 5"),
     ("n 12", "n -1"), (9, "12 x 3 4"), (9, "12 3"), (67, None),
     ("num 5", "num 0"), ("alpha 0.0001", "alpha nan"), ("l 4", "l 1"), ("m 5", "m -2"),
+    (9, ""), (9, "# 12 3 4"), (9, "12 13 3 4 5"), (9, "99999999999999999999 13 3 4"),
 ])
 def test_samples_header_rejected(pipeline, tmp_path, capsys, line, replacement):
     """Header lines are given by their text, sequence lines by number."""

@@ -1,10 +1,13 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roadrank.graph import NormalizedViews, ValidationError, normalized_views
+from roadrank.graph import NormalizedViews, RoadNetwork, ValidationError, normalized_views
 from roadrank.synth import synth_grid_network
-from roadrank.walks import (WalkConfig, attr_to_node_distribution,
+from roadrank.walks import (SampleSet, WalkConfig, attr_to_node_distribution,
                             load_samples, node_step_distribution,
                             node_to_attr_distribution, sample_walks,
                             save_samples)
@@ -151,7 +154,7 @@ def test_sample_roundtrip(tmp_path):
     assert back.config == cfg
     assert back.n == ss.n and back.m == ss.m
     header = path.read_text().splitlines()
-    assert header[0] == "roadrank-samples v1"
+    assert header[0] == "roadrank-samples v2"
     assert header[5] == "alpha 0.0001"
 
 
@@ -160,3 +163,126 @@ def test_load_samples_rejects_garbage(tmp_path):
     path.write_text("not a sample file\n")
     with pytest.raises(ValidationError, match="header"):
         load_samples(path)
+
+
+def chi_square_z(counts, p):
+    """Pearson's statistic for ``counts`` against law ``p``, as a standard
+    normal deviate by the Wilson-Hilferty cube-root transform."""
+    keep = p > 0
+    assert counts[~keep].sum() == 0, "draw outside the law's support"
+    expected = counts.sum() * p[keep]
+    stat = ((counts[keep] - expected) ** 2 / expected).sum()
+    dof = keep.sum() - 1
+    return ((stat / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / np.sqrt(2 / (9 * dof))
+
+
+def test_bridge_landing_follows_attr_to_node_law():
+    """Every (origin, attribute) landing law of the rejection bridge is the
+    one :func:`attr_to_node_distribution` gives, on a ring whose attribute
+    shares are spread out and partly zero, so that proposals are rejected."""
+    n = 12
+    rng = np.random.default_rng(5)
+    A = rng.gamma(0.4, size=(n, 3)) * (rng.random((n, 3)) < 0.75)
+    A[A.sum(axis=1) == 0, 0] = 1.0
+    src = np.arange(n)
+    net = RoadNetwork(n=n, m=3, src=src, dst=(src + 1) % n, A=A, attr_names=("a", "b", "c"))
+    views = normalized_views(net)
+    ss = sample_walks(net, views, WalkConfig(alpha=0.0, num=60_000, length=3, seed=8))
+    worst, least_acceptance = 0.0, 1.0
+    for i in range(n):
+        attr, land = ss.sequences[i, :, 1] - n, ss.sequences[i, :, 2]
+        for k in np.flatnonzero(views.abar[:, i]):
+            p = attr_to_node_distribution(i, k, views)
+            support = views.abar[k] > 0
+            if support.sum() < 2:
+                continue
+            least_acceptance = min(least_acceptance, (1 - np.abs(
+                views.abar[k, support] - views.abar[k, i])).mean())
+            worst = max(worst, chi_square_z(np.bincount(land[attr == k], minlength=n), p))
+    assert least_acceptance < 0.8  # proposals are rejected for some (origin, attribute)
+    assert worst < 4.0
+
+
+def test_sampler_memory_does_not_grow_with_node_attribute_tables():
+    """60x60 grid (3,600 nodes, 5 attributes): one n-wide table per (node,
+    attribute) pair would be 3,600 * 5 * 3,600 * 16 B, about 1 GB; the
+    sampler's own arrays are the output (1.2 MB here) and O(n * m)."""
+    net = synth_grid_network(60, 60, seed=1)
+    views = normalized_views(net)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sample_walks(net, views, WalkConfig(alpha=0.0001, num=10, length=4, seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def write_samples_per_line(samples, path):
+    """Reference writer: the body one ``" ".join`` per sequence line."""
+    with open(path, "w") as fh:
+        for row in samples.sequences.reshape(-1, samples.config.length):
+            fh.write(" ".join(str(v) for v in row) + "\n")
+
+
+def test_save_samples_body_matches_per_line_writer(tmp_path):
+    """More sequence lines than one write block, so blocks join up."""
+    rng = np.random.default_rng(3)
+    cfg = WalkConfig(alpha=0.25, num=70, length=5, seed=2)
+    seqs = rng.integers(0, 10**6, size=(100, 70, 5))
+    ss = SampleSet(sequences=seqs, n=100, m=10**6 - 100, config=cfg)
+    save_samples(ss, tmp_path / "s.txt")
+    write_samples_per_line(ss, tmp_path / "ref.txt")
+    assert (tmp_path / "s.txt").read_text().split("\n", 7)[7] == (tmp_path / "ref.txt").read_text()
+
+
+V1_SAMPLES = Path(__file__).parent / "data" / "v1" / "samples.txt"
+
+
+def test_v1_samples_file_loads(tmp_path):
+    """A v1 file loads as it is; written back, only the magic line changes."""
+    text = V1_SAMPLES.read_text()
+    assert text.startswith("roadrank-samples v1\n")
+    ss = load_samples(V1_SAMPLES)
+    assert ss.sequences.shape == (ss.n, ss.config.num, ss.config.length)
+    save_samples(ss, tmp_path / "v2.txt")
+    assert (tmp_path / "v2.txt").read_text() == text.replace("v1", "v2", 1)
+
+
+@pytest.mark.parametrize("body, ln, message", [
+    ("1 2 3\n\n4 5 6\n", 9, "wrong length"),
+    ("1 2 3\n   \n4 5 6\n", 9, "wrong length"),
+    ("1 2 3\n# 4 5 6\n4 5 6\n", 9, "non-integer"),
+    ("1 2 3\n4 5\n4 5 6\n", 9, "wrong length"),
+    ("1 2 3\n4 5 6 7\n4 5 6\n", 9, "wrong length"),
+    ("1 2 3\n4 5.0 6\n4 5 6\n", 9, "non-integer"),
+    ("1 2 3\n4 5 6\n", 10, "truncated"),
+    ("1 2 3\n4 5 6\n99999999999999999999 5 6\n", 10, "out of range"),
+    ("1 2 3\n4 5 10\n4 5 6\n", 9, "out of range"),
+    ("1 2 3\n-1 5 6\n4 5 6\n", 9, "out of range"),
+])
+def test_load_samples_names_the_bad_sequence_line(tmp_path, body, ln, message):
+    path = tmp_path / "s.txt"
+    path.write_text("roadrank-samples v2\nn 3\nm 7\nnum 1\nl 3\nalpha 0.5\nseed 1\n" + body)
+    with pytest.raises(ValidationError, match=f"s.txt:{ln}: .*{message}"):
+        load_samples(path)
+
+
+def test_load_samples_header_count_beyond_the_body(tmp_path):
+    """A header claiming 10^10 sequences ends at the body's end, before
+    any array for that many is allocated."""
+    path = tmp_path / "s.txt"
+    path.write_text("roadrank-samples v2\nn 10000000000\nm 7\nnum 1\nl 3\nalpha 0.5\n"
+                    "seed 1\n1 2 3\n")
+    with pytest.raises(ValidationError, match="s.txt:9: truncated"):
+        load_samples(path)
+
+
+def test_load_samples_reads_the_line_loops_integers(tmp_path):
+    """Ids the numpy parser refuses but ``int`` accepts load as before."""
+    path = tmp_path / "s.txt"
+    path.write_text("roadrank-samples v2\nn 2\nm 20\nnum 1\nl 3\nalpha 0.5\nseed 1\n"
+                    "1 2 3\n1_0 +4 \u0665\n")
+    npt.assert_array_equal(load_samples(path).sequences.reshape(2, 3), [[1, 2, 3], [10, 4, 5]])
