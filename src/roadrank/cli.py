@@ -319,6 +319,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _reject_repeated_ids(path, nodes) -> None:
+    ordered = sorted(nodes)
+    dups = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
+    if dups:
+        raise ValidationError(f"{path}: duplicate node id(s) {dups}")
+
+
 def cmd_rank(args) -> int:
     started = _now()
     spec = {
@@ -347,9 +354,7 @@ def cmd_rank(args) -> int:
             raise ValidationError(f"{cfg['nodes']}: no node ids")
         if not 0 <= nodes[0] <= nodes[-1] < net.n:
             raise ValidationError(f"{cfg['nodes']}: node ids must lie in 0..{net.n - 1}")
-        dups = sorted({a for a, b in zip(nodes, nodes[1:]) if a == b})
-        if dups:
-            raise ValidationError(f"{cfg['nodes']}: duplicate node id(s) {dups}")
+        _reject_repeated_ids(cfg["nodes"], nodes)
     else:
         nodes = list(range(net.n))
     matrix = scorer.rating_matrix(nodes)
@@ -396,6 +401,10 @@ def cmd_eval(args) -> int:
     pair_nodes = None
     if cfg["pairs"] is not None:
         pair_nodes = _read_node_ids(_require_file(cfg["pairs"]), cfg["split"])
+        _reject_repeated_ids(cfg["pairs"], pair_nodes)
+        if len(pair_nodes) < 2:
+            raise ValidationError(
+                f"{cfg['pairs']}: pairwise F1 needs at least 2 node ids, got {len(pair_nodes)}")
     report = report_for_ranking(ranking, truth.aff, pair_nodes)
     lines = report.lines()
     if cfg["topk"] is not None:

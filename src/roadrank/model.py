@@ -11,7 +11,7 @@ from . import encoder
 from .checkpoint import named_tensors
 from .encoder import EmbedParams, minmax_scale_columns, vertex_features
 from .graph import RoadNetwork, ValidationError
-from .ranker import RankerParams, _branch_forward, bce_loss, pair_backward, pair_forward
+from .ranker import RankerParams, bce_loss, pair_backward, pair_forward
 from .walks import SampleSet
 
 ABLATIONS = ("full", "NoMG", "NoBiLSTM", "NoEmb")
@@ -132,28 +132,11 @@ class PairScorer:
         nodes = np.unique(np.concatenate([pi, pj]))
         return nodes, np.searchsorted(nodes, pi), np.searchsorted(nodes, pj)
 
-    def rate_pairs(self, pi, pj) -> np.ndarray:
-        """Ratings for ordered pairs (no dropout)."""
-        pi = np.asarray(pi, dtype=np.int64)
-        pj = np.asarray(pj, dtype=np.int64)
-        nodes, li, lj = self._locate(pi, pj)
-        h, _ = self.node_embeddings(nodes)
-        ratings, _ = pair_forward(h[li], h[lj], self.ranker)
-        return ratings
-
     def rating_matrix(self, nodes) -> np.ndarray:
-        """All-pairs rating matrix over ``nodes`` (diagonal meaningless).
-
-        Uses the split form of the output projection so no pairwise stack
-        is materialized.
-        """
+        """All-pairs rating matrix over ``nodes`` (diagonal meaningless)."""
         nodes = np.asarray(nodes, dtype=np.int64)
         h, _ = self.node_embeddings(nodes)
-        # branch codes once, then logit(a, b) = u[a] + v[b] + bias
-        codes, _ = _branch_forward(h, self.ranker)
-        r = self.ranker.rdim
-        u = codes @ self.ranker.w_out[:r]
-        v = codes @ self.ranker.w_out[r:]
+        u, v, _ = pair_forward(h, self.ranker)
         return encoder.sigmoid(u[:, None] + v[None, :] + self.ranker.b_out[0])
 
     def loss_and_grads(self, pi, pj, labels, dropout_rate: float = 0.0,
@@ -179,16 +162,16 @@ class PairScorer:
             mask = (dropout_rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
             h = h * mask
 
-        ratings, rcache = pair_forward(h[li], h[lj], self.ranker)
+        r = self.ranker
+        u, v, rcache = pair_forward(h, r)
+        ratings = encoder.sigmoid(u[li] + v[lj] + r.b_out[0])
         loss = bce_loss(ratings, y)
 
-        r = self.ranker
         rgrads = RankerParams.zeros(r.input_dim, r.b1.size, r.b2.size, r.rdim)
         dlogit = (ratings - y) / y.size
-        dhi, dhj = pair_backward(dlogit, rcache, r, rgrads)
-        dh = np.zeros_like(h)
-        np.add.at(dh, li, dhi)
-        np.add.at(dh, lj, dhj)
+        du = np.bincount(li, weights=dlogit, minlength=nodes.size)
+        dv = np.bincount(lj, weights=dlogit, minlength=nodes.size)
+        dh = pair_backward(du, dv, rcache, r, rgrads)
         if mask is not None:
             dh = dh * mask
 

@@ -15,7 +15,6 @@ from itertools import groupby
 
 import numpy as np
 
-from .encoder import sigmoid
 from .graph import ValidationError
 
 EPS = 1e-12
@@ -111,31 +110,26 @@ def _branch_backward(ds: np.ndarray, cache, p: RankerParams,
     return dz1 @ p.w1.T
 
 
-def pair_forward(hi: np.ndarray, hj: np.ndarray, p: RankerParams):
-    """Rate a batch of pairs; ``hi``/``hj`` are (P, input_dim) stacks.
-
-    Returns (ratings, cache); ratings lie strictly inside (0, 1).
-    """
-    si, cache_i = _branch_forward(hi, p)
-    sj, cache_j = _branch_forward(hj, p)
+def pair_forward(h: np.ndarray, p: RankerParams):
+    """Logit halves of every node in ``h``, a (z, input_dim) stack: the
+    branches share weights, so the pair (a, b) has logit ``u[a] + v[b] +
+    b_out`` and the branch runs once per node.  Returns ``(u, v, cache)``."""
+    s, cache = _branch_forward(h, p)
     r = p.rdim
-    logit = si @ p.w_out[:r] + sj @ p.w_out[r:] + p.b_out[0]
-    return sigmoid(logit), (cache_i, cache_j, si, sj, logit)
+    return s @ p.w_out[:r], s @ p.w_out[r:], (cache, s)
 
 
-def pair_backward(dlogit: np.ndarray, cache, p: RankerParams,
-                  grads: RankerParams) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop from d(loss)/d(logit) to branch inputs; accumulates grads."""
-    cache_i, cache_j, si, sj, _ = cache
+def pair_backward(du: np.ndarray, dv: np.ndarray, cache, p: RankerParams,
+                  grads: RankerParams) -> np.ndarray:
+    """Backprop from d(loss)/du and d(loss)/dv, each node's d(loss)/d(logit)
+    summed over its pairs, to the branch inputs; accumulates grads."""
+    branch_cache, s = cache
     r = p.rdim
-    grads.w_out[:r] += dlogit @ si
-    grads.w_out[r:] += dlogit @ sj
-    grads.b_out += dlogit.sum(keepdims=True)
-    dsi = np.outer(dlogit, p.w_out[:r])
-    dsj = np.outer(dlogit, p.w_out[r:])
-    dhi = _branch_backward(dsi, cache_i, p, grads)
-    dhj = _branch_backward(dsj, cache_j, p, grads)
-    return dhi, dhj
+    grads.w_out[:r] += du @ s
+    grads.w_out[r:] += dv @ s
+    grads.b_out += du.sum(keepdims=True)
+    ds = np.outer(du, p.w_out[:r]) + np.outer(dv, p.w_out[r:])
+    return _branch_backward(ds, branch_cache, p, grads)
 
 
 def bce_loss(ratings, labels) -> float:

@@ -19,6 +19,8 @@ def synth_grid_network(rows: int, cols: int, seed: int) -> RoadNetwork:
     """
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValidationError("grid needs at least 2 nodes")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     n = rows * cols
 
     def nid(r: int, c: int) -> int:

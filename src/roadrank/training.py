@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValidationError("eps must be finite and > 0")
         if self.batch < 1 or self.epochs < 1 or self.strata < 1:
             raise ValidationError("batch, epochs and strata must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.ablation not in ABLATIONS:
             raise ValidationError(f"unknown ablation {self.ablation!r}")
         if self.hdim % 4 != 0 or self.hdim < 4:

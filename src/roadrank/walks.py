@@ -44,6 +44,8 @@ class WalkConfig:
             raise ValidationError("num must be >= 1")
         if self.length < 2:
             raise ValidationError("length must be >= 2")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -276,4 +278,7 @@ def load_samples(path) -> SampleSet:
             # the body again line by line, which names the first bad line
             fh.seek(body)
             seqs = _read_sequence_lines(fh, path, count, cfg.length, n + m)
+        for ln, line in enumerate(fh, start=len(_SAMPLES_HEADER) + 2 + count):
+            if line.strip():
+                raise ValidationError(f"{path}:{ln}: extra line after the last sequence")
     return SampleSet(sequences=seqs.reshape(n, cfg.num, cfg.length), n=n, m=m, config=cfg)

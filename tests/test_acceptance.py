@@ -134,11 +134,13 @@ def test_criterion_7_learnable_task_threshold():
     result = rr.train_model(net, samples, scores, splits, cfg)
 
     scorer = PairScorer(net, samples, result.embed, result.ranker, apply_ablation("full"))
-    pi, pj, truth = labelled_pairs(splits.test, scores)
-    predicted = (scorer.rate_pairs(pi, pj) > 0.5).astype(int)
+    test = sorted(splits.test)
+    _, _, truth = labelled_pairs(test, scores)
+    off = ~np.eye(len(test), dtype=bool)  # rating_matrix's off-diagonal is labelled_pairs' order
+    predicted = (scorer.rating_matrix(test)[off] > 0.5).astype(int)
     micro, _ = micro_macro_f1(predicted, truth)
 
-    _, _, dc_predicted = labelled_pairs(splits.test, rr.degree_centrality(net))
+    _, _, dc_predicted = labelled_pairs(test, rr.degree_centrality(net))
     dc_micro, _ = micro_macro_f1(dc_predicted, truth)
     elapsed = time.monotonic() - start
     _report(7, "learnable-task threshold",

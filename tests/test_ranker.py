@@ -1,22 +1,26 @@
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadrank.graph import ValidationError
+from roadrank.checkpoint import named_tensors
+from roadrank.encoder import EmbedParams, sigmoid
+from roadrank.graph import ValidationError, normalized_views
 from roadrank.metrics import labelled_pairs
-from roadrank.model import PairScorer, apply_ablation
-from roadrank.ranker import RankerParams, bce_loss, pair_forward, rank_from_matrix
+from roadrank.model import PairScorer, apply_ablation, embedding_width
+from roadrank.ranker import (RankerParams, _branch_backward, _branch_forward, bce_loss,
+                             pair_forward, rank_from_matrix)
 from roadrank.synth import synth_grid_network
+from roadrank.walks import WalkConfig, sample_walks
 
 
 def rate(hi, hj, p) -> float:
-    """Rating that ``hi`` outranks ``hj``, through the batched forward pass."""
-    ratings, _ = pair_forward(np.asarray(hi, dtype=float)[None],
-                              np.asarray(hj, dtype=float)[None], p)
-    return float(ratings[0])
+    """Rating that ``hi`` outranks ``hj``, through the split-logit forward pass."""
+    u, v, _ = pair_forward(np.array([hi, hj], dtype=float), p)
+    return float(sigmoid(u[0] + v[1] + p.b_out[0]))
 
 
 def pair_label(a, b) -> int:
@@ -98,7 +102,6 @@ def test_hand_forward():
 def test_identical_inputs_give_identical_halves():
     p = RankerParams.init(input_dim=3, seed=1)
     h = np.array([0.2, -0.5, 1.0])
-    from roadrank.ranker import _branch_forward
     s, _ = _branch_forward(h[None], p)
     # the shared branch makes both halves of the pair feature equal
     r = rate(h, h, p)
@@ -228,3 +231,83 @@ def test_rank_matrix_matches_dict():
         z = int(rng.integers(2, 7))
         r = rng.choice([0.25, 0.5, 0.75], size=(z, z))
         rank_dict({(a, b): float(r[a, b]) for a in range(z) for b in range(z) if a != b})
+
+
+# -- per-pair reference path -------------------------------------------------
+# The oracle for the split-logit path: both branches run on gathered
+# (P, input_dim) stacks, one row per pair, the concatenated codes are
+# projected per pair, and the branch-input gradients are scattered back to
+# the nodes with np.add.at.
+
+def ref_pair_forward(hi, hj, p):
+    si, cache_i = _branch_forward(hi, p)
+    sj, cache_j = _branch_forward(hj, p)
+    r = p.rdim
+    logit = si @ p.w_out[:r] + sj @ p.w_out[r:] + p.b_out[0]
+    return sigmoid(logit), (cache_i, cache_j, si, sj)
+
+
+def ref_pair_backward(dlogit, cache, p, grads):
+    cache_i, cache_j, si, sj = cache
+    r = p.rdim
+    grads.w_out[:r] += dlogit @ si
+    grads.w_out[r:] += dlogit @ sj
+    grads.b_out += dlogit.sum(keepdims=True)
+    dhi = _branch_backward(np.outer(dlogit, p.w_out[:r]), cache_i, p, grads)
+    dhj = _branch_backward(np.outer(dlogit, p.w_out[r:]), cache_j, p, grads)
+    return dhi, dhj
+
+
+def ref_loss_and_grads(scorer, pi, pj, labels, dropout_rate=0.0, dropout_rng=None):
+    """:meth:`PairScorer.loss_and_grads` through the per-pair reference path."""
+    pi, pj = np.asarray(pi, dtype=np.int64), np.asarray(pj, dtype=np.int64)
+    y = np.asarray(labels, dtype=np.float64)
+    nodes, li, lj = scorer._locate(pi, pj)
+    h, cache = scorer.node_embeddings(nodes, with_cache=True)
+    mask = None
+    if dropout_rate > 0.0:
+        mask = (dropout_rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        h = h * mask
+    r = scorer.ranker
+    ratings, rcache = ref_pair_forward(h[li], h[lj], r)
+    rgrads = RankerParams.zeros(r.input_dim, r.b1.size, r.b2.size, r.rdim)
+    dhi, dhj = ref_pair_backward((ratings - y) / y.size, rcache, r, rgrads)
+    dh = np.zeros_like(h)
+    np.add.at(dh, li, dhi)
+    np.add.at(dh, lj, dhj)
+    if mask is not None:
+        dh = dh * mask
+    egrads = None
+    if scorer.variant.use_embedding:
+        egrads = EmbedParams.zeros(scorer.embed.m, scorer.embed.x, scorer.embed.dim)
+        scorer._embed_backward(dh, cache, egrads)
+    return bce_loss(ratings, y), named_tensors(egrads, rgrads), ratings
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.45])
+@pytest.mark.parametrize("mode", ["full", "NoBiLSTM", "NoEmb"])
+def test_split_logit_matches_per_pair_reference(mode, dropout):
+    net = synth_grid_network(3, 3, seed=4)
+    samples = sample_walks(net, normalized_views(net), WalkConfig(0.5, 6, 4, 5))
+    variant = apply_ablation(mode)
+    embed = EmbedParams.init(net.m, 8, 2, 21) if variant.use_embedding else None
+    width = embedding_width(variant, net.m, 8, 2)
+    scorer = PairScorer(net, samples, embed, RankerParams.init(width, seed=22), variant)
+    # node 3 is both a first and a second place; node 5 appears twice as first
+    pi = np.array([3, 0, 5, 3, 7, 5, 1])
+    pj = np.array([0, 3, 3, 8, 3, 2, 6])
+    y = np.array([1, 0, 1, 0, 1, 1, 0])
+    rng = (np.random.default_rng(9), np.random.default_rng(9)) if dropout else (None, None)
+    loss, grads, ratings = scorer.loss_and_grads(pi, pj, y, dropout, rng[0])
+    ref_loss, ref_grads, ref_ratings = ref_loss_and_grads(scorer, pi, pj, y, dropout, rng[1])
+    assert abs(loss - ref_loss) <= 1e-12
+    npt.assert_allclose(ratings, ref_ratings, rtol=0, atol=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        npt.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+    # the all-pairs matrix agrees with the per-pair forward pass off the diagonal
+    nodes = np.array([8, 1, 4, 6])
+    ai, bi = np.nonzero(~np.eye(nodes.size, dtype=bool))
+    h, _ = scorer.node_embeddings(nodes)
+    want, _ = ref_pair_forward(h[ai], h[bi], scorer.ranker)
+    npt.assert_allclose(scorer.rating_matrix(nodes)[ai, bi], want, rtol=0, atol=1e-12)

@@ -41,7 +41,7 @@ def test_config_validation():
     ("beta1", float("nan"), "beta1"), ("beta1", 1.0, "beta1"), ("beta1", -0.1, "beta1"),
     ("beta2", float("nan"), "beta2"), ("beta2", 1.0, "beta2"),
     ("eps", float("nan"), "eps"), ("eps", float("inf"), "eps"), ("eps", 0.0, "eps"),
-    ("train_frac", float("nan"), "split fractions"),
+    ("train_frac", float("nan"), "split fractions"), ("seed", -1, "seed"),
 ])
 def test_config_rejects_non_finite_and_out_of_range(field, value, message):
     with pytest.raises(ValidationError, match=message):

@@ -262,6 +262,9 @@ def test_v1_samples_file_loads(tmp_path):
     ("1 2 3\n4 5 6\n99999999999999999999 5 6\n", 10, "out of range"),
     ("1 2 3\n4 5 10\n4 5 6\n", 9, "out of range"),
     ("1 2 3\n-1 5 6\n4 5 6\n", 9, "out of range"),
+    ("1 2 3\n4 5 6\n4 5 6\ngarbage here\n", 11, "extra line"),
+    ("1 2 3\n4 5 6\n4 5 6\n\n \n4 5 6\n", 13, "extra line"),
+    ("1 2 3\n4 5\n4 5 6\n4 5 6\n", 9, "wrong length"),
 ])
 def test_load_samples_names_the_bad_sequence_line(tmp_path, body, ln, message):
     path = tmp_path / "s.txt"
@@ -278,6 +281,13 @@ def test_load_samples_header_count_beyond_the_body(tmp_path):
                     "seed 1\n1 2 3\n")
     with pytest.raises(ValidationError, match="s.txt:9: truncated"):
         load_samples(path)
+
+
+def test_load_samples_allows_blank_lines_after_the_body(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("roadrank-samples v2\nn 2\nm 7\nnum 1\nl 3\nalpha 0.5\nseed 1\n"
+                    "1 2 3\n4 5 6\n\n  \n")
+    assert load_samples(path).sequences.shape == (2, 1, 3)
 
 
 def test_load_samples_reads_the_line_loops_integers(tmp_path):
