@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -69,46 +71,70 @@ def _write_manifest(anchor: Path, subcommand: str, config: dict, inputs, started
         fh.write("\n")
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+class Option(NamedTuple):
+    """One subcommand setting: flag ``--capacity-reduction`` or ``--config``
+    key ``capacity_reduction``."""
+
+    cast: Callable
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
 
 
-def _read_kv(path: Path) -> dict[str, tuple[int, str]]:
-    """``key -> (line number, value)`` for each ``key=value`` line."""
+def _fields(cls) -> dict[str, Option]:
+    """One option per field of config dataclass ``cls``, with its type and default."""
+    types = get_type_hints(cls)
+    return {f.name: Option(types[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
+def _read_config(path: Path, options: dict[str, Option]) -> dict[str, tuple[int, str]]:
+    """``key -> (line number, value)`` for each ``key=value`` line; a key
+    that is not in ``options``, a repeated key and an empty value are errors."""
     out: dict[str, tuple[int, str]] = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ValidationError(f"{path}:{ln}: expected key=value")
-            out[key.strip()] = ln, value.strip()
+            if key not in options:
+                raise ValidationError(
+                    f"{path}:{ln}: unknown key {key!r}; expected one of {', '.join(options)}")
+            if key in out:
+                raise ValidationError(f"{path}:{ln}: {key} repeats line {out[key][0]}")
+            if not value:
+                raise ValidationError(f"{path}:{ln}: {key} has no value")
+            out[key] = ln, value
     return out
 
 
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
+def _resolve(args: argparse.Namespace, options: dict[str, Option]) -> dict:
     """Merge flag values, --config file values, and defaults (flags win)."""
-    file_values: dict[str, tuple[int, str]] = {}
-    if getattr(args, "config", None):
-        file_values = _read_kv(Path(args.config))
+    file_values = _read_config(args.config, options) if args.config else {}
     resolved = {}
-    for name, (cast, default, required) in spec.items():
+    for name, opt in options.items():
         value = getattr(args, name)
         if value is None and name in file_values:
             ln, text = file_values[name]
             try:
-                value = cast(text)
+                value = opt.cast(text)
             except ValueError:
                 raise ValidationError(
-                    f"{args.config}:{ln}: {name} must be {cast.__name__}, got {text!r}") from None
+                    f"{args.config}:{ln}: {name} must be {opt.cast.__name__}, got {text!r}") from None
         if value is None:
-            value = default
-        if value is None and required:
+            value = opt.default
+        if value is None and opt.required:
             raise ValidationError(f"missing required option --{name.replace('_', '-')}")
         resolved[name] = value
     return resolved
+
+
+def _build(cls, cfg: dict):
+    """Config dataclass ``cls`` from the resolved options named by its fields."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
 
 
 def _require_file(path) -> Path:
@@ -179,67 +205,27 @@ def export_plotdata(ranking, scores, k: int, path) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    started = _now()
-    spec = {
-        "rows": (int, None, True),
-        "cols": (int, None, True),
-        "seed": (int, 0, False),
-        "out": (Path, None, True),
-    }
-    cfg = _resolve(args, spec)
+def cmd_synth(cfg: dict, config_file: Path | None, started: str) -> int:
     net = synth_grid_network(cfg["rows"], cfg["cols"], cfg["seed"])
-    out = Path(cfg["out"])
+    out = cfg["out"]
     save_network(net, out)
-    _write_manifest(out, "synth", cfg, [args.config], started)
+    _write_manifest(out, "synth", cfg, [config_file], started)
     print(f"wrote {net.n}-node grid network to {out}")
     return EXIT_OK
 
 
-def cmd_generate(args) -> int:
-    started = _now()
-    spec = {
-        "network": (Path, None, True),
-        "gamma": (float, 0.9, False),
-        "periods": (int, 10, False),
-        "capacity_reduction": (float, 0.10, False),
-        "failure_speed_fraction": (float, 0.10, False),
-        "spillback_rate": (float, 0.5, False),
-        "kappa": (float, 1.0, False),
-        "observation_window": (float, 1.0, False),
-        "out": (Path, None, True),
-    }
-    cfg = _resolve(args, spec)
+def cmd_generate(cfg: dict, config_file: Path | None, started: str) -> int:
     net_dir = _require_network_dir(cfg["network"])
     net = load_network_dir(net_dir)
-    sim = CascadeConfig(
-        capacity_reduction=cfg["capacity_reduction"],
-        failure_speed_fraction=cfg["failure_speed_fraction"],
-        gamma=cfg["gamma"],
-        periods=cfg["periods"],
-        spillback_rate=cfg["spillback_rate"],
-        kappa=cfg["kappa"],
-        observation_window=cfg["observation_window"],
-    )
-    scores = generate_ground_truth(net, sim)
+    scores = generate_ground_truth(net, _build(CascadeConfig, cfg))
     save_scores(scores, cfg["out"])
-    _write_manifest(Path(cfg["out"]), "generate", cfg,
-                    [net_dir / "edges.csv", net_dir / "attributes.csv", args.config], started)
+    _write_manifest(cfg["out"], "generate", cfg,
+                    [net_dir / "edges.csv", net_dir / "attributes.csv", config_file], started)
     print(f"wrote simulated importance scores for {net.n} nodes to {cfg['out']}")
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    started = _now()
-    spec = {
-        "network": (Path, None, True),
-        "alpha": (float, 0.0001, False),
-        "num": (int, 150, False),
-        "len": (int, 4, False),
-        "seed": (int, 0, False),
-        "out": (Path, None, True),
-    }
-    cfg = _resolve(args, spec)
+def cmd_sample(cfg: dict, config_file: Path | None, started: str) -> int:
     net_dir = _require_network_dir(cfg["network"])
     net = load_network_dir(net_dir)
     from .graph import normalized_views
@@ -248,37 +234,17 @@ def cmd_sample(args) -> int:
     wcfg = WalkConfig(alpha=cfg["alpha"], num=cfg["num"], length=cfg["len"], seed=cfg["seed"])
     samples = sample_walks(net, views, wcfg)
     save_samples(samples, cfg["out"])
-    _write_manifest(Path(cfg["out"]), "sample", cfg,
-                    [net_dir / "edges.csv", net_dir / "attributes.csv", args.config], started)
+    _write_manifest(cfg["out"], "sample", cfg,
+                    [net_dir / "edges.csv", net_dir / "attributes.csv", config_file], started)
     print(f"sampled {wcfg.num} sequences of length {wcfg.length} for {net.n} nodes")
     return EXIT_OK
 
 
-_TRAIN_KEYS = {
-    "lr": float, "dropout": float, "batch": int, "epochs": int,
-    "train_frac": float, "val_frac": float, "test_frac": float,
-    "strata": int, "beta1": float, "beta2": float, "eps": float,
-    "seed": int, "ablation": str, "x": int, "hdim": int,
-    "f1": int, "f2": int, "rdim": int,
-}
-
-
-def cmd_train(args) -> int:
-    started = _now()
-    spec = {
-        "network": (Path, None, True),
-        "scores": (Path, None, True),
-        "samples": (Path, None, False),
-        "out": (Path, None, True),
-    }
-    defaults = TrainConfig()
-    for key, cast in _TRAIN_KEYS.items():
-        spec[key] = (cast, getattr(defaults, key), False)
-    cfg = _resolve(args, spec)
+def cmd_train(cfg: dict, config_file: Path | None, started: str) -> int:
     net_dir = _require_network_dir(cfg["network"])
     net = load_network_dir(net_dir)
     scores = import_scores(_require_file(cfg["scores"]), n=net.n)
-    tcfg = TrainConfig(**{key: cfg[key] for key in _TRAIN_KEYS})
+    tcfg = _build(TrainConfig, cfg)
     variant = apply_ablation(tcfg.ablation)
     samples = None
     if variant.use_embedding:
@@ -289,7 +255,7 @@ def cmd_train(args) -> int:
     splits = stratified_split(scores, tcfg)
     result = train_model(net, samples, scores, splits, tcfg)
 
-    out = Path(cfg["out"])
+    out = cfg["out"]
     meta = {
         "variant": tcfg.ablation,
         "m": net.m,
@@ -313,7 +279,7 @@ def cmd_train(args) -> int:
                 fh.write(f"{v},{name},{splits.stratum[v]}\n")
     _write_manifest(out, "train", cfg,
                     [net_dir / "edges.csv", net_dir / "attributes.csv",
-                     cfg["scores"], cfg["samples"], args.config], started)
+                     cfg["scores"], cfg["samples"], config_file], started)
     print(f"trained {tcfg.ablation} model; best val micro-F1 "
           f"{result.best_val_micro:.4f} at epoch {result.best_epoch}")
     return EXIT_OK
@@ -326,18 +292,7 @@ def _reject_repeated_ids(path, nodes) -> None:
         raise ValidationError(f"{path}: duplicate node id(s) {dups}")
 
 
-def cmd_rank(args) -> int:
-    started = _now()
-    spec = {
-        "network": (Path, None, True),
-        "ckpt": (Path, None, True),
-        "samples": (Path, None, False),
-        "nodes": (Path, None, False),
-        "split": (str, "test", False),
-        "ratings_out": (Path, None, False),
-        "out": (Path, None, True),
-    }
-    cfg = _resolve(args, spec)
+def cmd_rank(cfg: dict, config_file: Path | None, started: str) -> int:
     net_dir = _require_network_dir(cfg["network"])
     net = load_network_dir(net_dir)
     embed, ranker, meta = load_checkpoint(_require_file(cfg["ckpt"]))
@@ -359,7 +314,7 @@ def cmd_rank(args) -> int:
         nodes = list(range(net.n))
     matrix = scorer.rating_matrix(nodes)
     result = rank_from_matrix(matrix, nodes)
-    out = Path(cfg["out"])
+    out = cfg["out"]
     with open(out, "w") as fh:
         fh.write("rank,node_id,copeland,rating_sum\n")
         for pos, v in enumerate(result.order, start=1):
@@ -371,7 +326,7 @@ def cmd_rank(args) -> int:
                 fh.write("".join(f"{i},{j},{r!r}\n" for j, r in zip(nodes, row) if i != j))
     _write_manifest(out, "rank", cfg,
                     [net_dir / "edges.csv", net_dir / "attributes.csv",
-                     cfg["ckpt"], cfg["samples"], cfg["nodes"], args.config], started)
+                     cfg["ckpt"], cfg["samples"], cfg["nodes"], config_file], started)
     if result.tie_groups:
         print(f"ranked {len(nodes)} nodes ({len(result.tie_groups)} tie group(s))")
     else:
@@ -379,18 +334,7 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    started = _now()
-    spec = {
-        "ranking": (Path, None, True),
-        "truth": (Path, None, True),
-        "pairs": (Path, None, False),
-        "split": (str, "test", False),
-        "topk": (int, None, False),
-        "topk_out": (Path, None, False),
-        "out": (Path, None, True),
-    }
-    cfg = _resolve(args, spec)
+def cmd_eval(cfg: dict, config_file: Path | None, started: str) -> int:
     ranking = _read_node_ids(_require_file(cfg["ranking"]))
     if not ranking:
         raise ValidationError(f"{cfg['ranking']}: no ranked nodes")
@@ -412,24 +356,19 @@ def cmd_eval(args) -> int:
             raise ValidationError("--topk needs --topk-out")
         overlap = export_plotdata(ranking, truth.aff, cfg["topk"], cfg["topk_out"])
         lines.append(f"top{cfg['topk']}_overlap {overlap}")
+    elif cfg["topk_out"] is not None:
+        raise ValidationError("--topk-out needs --topk")
     text = "\n".join(lines) + "\n"
-    out = Path(cfg["out"])
+    out = cfg["out"]
     with open(out, "w") as fh:
         fh.write(text)
     _write_manifest(out, "eval", cfg,
-                    [cfg["ranking"], cfg["truth"], cfg["pairs"], args.config], started)
+                    [cfg["ranking"], cfg["truth"], cfg["pairs"], config_file], started)
     sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
-    started = _now()
-    spec = {
-        "method": (str, None, True),
-        "network": (Path, None, True),
-        "out": (Path, None, True),
-    }
-    cfg = _resolve(args, spec)
+def cmd_baseline(cfg: dict, config_file: Path | None, started: str) -> int:
     methods = {"dc": degree_centrality, "bc": betweenness_centrality, "pagerank": pagerank}
     if cfg["method"] not in methods:
         raise ValidationError(f"unknown baseline {cfg['method']!r}; expected dc, bc or pagerank")
@@ -437,24 +376,18 @@ def cmd_baseline(args) -> int:
     net = load_network_dir(net_dir)
     values = methods[cfg["method"]](net)
     order = descending_order(range(net.n), values)
-    out = Path(cfg["out"])
+    out = cfg["out"]
     with open(out, "w") as fh:
         fh.write("rank,node_id,score\n")
         for pos, v in enumerate(order, start=1):
             fh.write(f"{pos},{v},{float(values[v])!r}\n")
     _write_manifest(out, "baseline", cfg,
-                    [net_dir / "edges.csv", net_dir / "attributes.csv", args.config], started)
+                    [net_dir / "edges.csv", net_dir / "attributes.csv", config_file], started)
     print(f"wrote {cfg['method']} ranking for {net.n} nodes to {out}")
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    started = _now()
-    spec = {
-        "seed": (int, 0, False),
-        "out": (Path, None, True),
-    }
-    cfg = _resolve(args, spec)
+def cmd_gradcheck(cfg: dict, config_file: Path | None, started: str) -> int:
     from .encoder import EmbedParams
     from .graph import normalized_views
     from .metrics import labelled_pairs
@@ -472,10 +405,10 @@ def cmd_gradcheck(args) -> int:
     lines = [f"{name} {err:.3e}" for name, err in sorted(report.per_tensor.items())]
     lines.append(f"worst {report.worst:.3e}")
     text = "\n".join(lines) + "\n"
-    out = Path(cfg["out"])
+    out = cfg["out"]
     with open(out, "w") as fh:
         fh.write(text)
-    _write_manifest(out, "gradcheck", cfg, [args.config], started)
+    _write_manifest(out, "gradcheck", cfg, [config_file], started)
     sys.stdout.write(text)
     if report.worst >= 1e-4:
         print("gradient check FAILED (worst relative error >= 1e-4)", file=sys.stderr)
@@ -484,8 +417,43 @@ def cmd_gradcheck(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# options and parser
 # ---------------------------------------------------------------------------
+
+NETWORK = Option(Path, required=True)
+OUT = Option(Path, required=True)
+
+# subcommand -> (handler, help, options); generate and train take their
+# settings' types and defaults from CascadeConfig and TrainConfig
+COMMANDS: dict[str, tuple[Callable, str, dict[str, Option]]] = {
+    "synth": (cmd_synth, "generate a reproducible synthetic grid network", {
+        "rows": Option(int, required=True), "cols": Option(int, required=True),
+        "seed": Option(int, 0), "out": OUT}),
+    "generate": (cmd_generate, "simulate cascades and write importance scores",
+                 {"network": NETWORK, **_fields(CascadeConfig), "out": OUT}),
+    "sample": (cmd_sample, "sample fused-walk sequences for every node", {
+        "network": NETWORK, "alpha": Option(float, 0.0001), "num": Option(int, 150),
+        "len": Option(int, 4), "seed": Option(int, 0), "out": OUT}),
+    "train": (cmd_train, "train the pairwise ranking model", {
+        "network": NETWORK, "scores": Option(Path, required=True), "samples": Option(Path),
+        **_fields(TrainConfig), "out": OUT}),
+    "rank": (cmd_rank, "rank nodes with a trained checkpoint", {
+        "network": NETWORK, "ckpt": Option(Path, required=True), "samples": Option(Path),
+        "nodes": Option(Path, help="node list or splits CSV restricting the ranking"),
+        "split": Option(str, "test", help="split name when --nodes is a splits CSV"),
+        "ratings_out": Option(Path), "out": OUT}),
+    "eval": (cmd_eval, "score a ranking against ground truth", {
+        "ranking": Option(Path, required=True), "truth": Option(Path, required=True),
+        "pairs": Option(Path, help="node list or splits CSV for pairwise F1"),
+        "split": Option(str, "test"), "topk": Option(int), "topk_out": Option(Path),
+        "out": OUT}),
+    "baseline": (cmd_baseline, "rank nodes with a classic centrality", {
+        "method": Option(str, required=True, choices=("dc", "bc", "pagerank")),
+        "network": NETWORK, "out": OUT}),
+    "gradcheck": (cmd_gradcheck, "finite-difference check of all gradients",
+                  {"seed": Option(int, 0), "out": OUT}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -494,78 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"roadrank {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("synth", help="generate a reproducible synthetic grid network")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_synth)
-
-    p = subs.add_parser("generate", help="simulate cascades and write importance scores")
-    p.add_argument("--network", type=Path)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--periods", type=int)
-    p.add_argument("--capacity-reduction", dest="capacity_reduction", type=float)
-    p.add_argument("--failure-speed-fraction", dest="failure_speed_fraction", type=float)
-    p.add_argument("--spillback-rate", dest="spillback_rate", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--observation-window", dest="observation_window", type=float)
-    p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_generate)
-
-    p = subs.add_parser("sample", help="sample fused-walk sequences for every node")
-    p.add_argument("--network", type=Path)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--num", type=int)
-    p.add_argument("--len", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_sample)
-
-    p = subs.add_parser("train", help="train the pairwise ranking model")
-    p.add_argument("--network", type=Path)
-    p.add_argument("--scores", type=Path)
-    p.add_argument("--samples", type=Path)
-    for key, cast in _TRAIN_KEYS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast)
-    p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("rank", help="rank nodes with a trained checkpoint")
-    p.add_argument("--network", type=Path)
-    p.add_argument("--ckpt", type=Path)
-    p.add_argument("--samples", type=Path)
-    p.add_argument("--nodes", type=Path, help="node list or splits CSV restricting the ranking")
-    p.add_argument("--split", type=str, help="split name when --nodes is a splits CSV")
-    p.add_argument("--ratings-out", dest="ratings_out", type=Path)
-    p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_rank)
-
-    p = subs.add_parser("eval", help="score a ranking against ground truth")
-    p.add_argument("--ranking", type=Path)
-    p.add_argument("--truth", type=Path)
-    p.add_argument("--pairs", type=Path, help="node list or splits CSV for pairwise F1")
-    p.add_argument("--split", type=str)
-    p.add_argument("--topk", type=int)
-    p.add_argument("--topk-out", dest="topk_out", type=Path)
-    p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("baseline", help="rank nodes with a classic centrality")
-    p.add_argument("--method", type=str, choices=["dc", "bc", "pagerank"])
-    p.add_argument("--network", type=Path)
-    p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_baseline)
-
-    p = subs.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_gradcheck)
-
-    for p in subs.choices.values():
-        p.add_argument("--config", type=Path, default=None,
-                       help="key=value file; flags override file values")
+    for command, (_, help_text, options) in COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        for name, opt in options.items():
+            p.add_argument(f"--{name.replace('_', '-')}", type=opt.cast, choices=opt.choices,
+                           help=opt.help)
+        p.add_argument("--config", type=Path, help="key=value file; flags override file values")
     return parser
 
 
@@ -575,8 +477,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors (code 2)
         return int(exc.code or 0)
+    handler, _, options = COMMANDS[args.subcommand]
+    started = datetime.now(timezone.utc).isoformat()
     try:
-        return args.func(args)
+        return handler(_resolve(args, options), args.config, started)
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadrank.cli import (EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
+from roadrank.cascade import CascadeConfig
+from roadrank.cli import (COMMANDS, EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
                           export_plotdata, main)
 from roadrank.graph import ValidationError
+from roadrank.training import TrainConfig
 
 
 def run(*argv):
@@ -144,7 +147,7 @@ def test_eval_pairs_accepts_headerless_list(tmp_path):
     assert "pairs 6" in report.read_text()
 
 
-def test_eval_topk_export(tmp_path):
+def test_eval_topk_export(tmp_path, capsys):
     net_dir = tmp_path / "net"
     scores = tmp_path / "scores.csv"
     run("synth", "--rows", "3", "--cols", "3", "--seed", "5", "--out", str(net_dir))
@@ -160,6 +163,14 @@ def test_eval_topk_export(tmp_path):
     assert lines[0].startswith("# top-4 overlap:")
     assert lines[1] == "position,predicted_node,predicted_hit,actual_node,actual_hit"
     assert len(lines) == 6
+    topk.unlink()
+    for flags, message in ((("--topk", "4"), "--topk needs --topk-out"),
+                           (("--topk-out", str(topk)), "--topk-out needs --topk")):
+        capsys.readouterr()
+        assert run("eval", "--ranking", str(ranking), "--truth", str(scores), *flags,
+                   "--out", str(report)) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert not topk.exists()
 
 
 def test_export_plotdata_perfect_and_bounds(tmp_path):
@@ -451,6 +462,94 @@ def test_config_value_failing_its_cast_names_the_line(pipeline, tmp_path, capsys
     assert f"{cfg}:3: num" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("command, body, ln, message", [
+    pytest.param("train", "strata=2\nepoch=1\n", 2, "unknown key 'epoch'", id="unknown"),
+    pytest.param("sample", "num=3\n# again\nnum=4\n", 3, "num repeats line 1", id="repeated"),
+    pytest.param("synth", "rows=2\ncols=2\nout=\n", 3, "out has no value", id="empty"),
+])
+def test_config_file_rejects_unknown_repeated_and_empty_keys(
+        pipeline, tmp_path, monkeypatch, capsys, command, body, ln, message):
+    base, net_dir, scores, samples, _, _ = pipeline
+    args = {"synth": (),
+            "sample": ("--network", str(net_dir), "--out", "s.txt"),
+            "train": ("--network", str(net_dir), "--scores", str(scores),
+                      "--samples", str(samples), "--out", "m.ckpt")}[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    monkeypatch.chdir(tmp_path)  # an empty out= must not write here
+    err = invalid(capsys, command, *args, "--config", str(cfg))
+    assert f"{cfg}:{ln}: {message}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def _option_values(base, net_dir, scores, samples, ckpt, ranking):
+    """A valid, non-default value for every option of every subcommand;
+    outputs are relative to the working directory."""
+    splits = str(base / "model.ckpt.splits.csv")
+    net_dir, scores, samples, ckpt, ranking = map(str, (net_dir, scores, samples, ckpt, ranking))
+    return {
+        "synth": {"rows": "3", "cols": "2", "seed": "4", "out": "net"},
+        "generate": {"network": net_dir, "capacity_reduction": "0.2",
+                     "failure_speed_fraction": "0.2", "gamma": "0.8", "periods": "3",
+                     "spillback_rate": "0.4", "kappa": "2.0", "observation_window": "2.0",
+                     "out": "scores.csv"},
+        "sample": {"network": net_dir, "alpha": "0.5", "num": "3", "len": "3", "seed": "2",
+                   "out": "samples.txt"},
+        "train": {"network": net_dir, "scores": scores, "samples": samples, "lr": "0.01",
+                  "dropout": "0.1", "batch": "16", "epochs": "1", "train_frac": "0.5",
+                  "val_frac": "0.25", "test_frac": "0.25", "strata": "2", "beta1": "0.8",
+                  "beta2": "0.99", "eps": "1e-07", "seed": "1", "ablation": "NoBiLSTM",
+                  "x": "4", "hdim": "4", "f1": "8", "f2": "4", "rdim": "4", "out": "model.ckpt"},
+        "rank": {"network": net_dir, "ckpt": ckpt, "samples": samples, "nodes": splits,
+                 "split": "val", "ratings_out": "ratings.csv", "out": "ranking.csv"},
+        "eval": {"ranking": ranking, "truth": scores, "pairs": splits, "split": "val",
+                 "topk": "3", "topk_out": "topk.csv", "out": "report.txt"},
+        "baseline": {"method": "pagerank", "network": net_dir, "out": "bc.csv"},
+        "gradcheck": {"seed": "2", "out": "grad.txt"},
+    }
+
+
+def _manifest(out: Path) -> dict:
+    path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_option_reads_the_same_as_flag_and_config_key(
+        pipeline, tmp_path, monkeypatch, command):
+    values = _option_values(*pipeline)[command]
+    configs = []
+    for mode in ("flags", "config"):
+        (tmp_path / mode).mkdir()
+        monkeypatch.chdir(tmp_path / mode)
+        if mode == "flags":
+            argv = [a for key, value in values.items()
+                    for a in (f"--{key.replace('_', '-')}", value)]
+        else:
+            Path("run.cfg").write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+            argv = ["--config", "run.cfg"]
+        assert run(command, *argv) == EXIT_OK
+        configs.append(_manifest(Path(values["out"]))["config"])
+    assert configs[0] == configs[1]
+    assert {key: str(value) for key, value in configs[0].items()} == values
+
+
+@pytest.mark.filterwarnings("ignore:too few nodes per stratum")
+def test_generate_and_train_defaults_are_the_config_dataclasses(pipeline, tmp_path):
+    base, net_dir, scores, samples, _, _ = pipeline
+    out = tmp_path / "scores.csv"
+    assert run("generate", "--network", str(net_dir), "--out", str(out)) == EXIT_OK
+    config = _manifest(out)["config"]
+    assert {k: config[k] for k in config if k not in ("network", "out")} == \
+        dataclasses.asdict(CascadeConfig())
+    out = tmp_path / "model.ckpt"
+    assert run("train", "--network", str(net_dir), "--scores", str(scores),
+               "--samples", str(samples), "--out", str(out)) == EXIT_OK
+    config = _manifest(out)["config"]
+    assert {k: config[k] for k in config if k not in ("network", "scores", "samples", "out")} \
+        == dataclasses.asdict(TrainConfig())
+
+
 def test_nomg_needs_samples_drawn_at_alpha_one(pipeline, tmp_path, capsys):
     base, net_dir, scores, samples, _, _ = pipeline
     train = ("train", "--network", str(net_dir), "--scores", str(scores), "--ablation", "NoMG",
@@ -491,8 +590,9 @@ FUZZ_TOKENS = ["", "x", "-1", "0", "3", "17", "99", "0.5", "-0", "+2", "nan", "i
 @pytest.fixture(scope="module")
 def reader_inputs(tmp_path_factory):
     """Valid inputs for ``rank`` (checkpoint, samples), ``eval`` (ranking,
-    scores), ``generate`` (edges, attributes) and ``train`` (config): the
-    v1 data plus a scores CSV covering its 16 nodes and a train config."""
+    scores), ``generate`` (edges, attributes, config), ``train`` (config) and
+    ``sample`` (config): the v1 data plus a scores CSV covering its 16 nodes
+    and the three configs."""
     base = tmp_path_factory.mktemp("fuzz")
     files = {name: V1_DATA / name for name in ("model.ckpt", "samples.txt", "ranking.csv")}
     files.update({name: V1_DATA / "net" / name for name in ("edges.csv", "attributes.csv")})
@@ -503,6 +603,12 @@ def reader_inputs(tmp_path_factory):
     files["train.cfg"].write_text(
         "# fuzzed train settings\nstrata=2\nseed=3\nbatch=32\nlr=0.01\ndropout=0.45\n"
         "hdim=8\nx=4\nrdim=4\nablation=full\ntrain_frac=0.5\nval_frac=0.25\ntest_frac=0.25\n")
+    files["sample.cfg"] = base / "sample.cfg"
+    files["sample.cfg"].write_text("# fuzzed walk settings\nalpha=0.5\nnum=3\nlen=4\nseed=2\n")
+    files["generate.cfg"] = base / "generate.cfg"
+    files["generate.cfg"].write_text(
+        "# fuzzed cascade settings\ncapacity_reduction=0.2\nfailure_speed_fraction=0.3\n"
+        "gamma=0.8\nperiods=4\nspillback_rate=0.6\nkappa=2.0\nobservation_window=0.5\n")
     return base, files
 
 
@@ -532,7 +638,8 @@ def corrupt(text: str, op: str, k: int, j: int, junk: str, token: str) -> str:
 @pytest.mark.filterwarnings("ignore:added self-loops")
 @settings(max_examples=600, deadline=None)
 @given(target=st.sampled_from(["model.ckpt", "samples.txt", "ranking.csv", "scores.csv",
-                               "edges.csv", "attributes.csv", "train.cfg"]),
+                               "edges.csv", "attributes.csv", "train.cfg", "sample.cfg",
+                               "generate.cfg"]),
        op=st.sampled_from(["truncate", "delete", "garble", "token", "append"]),
        k=st.integers(0, 10**6), j=st.integers(0, 100),
        junk=st.text(alphabet="0123456789 ,.=-+einaftx", max_size=24),
@@ -557,6 +664,9 @@ def test_readers_survive_corrupted_inputs(reader_inputs, target, op, k, j, junk,
         argv = ["train", "--network", str(V1_DATA / "net"), "--scores", str(paths["scores.csv"]),
                 "--samples", str(paths["samples.txt"]), "--config", str(paths["train.cfg"]),
                 "--epochs", "1", "--out", str(work / "fuzz.ckpt")]
+    elif target in ("sample.cfg", "generate.cfg"):
+        argv = [target.split(".")[0], "--network", str(V1_DATA / "net"),
+                "--config", str(paths[target]), "--out", str(work / "out.txt")]
     else:
         argv = ["eval", "--ranking", str(paths["ranking.csv"]), "--truth",
                 str(paths["scores.csv"]), "--out", str(work / "report.txt")]
