@@ -33,7 +33,7 @@ from .walks import WalkConfig, load_samples, sample_walks, save_samples
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
-EXIT_MISSING_INPUT = 3
+EXIT_MISSING_INPUT = 3  # a file that cannot be opened, input or output
 EXIT_INVALID = 4
 
 
@@ -47,28 +47,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_manifest(anchor: Path, subcommand: str, config: dict, inputs, started: str) -> None:
-    """Manifest goes next to the primary output; timestamps are metadata
-    and deliberately excluded from the byte-identical output guarantee."""
-    if anchor.is_dir():
-        path = anchor / "manifest.json"
-    else:
-        path = anchor.with_name(anchor.name + ".manifest.json")
-    manifest = {
-        "tool": "roadrank",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
-        "seed": config.get("seed"),
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs if p and Path(p).is_file()},
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 class Option(NamedTuple):
@@ -86,6 +64,44 @@ def _fields(cls) -> dict[str, Option]:
     """One option per field of config dataclass ``cls``, with its type and default."""
     types = get_type_hints(cls)
     return {f.name: Option(types[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
+def pathname(text: str) -> Path:
+    """The cast of every file and directory option: ``Path("")`` is ``.``,
+    so an empty name is refused rather than read or written as the working
+    directory."""
+    if not text:
+        raise ValueError("empty path")
+    return Path(text)
+
+
+def _write_manifest(command: str, options: dict[str, Option], cfg: dict,
+                    config_file: Path | None, started: str) -> None:
+    """Write the manifest next to the run's output ``out``.  Its inputs are
+    every path option but ``out`` and ``*_out`` (a network directory stands
+    for its two CSVs) and the --config file.  Timestamps are metadata and
+    deliberately excluded from the byte-identical output guarantee."""
+    inputs = [config_file]
+    for name, opt in options.items():
+        value = cfg[name]
+        if opt.cast is not pathname or value is None or name == "out" or name.endswith("_out"):
+            continue
+        inputs += [value / "edges.csv", value / "attributes.csv"] if name == "network" else [value]
+    out = cfg["out"]
+    manifest = {
+        "tool": "roadrank",
+        "version": __version__,
+        "subcommand": command,
+        "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()},
+        "seed": cfg.get("seed"),
+        "inputs": {str(p): _sha256(p) for p in inputs if p is not None and p.is_file()},
+        "started": started,
+        "finished": datetime.now(timezone.utc).isoformat(),
+    }
+    with open(out / "manifest.json" if out.is_dir()
+              else out.with_name(out.name + ".manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_config(path: Path, options: dict[str, Option]) -> dict[str, tuple[int, str]]:
@@ -124,6 +140,10 @@ def _resolve(args: argparse.Namespace, options: dict[str, Option]) -> dict:
             except ValueError:
                 raise ValidationError(
                     f"{args.config}:{ln}: {name} must be {opt.cast.__name__}, got {text!r}") from None
+            if opt.choices is not None and value not in opt.choices:
+                raise ValidationError(
+                    f"{args.config}:{ln}: {name} must be one of {', '.join(opt.choices)}, "
+                    f"got {text!r}")
         if value is None:
             value = opt.default
         if value is None and opt.required:
@@ -135,21 +155,6 @@ def _resolve(args: argparse.Namespace, options: dict[str, Option]) -> dict:
 def _build(cls, cfg: dict):
     """Config dataclass ``cls`` from the resolved options named by its fields."""
     return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
-
-
-def _require_file(path) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(p)
-    return p
-
-
-def _require_network_dir(path) -> Path:
-    p = Path(path)
-    for name in ("edges.csv", "attributes.csv"):
-        if not (p / name).is_file():
-            raise FileNotFoundError(p / name)
-    return p
 
 
 def _read_node_ids(path: Path, split: str | None = None) -> list[int]:
@@ -205,52 +210,44 @@ def export_plotdata(ranking, scores, k: int, path) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(cfg: dict, config_file: Path | None, started: str) -> int:
+def cmd_synth(cfg: dict) -> int:
     net = synth_grid_network(cfg["rows"], cfg["cols"], cfg["seed"])
     out = cfg["out"]
     save_network(net, out)
-    _write_manifest(out, "synth", cfg, [config_file], started)
     print(f"wrote {net.n}-node grid network to {out}")
     return EXIT_OK
 
 
-def cmd_generate(cfg: dict, config_file: Path | None, started: str) -> int:
-    net_dir = _require_network_dir(cfg["network"])
-    net = load_network_dir(net_dir)
+def cmd_generate(cfg: dict) -> int:
+    net = load_network_dir(cfg["network"])
     scores = generate_ground_truth(net, _build(CascadeConfig, cfg))
     save_scores(scores, cfg["out"])
-    _write_manifest(cfg["out"], "generate", cfg,
-                    [net_dir / "edges.csv", net_dir / "attributes.csv", config_file], started)
     print(f"wrote simulated importance scores for {net.n} nodes to {cfg['out']}")
     return EXIT_OK
 
 
-def cmd_sample(cfg: dict, config_file: Path | None, started: str) -> int:
-    net_dir = _require_network_dir(cfg["network"])
-    net = load_network_dir(net_dir)
+def cmd_sample(cfg: dict) -> int:
+    net = load_network_dir(cfg["network"])
     from .graph import normalized_views
 
     views = normalized_views(net)
     wcfg = WalkConfig(alpha=cfg["alpha"], num=cfg["num"], length=cfg["len"], seed=cfg["seed"])
     samples = sample_walks(net, views, wcfg)
     save_samples(samples, cfg["out"])
-    _write_manifest(cfg["out"], "sample", cfg,
-                    [net_dir / "edges.csv", net_dir / "attributes.csv", config_file], started)
     print(f"sampled {wcfg.num} sequences of length {wcfg.length} for {net.n} nodes")
     return EXIT_OK
 
 
-def cmd_train(cfg: dict, config_file: Path | None, started: str) -> int:
-    net_dir = _require_network_dir(cfg["network"])
-    net = load_network_dir(net_dir)
-    scores = import_scores(_require_file(cfg["scores"]), n=net.n)
+def cmd_train(cfg: dict) -> int:
+    net = load_network_dir(cfg["network"])
+    scores = import_scores(cfg["scores"], n=net.n)
     tcfg = _build(TrainConfig, cfg)
     variant = apply_ablation(tcfg.ablation)
     samples = None
     if variant.use_embedding:
         if cfg["samples"] is None:
             raise ValidationError(f"ablation {tcfg.ablation} needs --samples")
-        samples = load_samples(_require_file(cfg["samples"]))
+        samples = load_samples(cfg["samples"])
 
     splits = stratified_split(scores, tcfg)
     result = train_model(net, samples, scores, splits, tcfg)
@@ -277,9 +274,6 @@ def cmd_train(cfg: dict, config_file: Path | None, started: str) -> int:
                               ("test", splits.test)):
             for v in members:
                 fh.write(f"{v},{name},{splits.stratum[v]}\n")
-    _write_manifest(out, "train", cfg,
-                    [net_dir / "edges.csv", net_dir / "attributes.csv",
-                     cfg["scores"], cfg["samples"], config_file], started)
     print(f"trained {tcfg.ablation} model; best val micro-F1 "
           f"{result.best_val_micro:.4f} at epoch {result.best_epoch}")
     return EXIT_OK
@@ -292,19 +286,18 @@ def _reject_repeated_ids(path, nodes) -> None:
         raise ValidationError(f"{path}: duplicate node id(s) {dups}")
 
 
-def cmd_rank(cfg: dict, config_file: Path | None, started: str) -> int:
-    net_dir = _require_network_dir(cfg["network"])
-    net = load_network_dir(net_dir)
-    embed, ranker, meta = load_checkpoint(_require_file(cfg["ckpt"]))
+def cmd_rank(cfg: dict) -> int:
+    net = load_network_dir(cfg["network"])
+    embed, ranker, meta = load_checkpoint(cfg["ckpt"])
     variant = apply_ablation(meta.get("variant", "full"))
     samples = None
     if variant.use_embedding:
         if cfg["samples"] is None:
             raise ValidationError(f"checkpoint variant {variant.name} needs --samples")
-        samples = load_samples(_require_file(cfg["samples"]))
+        samples = load_samples(cfg["samples"])
     scorer = PairScorer(net, samples, embed, ranker, variant)
     if cfg["nodes"] is not None:
-        nodes = sorted(_read_node_ids(_require_file(cfg["nodes"]), cfg["split"]))
+        nodes = sorted(_read_node_ids(cfg["nodes"], cfg["split"]))
         if not nodes:
             raise ValidationError(f"{cfg['nodes']}: no node ids")
         if not 0 <= nodes[0] <= nodes[-1] < net.n:
@@ -314,8 +307,7 @@ def cmd_rank(cfg: dict, config_file: Path | None, started: str) -> int:
         nodes = list(range(net.n))
     matrix = scorer.rating_matrix(nodes)
     result = rank_from_matrix(matrix, nodes)
-    out = cfg["out"]
-    with open(out, "w") as fh:
+    with open(cfg["out"], "w") as fh:
         fh.write("rank,node_id,copeland,rating_sum\n")
         for pos, v in enumerate(result.order, start=1):
             fh.write(f"{pos},{v},{result.copeland[v]},{result.rating_sum[v]!r}\n")
@@ -324,9 +316,6 @@ def cmd_rank(cfg: dict, config_file: Path | None, started: str) -> int:
             fh.write("i,j,rating\n")
             for i, row in zip(nodes, matrix.tolist()):
                 fh.write("".join(f"{i},{j},{r!r}\n" for j, r in zip(nodes, row) if i != j))
-    _write_manifest(out, "rank", cfg,
-                    [net_dir / "edges.csv", net_dir / "attributes.csv",
-                     cfg["ckpt"], cfg["samples"], cfg["nodes"], config_file], started)
     if result.tie_groups:
         print(f"ranked {len(nodes)} nodes ({len(result.tie_groups)} tie group(s))")
     else:
@@ -334,17 +323,17 @@ def cmd_rank(cfg: dict, config_file: Path | None, started: str) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: dict, config_file: Path | None, started: str) -> int:
-    ranking = _read_node_ids(_require_file(cfg["ranking"]))
+def cmd_eval(cfg: dict) -> int:
+    ranking = _read_node_ids(cfg["ranking"])
     if not ranking:
         raise ValidationError(f"{cfg['ranking']}: no ranked nodes")
     n_scores = max(ranking) + 1
-    truth = import_scores(_require_file(cfg["truth"]))
+    truth = import_scores(cfg["truth"])
     if truth.aff.size < n_scores:
         raise ValidationError("truth file does not cover every ranked node")
     pair_nodes = None
     if cfg["pairs"] is not None:
-        pair_nodes = _read_node_ids(_require_file(cfg["pairs"]), cfg["split"])
+        pair_nodes = _read_node_ids(cfg["pairs"], cfg["split"])
         _reject_repeated_ids(cfg["pairs"], pair_nodes)
         if len(pair_nodes) < 2:
             raise ValidationError(
@@ -359,21 +348,15 @@ def cmd_eval(cfg: dict, config_file: Path | None, started: str) -> int:
     elif cfg["topk_out"] is not None:
         raise ValidationError("--topk-out needs --topk")
     text = "\n".join(lines) + "\n"
-    out = cfg["out"]
-    with open(out, "w") as fh:
+    with open(cfg["out"], "w") as fh:
         fh.write(text)
-    _write_manifest(out, "eval", cfg,
-                    [cfg["ranking"], cfg["truth"], cfg["pairs"], config_file], started)
     sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_baseline(cfg: dict, config_file: Path | None, started: str) -> int:
+def cmd_baseline(cfg: dict) -> int:
     methods = {"dc": degree_centrality, "bc": betweenness_centrality, "pagerank": pagerank}
-    if cfg["method"] not in methods:
-        raise ValidationError(f"unknown baseline {cfg['method']!r}; expected dc, bc or pagerank")
-    net_dir = _require_network_dir(cfg["network"])
-    net = load_network_dir(net_dir)
+    net = load_network_dir(cfg["network"])
     values = methods[cfg["method"]](net)
     order = descending_order(range(net.n), values)
     out = cfg["out"]
@@ -381,13 +364,11 @@ def cmd_baseline(cfg: dict, config_file: Path | None, started: str) -> int:
         fh.write("rank,node_id,score\n")
         for pos, v in enumerate(order, start=1):
             fh.write(f"{pos},{v},{float(values[v])!r}\n")
-    _write_manifest(out, "baseline", cfg,
-                    [net_dir / "edges.csv", net_dir / "attributes.csv", config_file], started)
     print(f"wrote {cfg['method']} ranking for {net.n} nodes to {out}")
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: dict, config_file: Path | None, started: str) -> int:
+def cmd_gradcheck(cfg: dict) -> int:
     from .encoder import EmbedParams
     from .graph import normalized_views
     from .metrics import labelled_pairs
@@ -405,10 +386,8 @@ def cmd_gradcheck(cfg: dict, config_file: Path | None, started: str) -> int:
     lines = [f"{name} {err:.3e}" for name, err in sorted(report.per_tensor.items())]
     lines.append(f"worst {report.worst:.3e}")
     text = "\n".join(lines) + "\n"
-    out = cfg["out"]
-    with open(out, "w") as fh:
+    with open(cfg["out"], "w") as fh:
         fh.write(text)
-    _write_manifest(out, "gradcheck", cfg, [config_file], started)
     sys.stdout.write(text)
     if report.worst >= 1e-4:
         print("gradient check FAILED (worst relative error >= 1e-4)", file=sys.stderr)
@@ -420,8 +399,8 @@ def cmd_gradcheck(cfg: dict, config_file: Path | None, started: str) -> int:
 # options and parser
 # ---------------------------------------------------------------------------
 
-NETWORK = Option(Path, required=True)
-OUT = Option(Path, required=True)
+NETWORK = Option(pathname, required=True)
+OUT = Option(pathname, required=True)
 
 # subcommand -> (handler, help, options); generate and train take their
 # settings' types and defaults from CascadeConfig and TrainConfig
@@ -435,17 +414,17 @@ COMMANDS: dict[str, tuple[Callable, str, dict[str, Option]]] = {
         "network": NETWORK, "alpha": Option(float, 0.0001), "num": Option(int, 150),
         "len": Option(int, 4), "seed": Option(int, 0), "out": OUT}),
     "train": (cmd_train, "train the pairwise ranking model", {
-        "network": NETWORK, "scores": Option(Path, required=True), "samples": Option(Path),
+        "network": NETWORK, "scores": Option(pathname, required=True), "samples": Option(pathname),
         **_fields(TrainConfig), "out": OUT}),
     "rank": (cmd_rank, "rank nodes with a trained checkpoint", {
-        "network": NETWORK, "ckpt": Option(Path, required=True), "samples": Option(Path),
-        "nodes": Option(Path, help="node list or splits CSV restricting the ranking"),
+        "network": NETWORK, "ckpt": Option(pathname, required=True), "samples": Option(pathname),
+        "nodes": Option(pathname, help="node list or splits CSV restricting the ranking"),
         "split": Option(str, "test", help="split name when --nodes is a splits CSV"),
-        "ratings_out": Option(Path), "out": OUT}),
+        "ratings_out": Option(pathname), "out": OUT}),
     "eval": (cmd_eval, "score a ranking against ground truth", {
-        "ranking": Option(Path, required=True), "truth": Option(Path, required=True),
-        "pairs": Option(Path, help="node list or splits CSV for pairwise F1"),
-        "split": Option(str, "test"), "topk": Option(int), "topk_out": Option(Path),
+        "ranking": Option(pathname, required=True), "truth": Option(pathname, required=True),
+        "pairs": Option(pathname, help="node list or splits CSV for pairwise F1"),
+        "split": Option(str, "test"), "topk": Option(int), "topk_out": Option(pathname),
         "out": OUT}),
     "baseline": (cmd_baseline, "rank nodes with a classic centrality", {
         "method": Option(str, required=True, choices=("dc", "bc", "pagerank")),
@@ -467,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         for name, opt in options.items():
             p.add_argument(f"--{name.replace('_', '-')}", type=opt.cast, choices=opt.choices,
                            help=opt.help)
-        p.add_argument("--config", type=Path, help="key=value file; flags override file values")
+        p.add_argument("--config", type=pathname,
+                       help="key=value file; flags override file values")
     return parser
 
 
@@ -480,9 +460,14 @@ def main(argv=None) -> int:
     handler, _, options = COMMANDS[args.subcommand]
     started = datetime.now(timezone.utc).isoformat()
     try:
-        return handler(_resolve(args, options), args.config, started)
-    except FileNotFoundError as exc:
-        print(f"error: missing input: {exc}", file=sys.stderr)
+        cfg = _resolve(args, options)
+        code = handler(cfg)
+        _write_manifest(args.subcommand, options, cfg, args.config, started)
+        return code
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -177,8 +177,6 @@ def _evaluate_split(scorer: PairScorer, nodes, aff: np.ndarray):
     """Micro/macro F1 over all ordered pairs in a split plus the rank
     displacement of the induced ordering."""
     nodes = sorted(int(v) for v in nodes)
-    if len(nodes) < 2:
-        return float("nan"), float("nan"), float("nan")
     r = scorer.rating_matrix(nodes)
     _, _, truth = labelled_pairs(nodes, aff)
     micro, macro = micro_macro_f1(r[~np.eye(len(nodes), dtype=bool)] > 0.5, truth)
@@ -193,9 +191,12 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
 
     Pairs are reshuffled every epoch with a seeded generator; the final
     short batch is processed as-is.  Validation micro-F1 is evaluated each
-    epoch and the best-validation checkpoint is returned.  Fully
-    deterministic given ``cfg.seed``.
+    epoch and the best-validation checkpoint is returned, so the validation
+    split must hold at least 2 nodes.  Fully deterministic given ``cfg.seed``.
     """
+    if len(splits.val) < 2:
+        raise ValidationError(f"the validation split holds {len(splits.val)} node(s); selecting "
+                              "a checkpoint needs at least 2 (raise val_frac or lower strata)")
     aff = _score_array(scores)
     variant = apply_ablation(cfg.ablation)
     root = np.random.SeedSequence((cfg.seed, 0x7124))
@@ -246,19 +247,13 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
             "val_macro_f1": val_macro,
             "val_diff": val_diff,
         })
-        if np.isnan(val_micro):
-            # no usable validation split: keep the latest parameters
-            best_epoch = epoch
-            best_embed = embed.copy() if embed is not None else None
-            best_ranker = ranker.copy()
-        elif val_micro > best_micro:
+        if val_micro > best_micro:
             best_micro = val_micro
             best_epoch = epoch
             best_embed = embed.copy() if embed is not None else None
             best_ranker = ranker.copy()
     return TrainResult(embed=best_embed, ranker=best_ranker, history=history,
-                       best_epoch=best_epoch,
-                       best_val_micro=float(best_micro) if np.isfinite(best_micro) else float("nan"))
+                       best_epoch=best_epoch, best_val_micro=float(best_micro))
 
 
 def write_history(history: list[dict], path, cfg: TrainConfig) -> None:

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roadrank
 from roadrank.cascade import CascadeConfig
 from roadrank.cli import (COMMANDS, EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
                           export_plotdata, main)
@@ -466,11 +470,14 @@ def test_config_value_failing_its_cast_names_the_line(pipeline, tmp_path, capsys
     pytest.param("train", "strata=2\nepoch=1\n", 2, "unknown key 'epoch'", id="unknown"),
     pytest.param("sample", "num=3\n# again\nnum=4\n", 3, "num repeats line 1", id="repeated"),
     pytest.param("synth", "rows=2\ncols=2\nout=\n", 3, "out has no value", id="empty"),
+    pytest.param("baseline", "# which centrality\nmethod=xyz\n", 2,
+                 "method must be one of dc, bc, pagerank, got 'xyz'", id="not-a-choice"),
 ])
 def test_config_file_rejects_unknown_repeated_and_empty_keys(
         pipeline, tmp_path, monkeypatch, capsys, command, body, ln, message):
     base, net_dir, scores, samples, _, _ = pipeline
     args = {"synth": (),
+            "baseline": ("--network", str(net_dir), "--out", "b.csv"),
             "sample": ("--network", str(net_dir), "--out", "s.txt"),
             "train": ("--network", str(net_dir), "--scores", str(scores),
                       "--samples", str(samples), "--out", "m.ckpt")}[command]
@@ -480,6 +487,57 @@ def test_config_file_rejects_unknown_repeated_and_empty_keys(
     err = invalid(capsys, command, *args, "--config", str(cfg))
     assert f"{cfg}:{ln}: {message}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--rows", "2", "--cols", "2", "--out", ""),
+    ("synth", "--rows", "2", "--cols", "2", "--config", "", "--out", "net"),
+    ("sample", "--network", "", "--out", "s.txt"),
+])
+def test_empty_path_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """``Path("")`` is the working directory: an empty path flag must not
+    read or write there."""
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == EXIT_USAGE
+    assert "invalid pathname value: ''" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:too few nodes per stratum")
+def test_train_refuses_a_split_without_two_validation_nodes(pipeline, tmp_path, capsys):
+    """The default 5 strata shrink to 4 of 3 nodes on the 12-node pipeline
+    network, and 15% of 3 nodes rounds to none."""
+    base, net_dir, scores, samples, _, _ = pipeline
+    out = tmp_path / "model.ckpt"
+    err = invalid(capsys, "train", "--network", str(net_dir), "--scores", str(scores),
+                  "--samples", str(samples), "--out", str(out))
+    assert "validation split holds 0 node(s)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unopenable_files_through_the_module_entry_point(pipeline, tmp_path):
+    """``python -m roadrank`` reports a file it cannot open, input or
+    output, in one line with exit 3 and no traceback."""
+    base, net_dir, scores, samples, _, _ = pipeline
+    missing = tmp_path / "missing"
+    cases = [
+        (("sample", "--network", str(missing), "--out", str(tmp_path / "s.txt")),
+         f"error: {missing / 'attributes.csv'}: No such file or directory"),
+        (("rank", "--network", str(net_dir), "--ckpt", str(tmp_path), "--samples", str(samples),
+          "--out", str(tmp_path / "r.csv")), f"error: {tmp_path}: Is a directory"),
+        (("generate", "--network", str(net_dir), "--out", str(tmp_path)),
+         f"error: {tmp_path}: Is a directory"),
+        (("generate", "--network", str(net_dir), "--out", str(missing / "scores.csv")),
+         f"error: {missing / 'scores.csv'}: No such file or directory"),
+    ]
+    src = str(Path(roadrank.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv, message in cases:
+        proc = subprocess.run([sys.executable, "-m", "roadrank", *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_MISSING_INPUT, proc.stderr
+        assert proc.stderr == message + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _option_values(base, net_dir, scores, samples, ckpt, ranking):
@@ -514,10 +572,21 @@ def _manifest(out: Path) -> dict:
     return json.loads(path.read_text())
 
 
+# the options whose files each subcommand's manifest digests, besides --config
+READS = {"synth": (), "generate": ("network",), "sample": ("network",),
+         "train": ("network", "scores", "samples"),
+         "rank": ("network", "ckpt", "samples", "nodes"),
+         "eval": ("ranking", "truth", "pairs"), "baseline": ("network",), "gradcheck": ()}
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_every_option_reads_the_same_as_flag_and_config_key(
         pipeline, tmp_path, monkeypatch, command):
     values = _option_values(*pipeline)[command]
+    reads = set()
+    for key in READS[command]:
+        reads |= ({f"{values[key]}/edges.csv", f"{values[key]}/attributes.csv"}
+                  if key == "network" else {values[key]})
     configs = []
     for mode in ("flags", "config"):
         (tmp_path / mode).mkdir()
@@ -528,20 +597,25 @@ def test_every_option_reads_the_same_as_flag_and_config_key(
         else:
             Path("run.cfg").write_text("".join(f"{k}={v}\n" for k, v in values.items()))
             argv = ["--config", "run.cfg"]
+            reads.add("run.cfg")
         assert run(command, *argv) == EXIT_OK
-        configs.append(_manifest(Path(values["out"]))["config"])
+        manifest = _manifest(Path(values["out"]))
+        configs.append(manifest["config"])
+        assert set(manifest["inputs"]) == reads
     assert configs[0] == configs[1]
     assert {key: str(value) for key, value in configs[0].items()} == values
 
 
-@pytest.mark.filterwarnings("ignore:too few nodes per stratum")
-def test_generate_and_train_defaults_are_the_config_dataclasses(pipeline, tmp_path):
-    base, net_dir, scores, samples, _, _ = pipeline
-    out = tmp_path / "scores.csv"
-    assert run("generate", "--network", str(net_dir), "--out", str(out)) == EXIT_OK
-    config = _manifest(out)["config"]
+def test_generate_and_train_defaults_are_the_config_dataclasses(tmp_path):
+    # 20 nodes: the default 5 strata of 4 nodes put 5 nodes in validation
+    net_dir, scores, samples = tmp_path / "net", tmp_path / "scores.csv", tmp_path / "s.txt"
+    assert run("synth", "--rows", "4", "--cols", "5", "--out", str(net_dir)) == EXIT_OK
+    assert run("generate", "--network", str(net_dir), "--out", str(scores)) == EXIT_OK
+    config = _manifest(scores)["config"]
     assert {k: config[k] for k in config if k not in ("network", "out")} == \
         dataclasses.asdict(CascadeConfig())
+    assert run("sample", "--network", str(net_dir), "--num", "5",
+               "--out", str(samples)) == EXIT_OK
     out = tmp_path / "model.ckpt"
     assert run("train", "--network", str(net_dir), "--scores", str(scores),
                "--samples", str(samples), "--out", str(out)) == EXIT_OK

@@ -7,8 +7,8 @@ from roadrank.graph import ValidationError, normalized_views
 from roadrank.model import PairScorer, apply_ablation, embedding_width
 from roadrank.ranker import RankerParams
 from roadrank.synth import synth_grid_network
-from roadrank.training import (Adam, TrainConfig, gradient_check, make_pairs,
-                               stratified_split, train_model)
+from roadrank.training import (Adam, SplitAssignment, TrainConfig, gradient_check,
+                               make_pairs, stratified_split, train_model)
 from roadrank.walks import WalkConfig, sample_walks
 
 
@@ -175,6 +175,20 @@ def test_train_divergence_aborts_with_location():
                     init_embed=embed, init_ranker=ranker)
 
 
+def test_train_refuses_a_validation_split_under_two_nodes():
+    """Checkpoint selection compares pairs of validation nodes: a split
+    with 0 or 1 of them is refused, naming the count."""
+    net, samples, scores = grid_task(rows=2, cols=3, seed=1, num=3)
+    cfg = TrainConfig(seed=2, epochs=1, strata=2)
+    splits = stratified_split(scores, cfg)
+    assert splits.val == ()
+    one = SplitAssignment(train=splits.train, val=splits.test[:1], test=splits.test[1:],
+                          stratum=splits.stratum)
+    for split, count in ((splits, 0), (one, 1)):
+        with pytest.raises(ValidationError, match=f"validation split holds {count} node"):
+            train_model(net, samples, scores, split, cfg)
+
+
 def test_learnable_sanity_task():
     """Score is a monotone function of one attribute: the model must beat
     it comfortably (final loss well below the initial, val micro >= 0.9)."""
@@ -226,7 +240,7 @@ def test_noemb_train_has_no_embed_params(tmp_path):
 
 
 def test_checkpoint_roundtrip_full(tmp_path):
-    net, samples, scores = grid_task(rows=2, cols=3, seed=1, num=3)
+    net, samples, scores = grid_task(rows=3, cols=4, seed=1, num=3)
     cfg = TrainConfig(seed=2, epochs=1, strata=2)
     splits = stratified_split(scores, cfg)
     result = train_model(net, samples, scores, splits, cfg)
