@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
@@ -24,7 +25,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .graph import ValidationError, load_network_dir, save_network
 from .metrics import descending_order, report_for_ranking
 from .model import PairScorer, apply_ablation
-from .ranker import rank_from_matrix
+# rank_from_matrix is unused here but stays importable: perfbench/spans.py
+# times roadrank.cli.rank_from_matrix
+from .ranker import rank_from_matrix, row_totals, totalize  # noqa: F401
 from .synth import synth_grid_network
 from .training import (TrainConfig, gradient_check, stratified_split, train_model,
                        write_history)
@@ -75,18 +78,25 @@ def pathname(text: str) -> Path:
     return Path(text)
 
 
-def _write_manifest(command: str, options: dict[str, Option], cfg: dict,
-                    config_file: Path | None, started: str) -> None:
-    """Write the manifest next to the run's output ``out``.  Its inputs are
-    every path option but ``out`` and ``*_out`` (a network directory stands
-    for its two CSVs) and the --config file.  Timestamps are metadata and
-    deliberately excluded from the byte-identical output guarantee."""
+def _input_digests(options: dict[str, Option], cfg: dict,
+                   config_file: Path | None) -> dict[str, str]:
+    """sha256 of each input file of a run, taken before the run so an output
+    written over an input cannot stand in for it.  The inputs are every path
+    option but ``out`` and ``*_out`` (a network directory stands for its
+    two CSVs) and the --config file."""
     inputs = [config_file]
     for name, opt in options.items():
         value = cfg[name]
         if opt.cast is not pathname or value is None or name == "out" or name.endswith("_out"):
             continue
         inputs += [value / "edges.csv", value / "attributes.csv"] if name == "network" else [value]
+    return {str(p): _sha256(p) for p in inputs if p is not None and p.is_file()}
+
+
+def _write_manifest(command: str, cfg: dict, inputs: dict[str, str], started: str) -> None:
+    """Write the manifest next to the run's output ``out``.  Timestamps are
+    metadata and deliberately excluded from the byte-identical output
+    guarantee."""
     out = cfg["out"]
     manifest = {
         "tool": "roadrank",
@@ -94,7 +104,7 @@ def _write_manifest(command: str, options: dict[str, Option], cfg: dict,
         "subcommand": command,
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()},
         "seed": cfg.get("seed"),
-        "inputs": {str(p): _sha256(p) for p in inputs if p is not None and p.is_file()},
+        "inputs": inputs,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
     }
@@ -286,6 +296,18 @@ def _reject_repeated_ids(path, nodes) -> None:
         raise ValidationError(f"{path}: duplicate node id(s) {dups}")
 
 
+def _rating_lines(row_nodes, cols: list[str], r: np.ndarray, lo: int) -> str:
+    """``i,j,rating`` lines of the rating block ``r`` (rows ``row_nodes``,
+    starting at row ``lo``), skipping each node's rating of itself."""
+    lines = []
+    for k, (i, row) in enumerate(zip(row_nodes, r.tolist())):
+        pre = str(i)
+        row_lines = [pre + c + repr(x) for c, x in zip(cols, row)]
+        del row_lines[lo + k]
+        lines += row_lines
+    return "\n".join(lines) + "\n" if lines else ""
+
+
 def cmd_rank(cfg: dict) -> int:
     net = load_network_dir(cfg["network"])
     embed, ranker, meta = load_checkpoint(cfg["ckpt"])
@@ -305,17 +327,23 @@ def cmd_rank(cfg: dict) -> int:
         _reject_repeated_ids(cfg["nodes"], nodes)
     else:
         nodes = list(range(net.n))
-    matrix = scorer.rating_matrix(nodes)
-    result = rank_from_matrix(matrix, nodes)
+    wins = np.empty(len(nodes), dtype=np.int64)
+    sums = np.empty(len(nodes))
+    cols = [f",{j}," for j in nodes]
+    ratings_out = cfg["ratings_out"]
+    with open(ratings_out, "w") if ratings_out is not None else nullcontext() as fh:
+        if fh is not None:
+            fh.write("i,j,rating\n")
+        for lo, r in scorer.rating_blocks(nodes):
+            hi = lo + len(r)
+            wins[lo:hi], sums[lo:hi] = row_totals(r, lo)
+            if fh is not None:
+                fh.write(_rating_lines(nodes[lo:hi], cols, r, lo))
+    result = totalize(nodes, wins, sums)
     with open(cfg["out"], "w") as fh:
         fh.write("rank,node_id,copeland,rating_sum\n")
         for pos, v in enumerate(result.order, start=1):
             fh.write(f"{pos},{v},{result.copeland[v]},{result.rating_sum[v]!r}\n")
-    if cfg["ratings_out"] is not None:
-        with open(cfg["ratings_out"], "w") as fh:
-            fh.write("i,j,rating\n")
-            for i, row in zip(nodes, matrix.tolist()):
-                fh.write("".join(f"{i},{j},{r!r}\n" for j, r in zip(nodes, row) if i != j))
     if result.tie_groups:
         print(f"ranked {len(nodes)} nodes ({len(result.tie_groups)} tie group(s))")
     else:
@@ -461,8 +489,9 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg = _resolve(args, options)
+        inputs = _input_digests(options, cfg, args.config)
         code = handler(cfg)
-        _write_manifest(args.subcommand, options, cfg, args.config, started)
+        _write_manifest(args.subcommand, cfg, inputs, started)
         return code
     except OSError as exc:
         if exc.filename is None:

@@ -118,13 +118,44 @@ def labelled_pairs(nodes, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes[a], nodes[b], (s[:, None] > s[None, :])[off].astype(np.int64)
 
 
+def _inversions(x: np.ndarray) -> int:
+    """Pairs ``i < j`` with ``x[i] > x[j]``, counted by bottom-up merging:
+    at block width w every element of a right half counts the larger
+    elements of its left half (Knight 1966, JASA 61:436)."""
+    r = np.unique(x, return_inverse=True)[1].ravel()  # dense ranks 0..k-1
+    z = r.size
+    idx = np.arange(z)
+    total = 0
+    w = 1
+    while w < z:
+        block = idx // (2 * w)
+        right = (idx // w) % 2 == 1
+        left = np.sort((block * z + r)[~right])  # each left half sorted, halves apart
+        rb = block[right] * z
+        total += int((np.searchsorted(left, rb + z)
+                      - np.searchsorted(left, rb + r[right], side="right")).sum())
+        w *= 2
+    return total
+
+
+def _equal_pairs(values: np.ndarray) -> int:
+    counts = np.unique(values, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def report_for_ranking(ranking, scores, pair_nodes=None) -> MetricReport:
     """Score a ranking against ground truth.
 
     Pairwise predictions are derived from list positions (earlier means
-    more important); F1 is computed over all ordered pairs within
-    ``pair_nodes`` (default: every ranked node), diff over the full
-    ranking list.
+    more important); F1 is computed over all ordered pairs of distinct
+    nodes within ``pair_nodes`` (default: every ranked node), diff over the
+    full ranking list.
+
+    The pairs are counted, not listed.  Put the pair nodes in ranking order
+    and let C, T and D count the unordered pairs whose earlier node has the
+    larger, an equal and the smaller truth score.  The earlier-first pair
+    is predicted 1 and the later-first pair 0, so ``pred1_true1`` = C,
+    ``pred0_true0`` = C + T, ``pred1_true0`` = D + T and ``pred0_true1`` = D.
     """
     ranking = np.asarray([int(v) for v in ranking], dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -136,8 +167,15 @@ def report_for_ranking(ranking, scores, pair_nodes=None) -> MetricReport:
     absent = [int(v) for v in nodes if not 0 <= v < scores.size or position[v] < 0]
     if absent:
         raise ValidationError(f"node {absent[0]} missing from the ranking")
-    pi, pj, truth = labelled_pairs(nodes, scores)
-    confusion = confusion_counts(position[pi] < position[pj], truth)
+    x = scores[nodes[np.argsort(position[nodes], kind="stable")]]
+    repeats = _equal_pairs(nodes)  # a node listed twice is no pair
+    pairs = nodes.size * (nodes.size - 1) // 2 - repeats
+    if pairs == 0:
+        raise ValidationError("pairwise F1 needs at least 2 distinct nodes")
+    c = _inversions(x)
+    t = _equal_pairs(x) - repeats
+    d = pairs - c - t
+    confusion = {"pred1_true1": c, "pred1_true0": d + t, "pred0_true1": d, "pred0_true0": c + t}
     micro, macro = _f1_from_counts(confusion)
     return MetricReport(micro_f1=micro, macro_f1=macro, diff=diff,
-                        pairs=pi.size, confusion=confusion)
+                        pairs=2 * pairs, confusion=confusion)

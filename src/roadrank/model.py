@@ -15,6 +15,8 @@ from .ranker import RankerParams, bce_loss, pair_backward, pair_forward
 from .walks import SampleSet
 
 ABLATIONS = ("full", "NoMG", "NoBiLSTM", "NoEmb")
+NODE_CHUNK = 64  # nodes per forward-only encoder pass
+RATING_ROWS = 64  # rows per block of the rating matrix
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,22 @@ class PairScorer:
     # -- embeddings --------------------------------------------------------
 
     def node_embeddings(self, nodes: np.ndarray, with_cache: bool = False):
+        """Pooled embeddings of ``nodes``, one row each.  With the cache
+        (training) every node's sequences form one batch; without it the
+        encoder runs over ``NODE_CHUNK`` nodes at a time, so its arrays stay
+        the same size however many nodes are embedded."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if not self.variant.use_embedding:
             return self.h0[nodes], None
+        if with_cache:
+            return self._encode(nodes)
+        chunks = [self._encode(nodes[lo:lo + NODE_CHUNK])[0]
+                  for lo in range(0, nodes.size, NODE_CHUNK)]
+        return np.concatenate(chunks), None
+
+    def _encode(self, nodes: np.ndarray):
+        """One encoder batch over every sequence of ``nodes``: the pooled
+        embeddings and the cache their backward pass reads."""
         g = nodes.size
         _, num, l = self.ids.shape
         flat_ids = self.ids[nodes].reshape(g * num, l)
@@ -112,10 +127,7 @@ class PairScorer:
             h, lstm_cache = encoder._bilstm_batch(x, self.embed)
         else:
             h, lstm_cache = x, None
-        pooled = encoder._pool_batch(h, num)
-        if not with_cache:
-            return pooled, None
-        return pooled, (enc_cache, lstm_cache, num, l)
+        return encoder._pool_batch(h, num), (enc_cache, lstm_cache, num, l)
 
     def _embed_backward(self, dpooled: np.ndarray, cache, grads: EmbedParams):
         enc_cache, lstm_cache, num, l = cache
@@ -132,12 +144,20 @@ class PairScorer:
         nodes = np.unique(np.concatenate([pi, pj]))
         return nodes, np.searchsorted(nodes, pi), np.searchsorted(nodes, pj)
 
-    def rating_matrix(self, nodes) -> np.ndarray:
-        """All-pairs rating matrix over ``nodes`` (diagonal meaningless)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+    def rating_blocks(self, nodes):
+        """The rating matrix over ``nodes`` in row blocks ``(lo, r)``:
+        ``r[k, b]`` rates ``nodes[lo + k]`` over ``nodes[b]`` (the entry
+        rating a node over itself is meaningless), ``RATING_ROWS`` rows each.
+        Each block is a fresh array, so its holder may overwrite it."""
         h, _ = self.node_embeddings(nodes)
         u, v, _ = pair_forward(h, self.ranker)
-        return encoder.sigmoid(u[:, None] + v[None, :] + self.ranker.b_out[0])
+        b_out = self.ranker.b_out[0]
+        for lo in range(0, u.size, RATING_ROWS):
+            yield lo, encoder.sigmoid(u[lo:lo + RATING_ROWS, None] + v[None, :] + b_out)
+
+    def rating_matrix(self, nodes) -> np.ndarray:
+        """All-pairs rating matrix over ``nodes`` (diagonal meaningless)."""
+        return np.concatenate([r for _, r in self.rating_blocks(nodes)])
 
     def loss_and_grads(self, pi, pj, labels, dropout_rate: float = 0.0,
                        dropout_rng: np.random.Generator | None = None):

@@ -154,20 +154,20 @@ class RankingResult:
     tie_groups: tuple[tuple[int, ...], ...]
 
 
-def rank_from_matrix(r: np.ndarray, nodes) -> RankingResult:
-    """Totalize a rating matrix into a descending node list.
+def row_totals(r: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copeland wins (ratings above 0.5) and rating sums of each row of
+    ``r``, a block of the rating matrix starting at row ``lo``.  The entries
+    rating a node over itself, ``r[k, lo + k]``, are zeroed in place first."""
+    k = np.arange(r.shape[0])
+    r[k, lo + k] = 0.0
+    return (r > 0.5).sum(axis=1), r.sum(axis=1)
 
-    ``r[a, b]`` rates ``nodes[a]`` over ``nodes[b]`` (the diagonal is
-    ignored).  A node's primary score is its Copeland count (pairs won at
-    the 0.5 threshold); ties break by total rating mass, then by node id.
-    """
+
+def totalize(nodes, wins: np.ndarray, sums: np.ndarray) -> RankingResult:
+    """Descending node list from each node's Copeland count ``wins`` and
+    rating sum ``sums``: more wins first, ties broken by larger rating sum,
+    then by node id."""
     nodes = [int(v) for v in nodes]
-    z = len(nodes)
-    if r.shape != (z, z):
-        raise ValidationError(f"rating matrix shape {r.shape} does not match {z} nodes")
-    off = ~np.eye(z, dtype=bool)
-    wins = ((r > 0.5) & off).sum(axis=1)
-    sums = np.where(off, r, 0.0).sum(axis=1)
     copeland = {v: int(wins[a]) for a, v in enumerate(nodes)}
     rating_sum = {v: float(sums[a]) for a, v in enumerate(nodes)}
 
@@ -178,3 +178,12 @@ def rank_from_matrix(r: np.ndarray, nodes) -> RankingResult:
     runs = (tuple(run) for _, run in groupby(order, key=strength))
     return RankingResult(order=tuple(order), copeland=copeland, rating_sum=rating_sum,
                          tie_groups=tuple(run for run in runs if len(run) > 1))
+
+
+def rank_from_matrix(r: np.ndarray, nodes) -> RankingResult:
+    """Totalize a whole rating matrix, ``r[a, b]`` rating ``nodes[a]`` over
+    ``nodes[b]`` (the diagonal is ignored), into a descending node list."""
+    z = len(nodes)
+    if r.shape != (z, z):
+        raise ValidationError(f"rating matrix shape {r.shape} does not match {z} nodes")
+    return totalize(nodes, *row_totals(r.copy(), 0))

@@ -606,6 +606,19 @@ def test_every_option_reads_the_same_as_flag_and_config_key(
     assert {key: str(value) for key, value in configs[0].items()} == values
 
 
+def test_manifest_digests_an_input_before_the_output_overwrites_it(pipeline, tmp_path):
+    """``eval --ranking r.csv ... --out r.csv`` replaces the ranking with the
+    report; the manifest still records the ranking that was read."""
+    _, _, scores, _, _, ranking = pipeline
+    r = tmp_path / "r.csv"
+    shutil.copy(ranking, r)
+    read = hashlib.sha256(r.read_bytes()).hexdigest()
+    assert run("eval", "--ranking", str(r), "--truth", str(scores), "--out", str(r)) == EXIT_OK
+    assert r.read_text().startswith("pairs ")
+    assert _manifest(r)["inputs"] == {
+        str(r): read, str(scores): hashlib.sha256(scores.read_bytes()).hexdigest()}
+
+
 def test_generate_and_train_defaults_are_the_config_dataclasses(tmp_path):
     # 20 nodes: the default 5 strata of 4 nodes put 5 nodes in validation
     net_dir, scores, samples = tmp_path / "net", tmp_path / "scores.csv", tmp_path / "s.txt"
