@@ -25,7 +25,7 @@ from .graph import (NormalizedViews, RoadNetwork, ValidationError, load_network,
 from .metrics import (MetricReport, diff_metric, labelled_pairs, micro_macro_f1,
                       report_for_ranking)
 from .model import PairScorer, PipelineVariant, apply_ablation
-from .ranker import RankerParams, RankingResult, bce_loss, rank_from_matrix
+from .ranker import RankerParams, RankingResult, bce_loss, rank_blocks, rank_from_matrix
 from .synth import synth_grid_network
 from .training import (Adam, GradientCheckReport, SplitAssignment, TrainConfig,
                        TrainResult, gradient_check, make_pairs,

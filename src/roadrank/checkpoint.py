@@ -55,14 +55,15 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
             if not line:
                 continue
             kind, _, rest = line.partition(" ")
+            name, _, value = rest.partition(" ")
+            if name in {"meta": meta, "tensor": tensors}.get(kind, ()):
+                raise ValidationError(f"{path}:{ln}: repeated {kind} {name}")
             if kind == "meta":
-                key, _, value = rest.partition(" ")
-                meta[key] = value
+                meta[name] = value
             elif kind == "tensor":
-                name, *dims = rest.split(" ")
                 shape_ln = ln
                 try:
-                    shape = tuple(int(d) for d in dims)
+                    shape = tuple(int(d) for d in rest.split(" ")[1:])
                     ln, values = next(lines, (ln + 1, ""))
                     arr = np.array([float(v) for v in values.split()], dtype=np.float64)
                 except ValueError:

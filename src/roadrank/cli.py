@@ -25,9 +25,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .graph import ValidationError, load_network_dir, save_network
 from .metrics import descending_order, report_for_ranking
 from .model import PairScorer, apply_ablation
-# rank_from_matrix is unused here but stays importable: perfbench/spans.py
-# times roadrank.cli.rank_from_matrix
-from .ranker import rank_from_matrix, row_totals, totalize  # noqa: F401
+# rank_from_matrix is not called here; perfbench/spans.py spans it under this module
+from .ranker import rank_blocks, rank_from_matrix  # noqa: F401
 from .synth import synth_grid_network
 from .training import (TrainConfig, gradient_check, stratified_split, train_model,
                        write_history)
@@ -296,16 +295,22 @@ def _reject_repeated_ids(path, nodes) -> None:
         raise ValidationError(f"{path}: duplicate node id(s) {dups}")
 
 
-def _rating_lines(row_nodes, cols: list[str], r: np.ndarray, lo: int) -> str:
-    """``i,j,rating`` lines of the rating block ``r`` (rows ``row_nodes``,
-    starting at row ``lo``), skipping each node's rating of itself."""
-    lines = []
-    for k, (i, row) in enumerate(zip(row_nodes, r.tolist())):
-        pre = str(i)
-        row_lines = [pre + c + repr(x) for c, x in zip(cols, row)]
-        del row_lines[lo + k]
-        lines += row_lines
-    return "\n".join(lines) + "\n" if lines else ""
+def _write_ratings(fh, nodes: list[int], blocks):
+    """Pass the rating blocks over ``nodes`` through, writing the
+    ``i,j,rating`` header and then each block's lines to ``fh`` as it passes,
+    skipping each node's rating of itself."""
+    fh.write("i,j,rating\n")
+    cols = [f",{j}," for j in nodes]
+    for lo, r in blocks:
+        lines = []
+        for k, (i, row) in enumerate(zip(nodes[lo:lo + len(r)], r.tolist())):
+            pre = str(i)
+            row_lines = [pre + c + repr(x) for c, x in zip(cols, row)]
+            del row_lines[lo + k]
+            lines += row_lines
+        if lines:
+            fh.write("\n".join(lines) + "\n")
+        yield lo, r
 
 
 def cmd_rank(cfg: dict) -> int:
@@ -327,19 +332,10 @@ def cmd_rank(cfg: dict) -> int:
         _reject_repeated_ids(cfg["nodes"], nodes)
     else:
         nodes = list(range(net.n))
-    wins = np.empty(len(nodes), dtype=np.int64)
-    sums = np.empty(len(nodes))
-    cols = [f",{j}," for j in nodes]
     ratings_out = cfg["ratings_out"]
     with open(ratings_out, "w") if ratings_out is not None else nullcontext() as fh:
-        if fh is not None:
-            fh.write("i,j,rating\n")
-        for lo, r in scorer.rating_blocks(nodes):
-            hi = lo + len(r)
-            wins[lo:hi], sums[lo:hi] = row_totals(r, lo)
-            if fh is not None:
-                fh.write(_rating_lines(nodes[lo:hi], cols, r, lo))
-    result = totalize(nodes, wins, sums)
+        blocks = scorer.rating_blocks(nodes)
+        result = rank_blocks(nodes, blocks if fh is None else _write_ratings(fh, nodes, blocks))
     with open(cfg["out"], "w") as fh:
         fh.write("rank,node_id,copeland,rating_sum\n")
         for pos, v in enumerate(result.order, start=1):

@@ -146,17 +146,19 @@ class PairScorer:
 
     def rating_blocks(self, nodes):
         """The rating matrix over ``nodes`` in row blocks ``(lo, r)``:
-        ``r[k, b]`` rates ``nodes[lo + k]`` over ``nodes[b]`` (the entry
-        rating a node over itself is meaningless), ``RATING_ROWS`` rows each.
+        ``r[k, b]`` rates ``nodes[lo + k]`` over ``nodes[b]``, ``RATING_ROWS``
+        rows each.  A node's rating of itself is meaningless and is zeroed.
         Each block is a fresh array, so its holder may overwrite it."""
         h, _ = self.node_embeddings(nodes)
         u, v, _ = pair_forward(h, self.ranker)
         b_out = self.ranker.b_out[0]
         for lo in range(0, u.size, RATING_ROWS):
-            yield lo, encoder.sigmoid(u[lo:lo + RATING_ROWS, None] + v[None, :] + b_out)
+            r = encoder.sigmoid(u[lo:lo + RATING_ROWS, None] + v[None, :] + b_out)
+            np.fill_diagonal(r[:, lo:], 0.0)  # r[k, lo + k] = 0
+            yield lo, r
 
     def rating_matrix(self, nodes) -> np.ndarray:
-        """All-pairs rating matrix over ``nodes`` (diagonal meaningless)."""
+        """All-pairs rating matrix over ``nodes`` (zero diagonal): the tests' oracle."""
         return np.concatenate([r for _, r in self.rating_blocks(nodes)])
 
     def loss_and_grads(self, pi, pj, labels, dropout_rate: float = 0.0,

@@ -154,22 +154,19 @@ class RankingResult:
     tie_groups: tuple[tuple[int, ...], ...]
 
 
-def row_totals(r: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Copeland wins (ratings above 0.5) and rating sums of each row of
-    ``r``, a block of the rating matrix starting at row ``lo``.  The entries
-    rating a node over itself, ``r[k, lo + k]``, are zeroed in place first."""
-    k = np.arange(r.shape[0])
-    r[k, lo + k] = 0.0
-    return (r > 0.5).sum(axis=1), r.sum(axis=1)
-
-
-def totalize(nodes, wins: np.ndarray, sums: np.ndarray) -> RankingResult:
-    """Descending node list from each node's Copeland count ``wins`` and
-    rating sum ``sums``: more wins first, ties broken by larger rating sum,
-    then by node id."""
+def rank_blocks(nodes, blocks) -> RankingResult:
+    """Totalize the rating matrix over ``nodes``, given as row blocks ``(lo, r)``
+    (``r[k, b]`` rates ``nodes[lo + k]`` over ``nodes[b]``, self-ratings zeroed),
+    into a descending node list, taking each block's Copeland counts (ratings
+    above 0.5) and rating sums as it passes: more wins first, ties broken by
+    larger rating sum, then by node id."""
     nodes = [int(v) for v in nodes]
-    copeland = {v: int(wins[a]) for a, v in enumerate(nodes)}
-    rating_sum = {v: float(sums[a]) for a, v in enumerate(nodes)}
+    wins = np.zeros(len(nodes), dtype=np.int64)
+    sums = np.zeros(len(nodes))
+    for lo, r in blocks:
+        wins[lo:lo + len(r)], sums[lo:lo + len(r)] = (r > 0.5).sum(axis=1), r.sum(axis=1)
+    copeland = dict(zip(nodes, wins.tolist()))
+    rating_sum = dict(zip(nodes, sums.tolist()))
 
     def strength(v):
         return -copeland[v], -rating_sum[v]
@@ -181,9 +178,11 @@ def totalize(nodes, wins: np.ndarray, sums: np.ndarray) -> RankingResult:
 
 
 def rank_from_matrix(r: np.ndarray, nodes) -> RankingResult:
-    """Totalize a whole rating matrix, ``r[a, b]`` rating ``nodes[a]`` over
-    ``nodes[b]`` (the diagonal is ignored), into a descending node list."""
+    """:func:`rank_blocks` over one block, the whole rating matrix: ``r[a, b]``
+    rates ``nodes[a]`` over ``nodes[b]``, and the diagonal is ignored."""
     z = len(nodes)
     if r.shape != (z, z):
         raise ValidationError(f"rating matrix shape {r.shape} does not match {z} nodes")
-    return totalize(nodes, *row_totals(r.copy(), 0))
+    r = r.copy()
+    np.fill_diagonal(r, 0.0)
+    return rank_blocks(nodes, [(0, r)])

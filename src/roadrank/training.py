@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,9 +13,10 @@ import numpy as np
 from .cascade import ImportanceScores
 from .encoder import EmbedParams
 from .graph import RoadNetwork, ValidationError
-from .metrics import diff_metric, labelled_pairs, micro_macro_f1
+from .metrics import _f1_from_counts, confusion_counts, diff_metric, labelled_pairs
 from .model import ABLATIONS, PairScorer, apply_ablation, embedding_width
-from .ranker import RankerParams, rank_from_matrix
+# rank_from_matrix is not called here; perfbench/spans.py spans it under this module
+from .ranker import RankerParams, rank_blocks, rank_from_matrix  # noqa: F401
 from .walks import SampleSet
 
 
@@ -175,13 +177,19 @@ class TrainResult:
 
 def _evaluate_split(scorer: PairScorer, nodes, aff: np.ndarray):
     """Micro/macro F1 over all ordered pairs in a split plus the rank
-    displacement of the induced ordering."""
+    displacement of the induced ordering, in one pass over the rating blocks."""
     nodes = sorted(int(v) for v in nodes)
-    r = scorer.rating_matrix(nodes)
-    _, _, truth = labelled_pairs(nodes, aff)
-    micro, macro = micro_macro_f1(r[~np.eye(len(nodes), dtype=bool)] > 0.5, truth)
-    order = rank_from_matrix(r, nodes).order
-    return micro, macro, diff_metric(order, aff)
+    s = aff[nodes]
+    counts = Counter()
+
+    def counted(blocks):
+        for lo, r in blocks:
+            counts.update(confusion_counts(r > 0.5, s[lo:lo + len(r), None] > s))
+            yield lo, r
+
+    order = rank_blocks(nodes, counted(scorer.rating_blocks(nodes))).order
+    counts["pred0_true0"] -= len(nodes)  # the self-pairs: rated 0, labelled 0
+    return *_f1_from_counts(counts), diff_metric(order, aff)
 
 
 def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: SplitAssignment,
@@ -238,15 +246,9 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
                     f"training diverged: non-finite loss at epoch {epoch}, batch {b}")
             adam.step(grads)
             loss_sum += loss * idx.size
-        train_loss = loss_sum / pi.size
         val_micro, val_macro, val_diff = _evaluate_split(scorer, splits.val, aff)
-        history.append({
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "val_micro_f1": val_micro,
-            "val_macro_f1": val_macro,
-            "val_diff": val_diff,
-        })
+        history.append({"epoch": epoch, "train_loss": loss_sum / pi.size, "val_micro_f1": val_micro,
+                        "val_macro_f1": val_macro, "val_diff": val_diff})
         if val_micro > best_micro:
             best_micro = val_micro
             best_epoch = epoch

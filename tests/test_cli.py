@@ -440,6 +440,25 @@ def test_checkpoint_meta_rejected(pipeline, tmp_path, capsys, key, value):
     assert expected in err
 
 
+@pytest.mark.parametrize("extra, at, repeated", [
+    pytest.param(["tensor ranker.b_out 1\n", "0.0\n"], None, "tensor ranker.b_out", id="tensor"),
+    pytest.param(["meta variant NoEmb\n"], 1, "meta variant", id="meta-ahead-of-the-real-one"),
+])
+def test_checkpoint_refuses_a_repeated_name(pipeline, tmp_path, capsys, extra, at, repeated):
+    """A repeated meta key or tensor name is refused at its second line
+    rather than letting the later value win."""
+    base, net_dir, scores, samples, ckpt, _ = pipeline
+    lines = ckpt.read_text().splitlines(keepends=True)
+    at = len(lines) if at is None else at
+    lines[at:at] = extra
+    second = max(k for k, text in enumerate(lines, start=1) if text.startswith(repeated + " "))
+    bad = tmp_path / "model.ckpt"
+    bad.write_text("".join(lines))
+    err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(bad),
+                  "--samples", str(samples), "--out", str(tmp_path / "r.csv"))
+    assert f"{bad}:{second}: repeated {repeated}" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--beta1", "1.0"), ("--eps", "inf")])
 def test_train_rejects_bad_optimizer_values(pipeline, tmp_path, capsys, flag, value):
     base, net_dir, scores, samples, _, _ = pipeline

@@ -1,5 +1,5 @@
 """The demos stay runnable: the quick ones run end to end as scripts; the
-training demo (about half a minute) only has its roadrank names checked."""
+training demo (10-20 s on a 2-vCPU VM) only has its roadrank names checked."""
 
 import ast
 import importlib

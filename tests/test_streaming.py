@@ -1,7 +1,8 @@
-"""``rank`` and ``eval`` stream: the encoder runs over node chunks, ratings
-are reduced and written per row block, and the confusion counts are
-counted, not enumerated.  These tests hold their output bytes to the
-whole-matrix and pair-enumerating oracles, and their memory to fixed bounds."""
+"""``rank``, ``eval`` and the per-epoch validation stream: the encoder runs
+over node chunks, ratings are reduced and written per row block, and the
+confusion counts are counted, not enumerated.  These tests hold their
+output bytes and values to the whole-matrix and pair-enumerating oracles,
+and their memory to fixed bounds."""
 
 import tracemalloc
 from pathlib import Path
@@ -16,10 +17,11 @@ from roadrank.cli import EXIT_OK, main
 from roadrank.encoder import EmbedParams, sigmoid
 from roadrank.graph import ValidationError, load_network_dir
 from roadrank.metrics import (MetricReport, _f1_from_counts, confusion_counts, diff_metric,
-                              labelled_pairs, report_for_ranking)
+                              labelled_pairs, micro_macro_f1, report_for_ranking)
 from roadrank.model import PairScorer, apply_ablation
-from roadrank.ranker import RankerParams, pair_forward, rank_from_matrix
-from roadrank.training import TrainConfig
+from roadrank.ranker import RankerParams, pair_forward, rank_blocks, rank_from_matrix
+from roadrank.synth import synth_grid_network
+from roadrank.training import TrainConfig, _evaluate_split
 from roadrank.walks import SampleSet, WalkConfig, load_samples, save_samples
 
 
@@ -64,6 +66,16 @@ def enumerated_report(ranking, scores, pair_nodes=None) -> MetricReport:
     micro, macro = _f1_from_counts(confusion)
     return MetricReport(micro_f1=micro, macro_f1=macro, diff=diff_metric(ranking, scores),
                         pairs=pi.size, confusion=confusion)
+
+
+def oracle_evaluate_split(scorer: PairScorer, nodes, aff: np.ndarray):
+    """Validation F1 and displacement from the whole rating matrix, every
+    labelled ordered pair and :func:`rank_from_matrix`."""
+    nodes = sorted(int(v) for v in nodes)
+    r = scorer.rating_matrix(nodes)
+    _, _, truth = labelled_pairs(nodes, aff)
+    micro, macro = micro_macro_f1(r[~np.eye(len(nodes), dtype=bool)] > 0.5, truth)
+    return micro, macro, diff_metric(rank_from_matrix(r, nodes).order, aff)
 
 
 def oracle_report(ranking_csv: Path, truth_csv: Path, pair_nodes=None) -> bytes:
@@ -202,6 +214,44 @@ def test_zeroed_output_layer_rates_every_pair_one_half(grid12, tmp_path, small_b
     assert {line.rsplit(",", 1)[1] for line in ratings.read_text().splitlines()[1:]} == {"0.5"}
 
 
+def grid12_scorer(grid12, zero_output=False):
+    net_dir, samples, ckpt, truth = grid12
+    embed, ranker, _ = load_checkpoint(ckpt)
+    if zero_output:
+        ranker.w_out[:] = 0.0
+        ranker.b_out[:] = 0.0
+    scorer = PairScorer(load_network_dir(net_dir), load_samples(samples), embed, ranker,
+                        apply_ablation("full"))
+    return scorer, import_scores(truth).aff
+
+
+@pytest.mark.parametrize("rows", [32, model.RATING_ROWS])
+@pytest.mark.parametrize("nodes", [
+    pytest.param(range(144), id="all"),
+    pytest.param(sorted({*range(0, 144, 3), *range(100, 111), 143}), id="non-contiguous"),
+    pytest.param([131, 5, 77], id="three"),
+])
+def test_validation_matches_the_whole_matrix(grid12, monkeypatch, rows, nodes):
+    """Ties everywhere: 144 truth scores over 4 values."""
+    monkeypatch.setattr(model, "RATING_ROWS", rows)
+    scorer, aff = grid12_scorer(grid12)
+    assert np.unique(aff).size == 4
+    assert _evaluate_split(scorer, nodes, aff) == oracle_evaluate_split(scorer, nodes, aff)
+
+
+def test_validation_with_every_rating_one_half(grid12, small_blocks):
+    scorer, aff = grid12_scorer(grid12, zero_output=True)
+    nodes = list(range(144))
+    result = rank_blocks(nodes, scorer.rating_blocks(nodes))
+    assert set(result.copeland.values()) == {0}
+    assert set(result.rating_sum.values()) == {143 * 0.5}
+    micro, macro, diff = _evaluate_split(scorer, nodes, aff)
+    assert (micro, macro, diff) == oracle_evaluate_split(scorer, nodes, aff)
+    # no pair is predicted 1, so micro-F1 is the share of pairs labelled 0
+    _, _, truth = labelled_pairs(nodes, aff)
+    assert micro == pytest.approx(1.0 - truth.mean(), abs=1e-12)
+
+
 def test_counted_report_matches_the_enumerated_one():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -232,15 +282,19 @@ def grid40(tmp_path_factory):
     return walk_shaped_set(tmp_path_factory.mktemp("grid40"), 40, 2, 150)
 
 
-def traced_peak_mb(*argv) -> float:
-    """Peak ``tracemalloc`` memory of one CLI run, above what it started with."""
+def traced_peak_mb(fn, *args) -> float:
+    """Peak ``tracemalloc`` memory of ``fn(*args)``, above what it started with."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert run(*argv) == EXIT_OK
+        fn(*args)
         return (tracemalloc.get_traced_memory()[1] - before) / 1e6
     finally:
         tracemalloc.stop()
+
+
+def run_ok(*argv) -> None:
+    assert run(*argv) == EXIT_OK
 
 
 def test_rank_and_eval_memory_on_grid40(grid40, tmp_path):
@@ -251,9 +305,21 @@ def test_rank_and_eval_memory_on_grid40(grid40, tmp_path):
     peaked at 133 MB."""
     net_dir, samples, ckpt, truth = grid40
     ranking = tmp_path / "ranking.csv"
-    rank_mb = traced_peak_mb("rank", "--network", net_dir, "--ckpt", ckpt, "--samples", samples,
-                             "--out", ranking)
-    eval_mb = traced_peak_mb("eval", "--ranking", ranking, "--truth", truth,
+    rank_mb = traced_peak_mb(run_ok, "rank", "--network", net_dir, "--ckpt", ckpt,
+                             "--samples", samples, "--out", ranking)
+    eval_mb = traced_peak_mb(run_ok, "eval", "--ranking", ranking, "--truth", truth,
                              "--out", tmp_path / "report.txt")
     assert rank_mb < 40, rank_mb
     assert eval_mb < 4, eval_mb
+
+
+def test_validation_memory_on_grid40():
+    """Validation over all 1,600 nodes of a 40x40 ``NoEmb`` set.  Here it
+    peaks at 7.1 MB.  When it held the whole rating matrix, its eye mask and
+    every labelled ordered pair, it peaked at 133.1 MB on this set (126.9 MB
+    on another 40x40 set)."""
+    net = synth_grid_network(40, 40, seed=2)
+    scorer = PairScorer(net, None, None, RankerParams.init(net.m, seed=3), apply_ablation("NoEmb"))
+    aff = np.random.default_rng(2).uniform(0.0, 3.0, size=net.n)
+    peak_mb = traced_peak_mb(_evaluate_split, scorer, range(net.n), aff)
+    assert peak_mb < 16, peak_mb
