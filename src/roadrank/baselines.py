@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from .graph import RoadNetwork, ValidationError
+from .graph import RoadNetwork, ValidationError, in_edges
 
 
 def degree_centrality(net: RoadNetwork) -> np.ndarray:
@@ -15,41 +13,86 @@ def degree_centrality(net: RoadNetwork) -> np.ndarray:
     return np.bincount(ends, minlength=net.n).astype(np.float64)
 
 
+# Sources run together: each (sources x nodes) array of a block stays near
+# 1 MB.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _expand(frontier: np.ndarray, n: int, ptr: np.ndarray,
+            idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each flat ``source * n + node`` index in ``frontier`` with every
+    CSR neighbour ``idx[ptr[node]:ptr[node + 1]]`` of its node, in frontier
+    order, then CSR order.  Returns each pair's position in ``frontier`` and
+    its neighbour's flat index."""
+    node = frontier % n
+    start = ptr[node]
+    count = ptr[node + 1] - start
+    at = np.repeat(np.arange(frontier.size), count)
+    pos = np.arange(at.size) + (start - (np.cumsum(count) - count))[at]
+    return at, (frontier - node)[at] + idx[pos]
+
+
 def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
     """Brandes' accumulation over unweighted directed shortest paths.
 
     Endpoints are excluded; unreachable pairs contribute nothing.
+
+    A block of sources runs as one level-synchronous BFS over flat
+    ``(source, node)`` indices (Brandes 2001; batched as in Buluc and
+    Gilbert 2011).  Every float sum is taken in the order of the one-source
+    queue algorithm, so the result is the same bit for bit:
+
+    - each level keeps its queue order, the unvisited targets of the
+      previous level's out-edges in first-occurrence order, and
+      ``sigma[w] += sigma[v]`` runs in that candidate order;
+    - the backward pass goes deepest level first, each level reversed, and
+      pulls from each ``w`` through its in-edges (``graph.in_edges``) to
+      every ``v`` one level up, which is the order Brandes' stack pops
+      ``w``;
+    - each source's dependencies are added to ``bc`` in source order.
     """
     n = net.n
-    succ = [s.tolist() for s in np.split(net.out_idx, net.out_ptr[1:-1])]
-    # Python lists and floats: the same IEEE arithmetic as float64 scalars,
-    # without numpy's per-element indexing cost
-    bc = [0.0] * n
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in succ[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
-    return np.array(bc)
+    in_src, in_dst = in_edges(net)
+    in_ptr = np.concatenate(([0], np.cumsum(np.bincount(in_dst, minlength=n))))
+    block = max(1, _BLOCK_ELEMENTS // n)
+    bc = np.zeros(n)
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        size = sources.size * n
+        roots = np.arange(sources.size) * n + sources
+        dist = np.full(size, -1)
+        sigma = np.zeros(size)
+        # each index's first position among its level's candidates, which
+        # can outnumber the block's indices when targets repeat
+        first = np.full(size, np.iinfo(np.intp).max)
+        dist[roots] = 0
+        sigma[roots] = 1.0
+        levels = [roots]
+        while True:
+            frontier = levels[-1]
+            at, w = _expand(frontier, n, net.out_ptr, net.out_idx)
+            new = np.flatnonzero(dist[w] < 0)
+            if not new.size:
+                break
+            w = w[new]
+            np.add.at(sigma, w, sigma[frontier][at[new]])
+            dist[w] = len(levels)
+            order = np.arange(w.size)
+            np.minimum.at(first, w, order)
+            levels.append(w[first[w] == order])
+        del first
+        delta = np.zeros(size)
+        while len(levels) > 1:
+            d = len(levels) - 1
+            frontier = levels.pop()[::-1]
+            at, v = _expand(frontier, n, in_ptr, in_src)
+            up = np.flatnonzero(dist[v] == d - 1)
+            v, at = v[up], at[up]
+            np.add.at(delta, v, sigma[v] / sigma[frontier][at] * (1.0 + delta[frontier])[at])
+        delta[roots] = 0.0
+        for row in delta.reshape(sources.size, n):
+            bc += row
+    return bc
 
 
 def pagerank(net: RoadNetwork, damping: float = 0.85, tol: float = 1e-10,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import RoadNetwork, ValidationError
+from .graph import RoadNetwork, ValidationError, in_edges
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,6 @@ def assign_baseline_state(net: RoadNetwork, kappa: float = 1.0,
 _BLOCK_ELEMENTS = 1 << 17
 
 
-def _in_edges(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Non-self-loop edges ``src -> dst`` sorted by (dst, src)."""
-    keep = np.flatnonzero(net.src != net.dst)
-    order = keep[np.lexsort((net.src[keep], net.dst[keep]))]
-    return net.src[order], net.dst[order]
-
-
 def _simulate_block(net: RoadNetwork, state: BaselineState, src: np.ndarray,
                     dst: np.ndarray, targets: np.ndarray, cfg: CascadeConfig) -> np.ndarray:
     """Failure counts per period, one row per target in ``targets``.
@@ -167,7 +160,7 @@ def cascade_failure(net: RoadNetwork, state: BaselineState, target: int,
     """
     if not 0 <= target < net.n:
         raise ValidationError(f"unknown target id {target}")
-    src, dst = _in_edges(net)
+    src, dst = in_edges(net)
     return _simulate_block(net, state, src, dst, np.array([target]), cfg)[0]
 
 
@@ -184,7 +177,7 @@ def generate_ground_truth(net: RoadNetwork, cfg: CascadeConfig) -> ImportanceSco
     """Score every node by simulating its failure once."""
     state = assign_baseline_state(net, kappa=cfg.kappa,
                                   observation_window=cfg.observation_window)
-    src, dst = _in_edges(net)
+    src, dst = in_edges(net)
     block = max(1, _BLOCK_ELEMENTS // max(src.size, 1))
     aff = np.empty(net.n)
     for lo in range(0, net.n, block):

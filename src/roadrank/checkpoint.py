@@ -90,9 +90,13 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
     ranker = RankerParams.zeros(meta_int("input_dim"), meta_int("f1", 32), meta_int("f2", 16),
                                 meta_int("rdim", 8))
     embed = None
-    if set(tensors) - set(named_tensors(None, ranker)):
+    if any(name.startswith("embed.") for name in tensors):
         embed = EmbedParams.zeros(meta_int("m"), meta_int("x"), meta_int("dim"))
-    for key, arr in named_tensors(embed, ranker).items():
+    expected = named_tensors(embed, ranker)
+    for name, (ln, _) in tensors.items():
+        if name not in expected:
+            raise ValidationError(f"{path}:{ln}: unknown tensor {name}")
+    for key, arr in expected.items():
         if key not in tensors:
             raise ValidationError(f"{path}: missing tensor {key}")
         ln, values = tensors[key]

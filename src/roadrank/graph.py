@@ -238,6 +238,15 @@ def load_network_dir(net_dir) -> RoadNetwork:
     return load_network(net_dir / "edges.csv", net_dir / "attributes.csv")
 
 
+def in_edges(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Non-self-loop edges ``src -> dst`` sorted by (dst, src): the
+    in-edges of each node in turn, which the cascade and Brandes' backward
+    pass both read."""
+    keep = np.flatnonzero(net.src != net.dst)
+    order = keep[np.lexsort((net.src[keep], net.dst[keep]))]
+    return net.src[order], net.dst[order]
+
+
 def normalize_attributes(net: RoadNetwork) -> tuple[np.ndarray, tuple[int, ...]]:
     """Row-normalize the transposed attribute matrix with the l1 norm.
 

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 import roadrank
 from roadrank.cascade import CascadeConfig
+from roadrank.checkpoint import save_checkpoint
 from roadrank.cli import (COMMANDS, EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
                           export_plotdata, main)
-from roadrank.graph import ValidationError
+from roadrank.graph import ValidationError, load_network_dir
+from roadrank.ranker import RankerParams
 from roadrank.training import TrainConfig
 
 
@@ -457,6 +459,28 @@ def test_checkpoint_refuses_a_repeated_name(pipeline, tmp_path, capsys, extra, a
     err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(bad),
                   "--samples", str(samples), "--out", str(tmp_path / "r.csv"))
     assert f"{bad}:{second}: repeated {repeated}" in err
+
+
+@pytest.mark.parametrize("variant", ["full", "NoEmb"])
+def test_checkpoint_refuses_an_unknown_tensor(pipeline, tmp_path, capsys, variant):
+    """A tensor name the variant does not define is refused at its line,
+    whether or not the checkpoint has encoder tensors."""
+    base, net_dir, scores, samples, ckpt, _ = pipeline
+    good = tmp_path / "good.ckpt"
+    if variant == "full":
+        shutil.copy(ckpt, good)
+    else:
+        m = load_network_dir(net_dir).m
+        save_checkpoint(good, None, RankerParams.init(m, seed=3),
+                        {"variant": "NoEmb", "input_dim": m})
+    rank = ("rank", "--network", str(net_dir), "--samples", str(samples),
+            "--out", str(tmp_path / "r.csv"), "--ckpt")
+    assert run(*rank, str(good)) == EXIT_OK
+    bad = tmp_path / "model.ckpt"
+    lines = good.read_text().splitlines(keepends=True)
+    bad.write_text("".join(lines + ["tensor ranker.foo 1\n", "0.5\n"]))
+    err = invalid(capsys, *rank, str(bad))
+    assert f"{bad}:{len(lines) + 1}: unknown tensor ranker.foo" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--beta1", "1.0"), ("--eps", "inf")])

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadrank import cascade
 from roadrank.baselines import degree_centrality, pagerank
-from roadrank.graph import (ValidationError, load_network, load_network_dir,
+from roadrank.graph import (ValidationError, in_edges, load_network, load_network_dir,
                             normalize_attributes, normalized_views, save_network)
 from roadrank.synth import synth_grid_network
 from roadrank.walks import node_step_distribution
@@ -248,7 +247,7 @@ def test_sparse_core_matches_dense_oracle():
                                    np.flatnonzero(dense[v]))
         dst, src = np.nonzero(dense.T)
         keep = src != dst
-        got_src, got_dst = cascade._in_edges(net)
+        got_src, got_dst = in_edges(net)
         npt.assert_array_equal(got_src, src[keep])
         npt.assert_array_equal(got_dst, dst[keep])
         sinks += len(net.self_loop_nodes)
@@ -276,7 +275,7 @@ def test_graph_core_allocates_no_dense_matrix(tmp_path):
         traced("normalized_views", normalized_views, net)
         traced("degree_centrality", degree_centrality, net)
         traced("pagerank", pagerank, net)
-        traced("in_edges", cascade._in_edges, net)
+        traced("in_edges", in_edges, net)
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) < 8e6, peaks
