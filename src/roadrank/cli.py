@@ -77,19 +77,47 @@ def pathname(text: str) -> Path:
     return Path(text)
 
 
-def _input_digests(options: dict[str, Option], cfg: dict,
-                   config_file: Path | None) -> dict[str, str]:
-    """sha256 of each input file of a run, taken before the run so an output
-    written over an input cannot stand in for it.  The inputs are every path
-    option but ``out`` and ``*_out`` (a network directory stands for its
-    two CSVs) and the --config file."""
-    inputs = [config_file]
+# files a subcommand writes beside its --out, by the suffix added to its name
+SIDE_OUTPUTS = {"train": (".history.csv", ".splits.csv")}
+
+
+def _beside(out: Path, suffix: str) -> Path:
+    return out.with_name(out.name + suffix)
+
+
+def _run_files(command: str, options: dict[str, Option], cfg: dict,
+               config_file: Path | None) -> tuple[list, list]:
+    """``(inputs, outputs)``, each a list of ``(flag, path)``.  The inputs
+    are every path option but ``out`` and ``*_out`` (a network directory
+    stands for its two CSVs) and the --config file; the outputs are ``out``,
+    ``*_out`` and the files written beside ``out``."""
+    inputs = [("--config", config_file)] if config_file is not None else []
+    outputs = []
     for name, opt in options.items():
         value = cfg[name]
-        if opt.cast is not pathname or value is None or name == "out" or name.endswith("_out"):
+        if opt.cast is not pathname or value is None:
             continue
-        inputs += [value / "edges.csv", value / "attributes.csv"] if name == "network" else [value]
-    return {str(p): _sha256(p) for p in inputs if p is not None and p.is_file()}
+        flag = "--" + name.replace("_", "-")
+        if name == "out" or name.endswith("_out"):
+            outputs.append((flag, value))
+        elif name == "network":
+            inputs += [(flag, value / "edges.csv"), (flag, value / "attributes.csv")]
+        else:
+            inputs.append((flag, value))
+    outputs += [(f"--out's {suffix} file", _beside(cfg["out"], suffix))
+                for suffix in SIDE_OUTPUTS.get(command, ())]
+    return inputs, outputs
+
+
+def _refuse_shared_paths(inputs: list, outputs: list) -> None:
+    """An output that is also an input or another output would overwrite
+    it: refuse the run before it reads or writes anything."""
+    seen = {path.resolve(): flag for flag, path in inputs}
+    for flag, path in outputs:
+        key = path.resolve()
+        if key in seen:
+            raise ValidationError(f"{flag} and {seen[key]} name the same file {path}")
+        seen[key] = flag
 
 
 def _write_manifest(command: str, cfg: dict, inputs: dict[str, str], started: str) -> None:
@@ -276,8 +304,9 @@ def cmd_train(cfg: dict) -> int:
         "best_epoch": result.best_epoch,
     }
     save_checkpoint(out, result.embed, result.ranker, meta)
-    write_history(result.history, out.with_name(out.name + ".history.csv"), tcfg)
-    with open(out.with_name(out.name + ".splits.csv"), "w") as fh:
+    history_suffix, splits_suffix = SIDE_OUTPUTS["train"]
+    write_history(result.history, _beside(out, history_suffix), tcfg)
+    with open(_beside(out, splits_suffix), "w") as fh:
         fh.write("node_id,split,stratum\n")
         for name, members in (("train", splits.train), ("val", splits.val),
                               ("test", splits.test)):
@@ -485,9 +514,12 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg = _resolve(args, options)
-        inputs = _input_digests(options, cfg, args.config)
+        inputs, outputs = _run_files(args.subcommand, options, cfg, args.config)
+        _refuse_shared_paths(inputs, outputs)
+        # digested before the run: the manifest records the inputs as read
+        digests = {str(p): _sha256(p) for _, p in inputs if p.is_file()}
         code = handler(cfg)
-        _write_manifest(args.subcommand, cfg, inputs, started)
+        _write_manifest(args.subcommand, cfg, digests, started)
         return code
     except OSError as exc:
         if exc.filename is None:

@@ -147,52 +147,166 @@ def vertex_features(a_scaled: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward passes
+# levels: the columns each LSTM step computes
 #
-# Batched arrays are laid out (L, width, B): step t of every sequence is the
-# contiguous (width, B) block ``arr[t]``, so each gate of a step is a
-# contiguous (dim, B) row block however small dim is.
+# Level t of a direction holds distinct length-(t + 1) prefixes, its
+# "entries"; the backward direction's prefixes are reversed suffixes.  A
+# step computes one column per entry from its parent entry's state, so
+# sequences that share a prefix share its columns.  Per-entry arrays are
+# laid out (width, entries).
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Levels:
+    """One direction's entries over a batch of sequences, level by level:
+    ``vertex[t]`` is each entry's last vertex id, ``parent[t]`` the index of
+    its length-t prefix among level t - 1's entries, and ``seq[t]`` each
+    sequence's entry.  None is the identity map: entry k extends level
+    t - 1's entry k (always so at level 0), or sequence k is entry k."""
+
+    vertex: list[np.ndarray]
+    parent: list[np.ndarray | None]
+    seq: list[np.ndarray | None]
+
+    @property
+    def batch(self) -> int:
+        """The number of sequences."""
+        last = self.seq[-1]
+        return self.vertex[-1].size if last is None else last.size
+
+
+def identity_levels(ids: np.ndarray) -> Levels:
+    """Levels over a (B, L) id batch with one entry per sequence."""
+    l = ids.shape[1]
+    return Levels([ids[:, t] for t in range(l)], [None] * l, [None] * l)
+
+
+def _take(a: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """Columns ``idx`` of ``a``; None takes every column in order."""
+    return a if idx is None else np.take(a, idx, axis=1)
+
+
+def _sum_into(a: np.ndarray, idx: np.ndarray | None, size: int) -> np.ndarray:
+    """Sum column k of ``a`` into column ``idx[k]`` of a (rows, size) result;
+    None keeps the columns as they are."""
+    if idx is None:
+        return a
+    return np.stack([np.bincount(idx, weights=row, minlength=size) for row in a])
+
+
+class PrefixIndex:
+    """The distinct prefixes of every sequence of a sample set, ranked once
+    per level so that a batch finds its own by marking, without sorting.
+
+    ``entry[t][s]`` (int32) is the rank of sequence s's length-(t + 1)
+    prefix among that level's ``size[t]`` distinct prefixes.  From the first
+    level whose prefixes are all distinct on, ``entry[t]`` is None: a
+    prefix's id is then its sequence's, and no map is stored.
+    """
+
+    def __init__(self, seqs: np.ndarray):
+        s, l = seqs.shape
+        base = np.int64(seqs.max()) + 1
+        self.entry: list[np.ndarray | None] = [None] * l
+        self.size = [s] * l
+        prev = np.zeros(s, dtype=np.int32)
+        for t in range(l):
+            # rank the (parent, vertex) keys as np.unique's inverse would, but
+            # with fewer int64 copies: a level peaks near 40 bytes per sequence
+            key = prev.astype(np.int64) * base
+            key += seqs[:, t]
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            rank = np.empty(s, dtype=np.int32)
+            rank[0] = 0
+            np.cumsum(key[1:] != key[:-1], dtype=np.int32, out=rank[1:])
+            del key
+            if rank[-1] + 1 == s:
+                break
+            prev = np.empty(s, dtype=np.int32)
+            prev[order] = rank
+            self.entry[t] = prev
+            self.size[t] = int(rank[-1]) + 1
+
+    def levels(self, ids: np.ndarray, rows: np.ndarray) -> Levels:
+        """The levels of the batch ``ids``, the indexed sequences ``rows``."""
+        vertex, parent, seq = [], [], []
+        prev = None  # the previous level's ``seq``
+        for t, (entry, size) in enumerate(zip(self.entry, self.size)):
+            if entry is None:  # every prefix distinct: sequence k is entry k
+                vertex.append(ids[:, t])
+                parent.append(prev)
+                seq.append(None)
+                prev = None
+                continue
+            ent = entry[rows]
+            mark = np.zeros(size, dtype=bool)
+            mark[ent] = True
+            uniq = np.flatnonzero(mark)
+            local = np.empty(size, dtype=np.intp)
+            local[uniq] = np.arange(uniq.size)
+            inv = local[ent]
+            rep = np.empty(uniq.size, dtype=np.intp)  # one sequence of each entry
+            rep[inv] = np.arange(inv.size)
+            vertex.append(ids[rep, t])
+            parent.append(None if t == 0 else prev[rep])
+            seq.append(inv)
+            prev = inv
+        return Levels(vertex, parent, seq)
+
+
+# ---------------------------------------------------------------------------
+# forward passes
 # ---------------------------------------------------------------------------
 
 def _encode_batch(ids: np.ndarray, feats: np.ndarray, p: EmbedParams):
-    """tanh(row @ w_in + b_in) for a (B, L) id batch; returns ((L, x, B), cache).
-    Each vertex is encoded once and the batch gathers its rows by id."""
+    """tanh(row @ w_in + b_in) of every vertex, once per batch; returns the
+    (x, n + m) table and the cache.  The cells and the pooling gather the
+    (B, L) batch ``ids``'s inputs from it by vertex id; perfbench/spans.py
+    counts the rows of ``ids`` as the sequences encoded."""
     enc = np.tanh(feats @ p.w_in + p.b_in)
-    x = enc.T[:, ids.T].transpose(1, 0, 2)
-    return x, (ids, feats, enc)
+    return enc.T, (feats, enc)
 
 
-def _cell_forward(x: np.ndarray, cell: LSTMCellParams):
-    """Run one LSTM direction over (L, x, B); returns ((L, dim, B), cache).
-    One matmul projects every step's input into ``a``; each step then turns
-    its block in place into the gate activations."""
-    l, _, b = x.shape
+def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams):
+    """Run one LSTM direction over ``levels``, one step per level, taking
+    each entry's input from the (x, n + m) table ``enc`` and its previous
+    state from its parent; returns the (dim, entries) states per level and
+    the cache."""
     dim = cell.dim
-    a = cell.w_x.T @ x
     bias = cell.b[:, None]
-    cs = np.empty((l, dim, b))
-    hs = np.empty((l, dim, b))
-    h = np.zeros((dim, b))
-    c = np.zeros((dim, b))
-    for t in range(l):
-        at = a[t]
+    xs, gates, cs, hs = [], [], [], []
+    h = c = np.zeros((dim, levels.vertex[0].size))
+    for vertex, parent in zip(levels.vertex, levels.parent):
+        h, c = _take(h, parent), _take(c, parent)
+        x = np.take(enc, vertex, axis=1)
+        at = cell.w_x.T @ x
         at += cell.w_h.T @ h
         at += bias
         at[:3 * dim] = sigmoid(at[:3 * dim])
         np.tanh(at[3 * dim:], out=at[3 * dim:])
         i, f, o, g = np.split(at, 4)
         c = f * c + i * g
-        cs[t] = c
         h = o * np.tanh(c)
-        hs[t] = h
-    return hs, (x, a, cs, hs)
+        xs.append(x)
+        gates.append(at)
+        cs.append(c)
+        hs.append(h)
+    return hs, (levels, xs, gates, cs, hs)
 
 
-def _bilstm_batch(x: np.ndarray, p: EmbedParams):
-    """Both directions over (L, x, B); returns ((L, 2*dim, B), cache)."""
-    h_fw, cache_fw = _cell_forward(x, p.fw)
-    h_bw_rev, cache_bw = _cell_forward(x[::-1], p.bw)
-    h2 = np.concatenate([h_fw, h_bw_rev[::-1]], axis=1)
+def _bilstm_batch(enc: np.ndarray, levels: tuple[Levels, Levels], p: EmbedParams):
+    """Both directions over their ``(forward, backward)`` levels; returns
+    each sequence's states as (L, 2*dim, B) and the cache.  Backward level t
+    is the reversed suffix that starts at position L - 1 - t."""
+    fw, bw = levels
+    h_fw, cache_fw = _cell_forward(enc, fw, p.fw)
+    h_bw, cache_bw = _cell_forward(enc, bw, p.bw)
+    l = len(h_fw)
+    h2 = np.empty((l, 2 * p.dim, fw.batch))
+    for t in range(l):
+        h2[t, :p.dim] = _take(h_fw[t], fw.seq[t])
+        h2[t, p.dim:] = _take(h_bw[l - 1 - t], bw.seq[l - 1 - t])
     return h2, (cache_fw, cache_bw)
 
 
@@ -210,56 +324,62 @@ def _pool_batch(h: np.ndarray, num: int) -> np.ndarray:
 # backward passes
 # ---------------------------------------------------------------------------
 
-def _encode_backward(dx: np.ndarray, cache, p: EmbedParams, grads: EmbedParams):
-    """Sum dx per vertex, then one matmul from the vertex rows to ``w_in``."""
-    ids, feats, enc = cache
-    flat_ids = ids.T.ravel()
-    dsum = np.stack([np.bincount(flat_ids, weights=dx[:, k].ravel(), minlength=enc.shape[0])
-                     for k in range(p.x)], axis=1)
+def _encode_backward(ids: list[np.ndarray], dx: list[np.ndarray], cache, p: EmbedParams,
+                     grads: EmbedParams):
+    """Sum each (x, k) input gradient of ``dx`` per vertex id, read from the
+    (k,) array of ``ids`` at the same position, then one matmul from the
+    vertex rows to ``w_in``."""
+    feats, enc = cache
+    dsum = sum(_sum_into(d, i, enc.shape[0]) for i, d in zip(ids, dx)).T
     dpre = dsum * (1.0 - enc * enc)
     grads.w_in += feats.T @ dpre
     grads.b_in += dpre.sum(axis=0)
 
 
 def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
-                   grads: LSTMCellParams) -> np.ndarray:
-    """Backprop one direction into ``grads``; returns dx (L, x, B).  The
-    steps fill ``da``, the packed gate pre-activation gradients, and add
-    each step's weight gradients; one matmul after the loop gives dx."""
-    x, a, cs, hs = cache
-    l = x.shape[0]
+                   grads: LSTMCellParams) -> list[np.ndarray]:
+    """Backprop one direction into ``grads`` from ``dh_out`` (L, dim, B),
+    each sequence's state gradient in level order; returns dx, (x, entries)
+    per level.  A level's entries first sum their sequences' gradients,
+    then pass dh and dc down to their parents, each parent summing its
+    children's."""
+    levels, xs, gates, cs, hs = cache
     dim = cell.dim
-    da = np.empty_like(a)
-    dh_next = 0.0
-    dc_next = 0.0
-    for t in range(l - 1, -1, -1):
-        i, f, o, g = np.split(a[t], 4)
-        da_t = da[t]
-        da_i, da_f, da_o, da_c = np.split(da_t, 4)
-        dh = dh_out[t] + dh_next
+    dx = [None] * len(gates)
+    dh_next = dc_next = 0.0
+    for t in range(len(gates) - 1, -1, -1):
+        at = gates[t]
+        parent = levels.parent[t]
+        i, f, o, g = np.split(at, 4)
+        da = np.empty_like(at)
+        da_i, da_f, da_o, da_c = np.split(da, 4)
+        dh = _sum_into(dh_out[t], levels.seq[t], at.shape[1]) + dh_next
         tc = np.tanh(cs[t])
         dc = dh * o * (1.0 - tc * tc) + dc_next
-        c_prev = cs[t - 1] if t > 0 else 0.0
+        c_prev = _take(cs[t - 1], parent) if t > 0 else 0.0
         da_i[...] = dc * g * i * (1.0 - i)
         da_f[...] = dc * c_prev * f * (1.0 - f)
         da_o[...] = dh * tc * o * (1.0 - o)
         da_c[...] = dc * i * (1.0 - g * g)
-        dc_next = dc * f
-        dh_next = cell.w_h @ da_t
-        grads.w_x += x[t] @ da_t.T
+        grads.w_x += xs[t] @ da.T
+        grads.b += da.sum(axis=1)
+        dx[t] = cell.w_x @ da
         if t > 0:
-            grads.w_h += hs[t - 1] @ da_t.T
-    grads.b += da.sum(axis=(0, 2))
-    return cell.w_x @ da
+            grads.w_h += _take(hs[t - 1], parent) @ da.T
+            size = gates[t - 1].shape[1]
+            dh_next = _sum_into(cell.w_h @ da, parent, size)
+            dc_next = _sum_into(dc * f, parent, size)
+    return dx
 
 
-def _bilstm_backward(dh2: np.ndarray, cache, p: EmbedParams, grads: EmbedParams) -> np.ndarray:
+def _bilstm_backward(dh2: np.ndarray, cache, p: EmbedParams, grads: EmbedParams):
+    """Both directions' backward passes; returns every entry's vertex id and
+    its input gradient, per level of both directions."""
     cache_fw, cache_bw = cache
     dim = p.dim
-    dx = _cell_backward(dh2[:, :dim], cache_fw, p.fw, grads.fw)
-    dx_rev = _cell_backward(dh2[::-1, dim:], cache_bw, p.bw, grads.bw)
-    dx += dx_rev[::-1]
-    return dx
+    dx_fw = _cell_backward(dh2[:, :dim], cache_fw, p.fw, grads.fw)
+    dx_bw = _cell_backward(dh2[::-1, dim:], cache_bw, p.bw, grads.bw)
+    return cache_fw[0].vertex + cache_bw[0].vertex, dx_fw + dx_bw
 
 
 def _pool_backward(dpooled: np.ndarray, num: int, l: int) -> np.ndarray:

@@ -78,11 +78,15 @@ class PairScorer:
                 raise ValidationError(f"encoder expects m={embed.m}, network has m={net.m}")
             if samples.sequences.shape[0] != net.n:
                 raise ValidationError("sample set does not cover the network's nodes")
+            if samples.m != net.m:
+                raise ValidationError(
+                    f"samples were drawn with m={samples.m} attributes, network has m={net.m}")
             if variant.sample_alpha is not None and samples.config.alpha != variant.sample_alpha:
                 raise ValidationError(
                     f"variant {variant.name} needs samples drawn with alpha="
                     f"{variant.sample_alpha}, got alpha={samples.config.alpha}")
             self.ids = samples.sequences
+            self._index = None  # forward and backward PrefixIndex, built by the first indexed batch
             self.feats = vertex_features(a_scaled)
             width = embedding_width(variant, net.m, embed.x, embed.dim)
         else:
@@ -104,39 +108,52 @@ class PairScorer:
 
     def node_embeddings(self, nodes: np.ndarray, with_cache: bool = False):
         """Pooled embeddings of ``nodes``, one row each.  With the cache
-        (training) every node's sequences form one batch; without it the
-        encoder runs over ``NODE_CHUNK`` nodes at a time, so its arrays stay
-        the same size however many nodes are embedded."""
+        (training) every node's sequences form one batch, whose LSTM steps
+        run once per distinct prefix and suffix; without it the encoder runs
+        over ``NODE_CHUNK`` nodes at a time, one column per sequence, so its
+        arrays stay the same size however many nodes are embedded.  Both
+        give the same bits."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if not self.variant.use_embedding:
             return self.h0[nodes], None
         if with_cache:
-            return self._encode(nodes)
-        chunks = [self._encode(nodes[lo:lo + NODE_CHUNK])[0]
+            return self._encode(nodes, indexed=True)
+        chunks = [self._encode(nodes[lo:lo + NODE_CHUNK], indexed=False)[0]
                   for lo in range(0, nodes.size, NODE_CHUNK)]
         return np.concatenate(chunks), None
 
-    def _encode(self, nodes: np.ndarray):
+    def _encode(self, nodes: np.ndarray, indexed: bool):
         """One encoder batch over every sequence of ``nodes``: the pooled
-        embeddings and the cache their backward pass reads."""
+        embeddings and the cache their backward pass reads.  ``indexed``
+        steps the LSTM over the sample set's distinct prefixes and suffixes,
+        indexed at the first such call; otherwise over every sequence."""
         g = nodes.size
         _, num, l = self.ids.shape
         flat_ids = self.ids[nodes].reshape(g * num, l)
-        x, enc_cache = encoder._encode_batch(flat_ids, self.feats, self.embed)
-        if self.variant.use_bilstm:
-            h, lstm_cache = encoder._bilstm_batch(x, self.embed)
+        enc, enc_cache = encoder._encode_batch(flat_ids, self.feats, self.embed)
+        if not self.variant.use_bilstm:
+            h = enc[:, flat_ids.T].transpose(1, 0, 2)
+            return encoder._pool_batch(h, num), (enc_cache, flat_ids, None, num, l)
+        if indexed:
+            if self._index is None:
+                seqs = self.ids.reshape(-1, l)
+                self._index = (encoder.PrefixIndex(seqs), encoder.PrefixIndex(seqs[:, ::-1]))
+            rows = (nodes[:, None] * num + np.arange(num)).ravel()
+            levels = (self._index[0].levels(flat_ids, rows),
+                      self._index[1].levels(flat_ids[:, ::-1], rows))
         else:
-            h, lstm_cache = x, None
-        return encoder._pool_batch(h, num), (enc_cache, lstm_cache, num, l)
+            levels = (encoder.identity_levels(flat_ids), encoder.identity_levels(flat_ids[:, ::-1]))
+        h, lstm_cache = encoder._bilstm_batch(enc, levels, self.embed)
+        return encoder._pool_batch(h, num), (enc_cache, flat_ids, lstm_cache, num, l)
 
     def _embed_backward(self, dpooled: np.ndarray, cache, grads: EmbedParams):
-        enc_cache, lstm_cache, num, l = cache
+        enc_cache, flat_ids, lstm_cache, num, l = cache
         dh = encoder._pool_backward(dpooled, num, l)
         if self.variant.use_bilstm:
-            dx = encoder._bilstm_backward(dh, lstm_cache, self.embed, grads)
+            ids, dx = encoder._bilstm_backward(dh, lstm_cache, self.embed, grads)
         else:
-            dx = dh
-        encoder._encode_backward(dx, enc_cache, self.embed, grads)
+            ids, dx = list(flat_ids.T), list(dh)
+        encoder._encode_backward(ids, dx, enc_cache, self.embed, grads)
 
     # -- pairwise scoring ---------------------------------------------------
 

@@ -407,6 +407,23 @@ def test_samples_header_rejected(pipeline, tmp_path, capsys, line, replacement):
         assert "header" in err
 
 
+@pytest.mark.parametrize("command", ["rank", "train"])
+def test_samples_drawn_for_another_attribute_count_rejected(pipeline, tmp_path, capsys, command):
+    """A header of m 7 over a network with m = 5 lets a sequence hold vertex
+    id n + 6, which no row of the network's vertex table has."""
+    base, net_dir, scores, samples, ckpt, _ = pipeline
+    lines = samples.read_text().splitlines(keepends=True)
+    lines[lines.index("m 5\n")] = "m 7\n"
+    lines[8] = "12 18 3 4\n"  # the first sequence line; 18 = n + 6
+    bad = tmp_path / "samples.txt"
+    bad.write_text("".join(lines))
+    args = {"rank": ("--ckpt", str(ckpt)),
+            "train": ("--scores", str(scores), "--epochs", "1", "--strata", "2")}[command]
+    err = invalid(capsys, command, "--network", str(net_dir), *args, "--samples", str(bad),
+                  "--out", str(tmp_path / "out"))
+    assert "m=7" in err and "m=5" in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("input_dim", None), ("input_dim", "8.5"), ("m", None), ("x", "eight"), ("dim", None),
     ("ranker.b_out", "0.5x"), ("embed.fw.w_hc", "0.1 0.2 three 0.4"),
@@ -650,16 +667,49 @@ def test_every_option_reads_the_same_as_flag_and_config_key(
 
 
 def test_manifest_digests_an_input_before_the_output_overwrites_it(pipeline, tmp_path):
-    """``eval --ranking r.csv ... --out r.csv`` replaces the ranking with the
-    report; the manifest still records the ranking that was read."""
+    """``eval --ranking r.csv ... --out w.csv``, w.csv a hard link to r.csv,
+    replaces the ranking with the report: the paths differ, so the run is not
+    refused, and the manifest still records the ranking that was read."""
     _, _, scores, _, _, ranking = pipeline
-    r = tmp_path / "r.csv"
+    r, w = tmp_path / "r.csv", tmp_path / "w.csv"
     shutil.copy(ranking, r)
+    os.link(r, w)
     read = hashlib.sha256(r.read_bytes()).hexdigest()
-    assert run("eval", "--ranking", str(r), "--truth", str(scores), "--out", str(r)) == EXIT_OK
+    assert run("eval", "--ranking", str(r), "--truth", str(scores), "--out", str(w)) == EXIT_OK
     assert r.read_text().startswith("pairs ")
-    assert _manifest(r)["inputs"] == {
+    assert _manifest(w)["inputs"] == {
         str(r): read, str(scores): hashlib.sha256(scores.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("case", ["generate", "rank", "train", "ratings", "history"])
+def test_output_naming_an_input_or_another_output_is_refused(pipeline, tmp_path, capsys, case):
+    """Each run would overwrite a file it reads or writes; it is refused before
+    anything is read or written, with both options named."""
+    base, net_dir, scores, samples, ckpt, _ = pipeline
+    net2, s2, sc = tmp_path / "net2", tmp_path / "s2.txt", tmp_path / "sc.history.csv"
+    shutil.copytree(net_dir, net2)
+    shutil.copy(samples, s2)
+    shutil.copy(scores, sc)
+    r = tmp_path / "r.csv"
+    rank = ("rank", "--network", str(net2), "--ckpt", str(ckpt))
+    argv, flags, clobbered = {
+        "generate": (("generate", "--network", str(net2), "--out", str(net2 / "edges.csv")),
+                     ("--out", "--network"), net2 / "edges.csv"),
+        "rank": ((*rank, "--samples", str(s2), "--out", str(s2)), ("--out", "--samples"), s2),
+        "train": (("train", "--network", str(net2), "--scores", str(sc), "--samples", str(s2),
+                   "--out", str(sc)), ("--out", "--scores"), sc),
+        "ratings": ((*rank, "--samples", str(s2), "--ratings-out", str(r), "--out", str(r)),
+                    ("--out", "--ratings-out"), r),
+        "history": (("train", "--network", str(net2), "--scores", str(sc), "--samples", str(s2),
+                     "--out", str(tmp_path / "sc")), ("--out's .history.csv file", "--scores"),
+                    sc),
+    }[case]
+    before = {p: p.read_bytes() for p in (net2 / "edges.csv", s2, sc)}
+    err = invalid(capsys, *argv)
+    assert f"{flags[0]} and {flags[1]} name the same file {clobbered}" in err
+    assert {p: p.read_bytes() for p in before} == before
+    assert not r.exists()
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_generate_and_train_defaults_are_the_config_dataclasses(tmp_path):

@@ -4,11 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roadrank.encoder import (EmbedParams, LSTMCellParams, _bilstm_batch,
-                              _cell_forward, _encode_batch, _pool_batch,
-                              minmax_scale_columns, sigmoid, vertex_features)
+from roadrank.encoder import (EmbedParams, LSTMCellParams, PrefixIndex, _bilstm_backward,
+                              _bilstm_batch, _cell_forward, _encode_backward, _encode_batch,
+                              _pool_batch, identity_levels, minmax_scale_columns, sigmoid,
+                              vertex_features)
 from roadrank.graph import ValidationError, normalized_views
-from roadrank.model import PairScorer, apply_ablation, embedding_width
+from roadrank.model import NODE_CHUNK, PairScorer, apply_ablation, embedding_width
 from roadrank.ranker import RankerParams
 from roadrank.synth import synth_grid_network
 from roadrank.walks import SampleSet, WalkConfig, sample_walks
@@ -16,14 +17,24 @@ from roadrank.walks import SampleSet, WalkConfig, sample_walks
 
 def encode(seq, A, p):
     """Initial encoding of one sequence, (len(seq), x)."""
-    x, _ = _encode_batch(np.asarray([seq]), vertex_features(A), p)
-    return x[:, :, 0]
+    enc, _ = _encode_batch(np.asarray([seq]), vertex_features(A), p)
+    return enc[:, seq].T
 
 
 def lstm(xs, cell):
-    """One direction over a single sequence (L, x) -> (L, dim)."""
-    h, _ = _cell_forward(np.asarray(xs, dtype=float)[:, :, None], cell)
-    return h[:, :, 0]
+    """One direction over a single sequence (L, x) -> (L, dim): input t is
+    column t of the vertex table."""
+    xs = np.asarray(xs, dtype=float)
+    h, _ = _cell_forward(xs.T, identity_levels(np.arange(len(xs))[None, :]), cell)
+    return np.stack([ht[:, 0] for ht in h])
+
+
+def bilstm(xs, p):
+    """Both directions over a single sequence (L, x) -> (L, 2*dim)."""
+    ids = np.arange(len(xs))[None, :]
+    h2, _ = _bilstm_batch(np.asarray(xs, dtype=float).T,
+                          (identity_levels(ids), identity_levels(ids[:, ::-1])), p)
+    return h2[:, :, 0]
 
 
 def embed_all(ss, net, p):
@@ -38,8 +49,7 @@ def test_zero_params_zero_outputs():
     A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     xs = encode([0, 1, 3], A, p)  # node, node, attribute
     npt.assert_array_equal(xs, np.zeros((3, 4)))
-    h, _ = _bilstm_batch(np.ones((4, 4, 1)), p)
-    npt.assert_array_equal(h, np.zeros((4, 4, 1)))
+    npt.assert_array_equal(bilstm(np.ones((4, 4)), p), np.zeros((4, 4)))
 
 
 def test_initial_encode_one_hot_identity():
@@ -109,10 +119,10 @@ def test_lstm_two_steps_hand_recurrence():
 def test_bilstm_reversal_symmetry():
     p = EmbedParams.init(m=3, x=4, dim=2, seed=7)
     xs = np.random.default_rng(2).normal(size=(5, 4))
-    h2, _ = _bilstm_batch(xs[:, :, None], p)
-    backward_half = h2[:, p.dim:, 0]
+    h2 = bilstm(xs, p)
+    backward_half = h2[:, p.dim:]
     npt.assert_allclose(backward_half, lstm(xs[::-1], p.bw)[::-1], atol=1e-15)
-    forward_half = h2[:, :p.dim, 0]
+    forward_half = h2[:, :p.dim]
     npt.assert_allclose(forward_half, lstm(xs, p.fw), atol=1e-15)
 
 
@@ -324,46 +334,109 @@ def ref_pool_backward(dpooled, num, l):
     return np.broadcast_to(dhbar[:, None], (g, num, l, w)) / num
 
 
+def ref_forward(seqs, feats, p, use_bilstm):
+    """Per-sequence states (B, L, width) of (B, L) id sequences, and the cache."""
+    x, enc_cache = ref_encode_batch(seqs, feats, p)
+    if not use_bilstm:
+        return x, (enc_cache, None)
+    h, lstm_cache = ref_bilstm_batch(x, p)
+    return h, (enc_cache, lstm_cache)
+
+
+def ref_backward(dh, cache, p):
+    """The EmbedParams gradient of sum(states * dh)."""
+    enc_cache, lstm_cache = cache
+    grads = EmbedParams.zeros(p.m, p.x, p.dim)
+    dx = dh if lstm_cache is None else ref_bilstm_backward(dh, lstm_cache, p, grads)
+    ref_encode_backward(dx, enc_cache, p, grads)
+    return grads
+
+
 def ref_embed(seqs, feats, p, use_bilstm, dpooled):
     """Pooled embeddings of (G, num, L) id sequences and the EmbedParams
     gradient of sum(pooled * dpooled), on the reference layout."""
     g, num, l = seqs.shape
-    x, enc_cache = ref_encode_batch(seqs.reshape(g * num, l), feats, p)
-    h, lstm_cache = ref_bilstm_batch(x, p) if use_bilstm else (x, None)
+    h, cache = ref_forward(seqs.reshape(g * num, l), feats, p, use_bilstm)
     w = h.shape[-1]
     pooled = ref_pool_batch(h.reshape(g, num, l, w))
-    grads = EmbedParams.zeros(p.m, p.x, p.dim)
     dh = ref_pool_backward(dpooled, num, l).reshape(g * num, l, w)
-    dx = ref_bilstm_backward(dh, lstm_cache, p, grads) if use_bilstm else dh
-    ref_encode_backward(dx, enc_cache, p, grads)
-    return pooled, grads
+    return pooled, ref_backward(dh, cache, p)
 
 
-@pytest.mark.parametrize("mode", ["full", "NoBiLSTM"])
-@pytest.mark.parametrize("num", [1, 3])
-@pytest.mark.parametrize("length", [2, 3, 4])
-def test_encoder_matches_reference_layout(mode, num, length):
+def indexed_states(seqs, nodes, feats, p, dh_rng):
+    """BiLSTM states of ``nodes``' sequences stepped over the prefix index, as
+    training runs them but before pooling, (B, L, 2*dim); and the gradient
+    of sum(states * dh) for a random ``dh``, with the ``dh`` it used."""
+    _, num, l = seqs.shape
+    flat = seqs[nodes].reshape(-1, l)
+    rows = (nodes[:, None] * num + np.arange(num)).ravel()
+    every = seqs.reshape(-1, l)
+    levels = (PrefixIndex(every).levels(flat, rows),
+              PrefixIndex(every[:, ::-1]).levels(flat[:, ::-1], rows))
+    enc, enc_cache = _encode_batch(flat, feats, p)
+    h2, cache = _bilstm_batch(enc, levels, p)
+    dh2 = dh_rng.normal(size=h2.shape)
+    grads = EmbedParams.zeros(p.m, p.x, p.dim)
+    ids, dx = _bilstm_backward(dh2, cache, p, grads)
+    _encode_backward(ids, dx, enc_cache, p, grads)
+    return h2.transpose(2, 0, 1), grads, dh2.transpose(2, 0, 1)
+
+
+# (length, num, mode); pooling needs two positions, so length 1 checks the
+# BiLSTM states below it, which NoBiLSTM does not have
+REFERENCE_CASES = [(length, num, mode) for length in (1, 2, 3, 4) for num in (1, 3)
+                   for mode in ("full", "NoBiLSTM") if length > 1 or mode == "full"]
+
+
+@pytest.mark.parametrize("length, num, mode", REFERENCE_CASES)
+def test_encoder_matches_reference_layout(length, num, mode):
     net = synth_grid_network(2, 3, seed=4)
     rng = np.random.default_rng(100 * length + num)
-    # few distinct vertex ids, so every batch repeats ids within and across sequences
-    seqs = rng.integers(0, net.n + net.m, size=(net.n, num, length))
-    ss = SampleSet(sequences=seqs, n=net.n, m=net.m,
-                   config=WalkConfig(alpha=0.5, num=num, length=length, seed=0))
+    walks = sample_walks(net, normalized_views(net),
+                         WalkConfig(alpha=0.0, num=num, length=max(length, 2), seed=length))
+    cases = {
+        # few distinct vertex ids, so every batch repeats ids within and across sequences
+        "random": rng.integers(0, net.n + net.m, size=(net.n, num, length)),
+        # every sequence of a node identical: one entry per node at every level
+        "repeated": np.repeat(rng.integers(0, net.n + net.m, size=(net.n, 1, length)), num, axis=1),
+        # (node, attribute, node, attribute): prefixes shared within a node, suffixes across nodes
+        "walks": walks.sequences[:, :, :length],
+    }
     p = EmbedParams.init(net.m, x=5, dim=2, seed=length)
     variant = apply_ablation(mode)
     width = embedding_width(variant, net.m, p.x, p.dim)
-    scorer = PairScorer(net, ss, p, RankerParams.zeros(width), variant)
-    nodes = np.array([4, 0, 5, 2])
-    dpooled = rng.normal(size=(nodes.size, width))
-
-    pooled, cache = scorer.node_embeddings(nodes, with_cache=True)
-    grads = EmbedParams.zeros(p.m, p.x, p.dim)
-    scorer._embed_backward(dpooled, cache, grads)
-
     feats = vertex_features(minmax_scale_columns(net.A))
-    ref_pooled, ref_grads = ref_embed(seqs[nodes], feats, p, variant.use_bilstm, dpooled)
-    npt.assert_allclose(pooled, ref_pooled, rtol=0, atol=1e-12)
-    expected = ref_grads.tensors()
-    for name, g in grads.tensors().items():
-        npt.assert_allclose(g, expected[name], rtol=0, atol=1e-12, err_msg=name)
-    assert np.abs(grads.w_in).max() > 0
+    nodes = np.array([4, 0, 5, 2])
+    for kind, seqs in cases.items():
+        if length == 1:
+            got, grads, dh = indexed_states(seqs, nodes, feats, p, rng)
+            want, cache = ref_forward(seqs[nodes].reshape(-1, 1), feats, p, True)
+            ref_grads = ref_backward(dh, cache, p)
+        else:
+            ss = SampleSet(sequences=seqs, n=net.n, m=net.m,
+                           config=WalkConfig(alpha=0.5, num=num, length=length, seed=0))
+            scorer = PairScorer(net, ss, p, RankerParams.zeros(width), variant)
+            dpooled = rng.normal(size=(nodes.size, width))
+            got, cache = scorer.node_embeddings(nodes, with_cache=True)
+            grads = EmbedParams.zeros(p.m, p.x, p.dim)
+            scorer._embed_backward(dpooled, cache, grads)
+            want, ref_grads = ref_embed(seqs[nodes], feats, p, variant.use_bilstm, dpooled)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=kind)
+        expected = ref_grads.tensors()
+        for name, g in grads.tensors().items():
+            npt.assert_allclose(g, expected[name], rtol=0, atol=1e-12, err_msg=f"{kind} {name}")
+        assert np.abs(grads.w_in).max() > 0, kind
+
+
+def test_indexed_embeddings_equal_the_chunked_path():
+    """Training's batch over the prefix index and the forward-only path
+    over NODE_CHUNK nodes at a time give the same bits, on real walks."""
+    net = synth_grid_network(9, 9, seed=2)
+    assert net.n > NODE_CHUNK
+    ss = sample_walks(net, normalized_views(net), WalkConfig(alpha=1e-4, num=20, length=4, seed=5))
+    p = EmbedParams.init(net.m, x=8, dim=2, seed=6)
+    scorer = PairScorer(net, ss, p, RankerParams.zeros(p.hdim), apply_ablation("full"))
+    for nodes in (np.random.default_rng(0).permutation(net.n), np.arange(3, net.n, 2)):
+        indexed, _ = scorer.node_embeddings(nodes, with_cache=True)
+        chunked, _ = scorer.node_embeddings(nodes)
+        assert indexed.tobytes() == chunked.tobytes()

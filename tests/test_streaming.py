@@ -15,14 +15,14 @@ from roadrank.cascade import ImportanceScores, import_scores, save_scores
 from roadrank.checkpoint import load_checkpoint, save_checkpoint
 from roadrank.cli import EXIT_OK, main
 from roadrank.encoder import EmbedParams, sigmoid
-from roadrank.graph import ValidationError, load_network_dir
+from roadrank.graph import ValidationError, load_network_dir, normalized_views
 from roadrank.metrics import (MetricReport, _f1_from_counts, confusion_counts, diff_metric,
                               labelled_pairs, micro_macro_f1, report_for_ranking)
 from roadrank.model import PairScorer, apply_ablation
 from roadrank.ranker import RankerParams, pair_forward, rank_blocks, rank_from_matrix
 from roadrank.synth import synth_grid_network
 from roadrank.training import TrainConfig, _evaluate_split
-from roadrank.walks import SampleSet, WalkConfig, load_samples, save_samples
+from roadrank.walks import SampleSet, WalkConfig, load_samples, sample_walks, save_samples
 
 
 def run(*argv):
@@ -323,3 +323,23 @@ def test_validation_memory_on_grid40():
     aff = np.random.default_rng(2).uniform(0.0, 3.0, size=net.n)
     peak_mb = traced_peak_mb(_evaluate_split, scorer, range(net.n), aff)
     assert peak_mb < 16, peak_mb
+
+
+def test_prefix_index_and_one_training_batch_memory_on_grid40():
+    """Real walks over 1,600 nodes, 150 sequences each: the first
+    ``loss_and_grads`` builds the prefix index, then runs a 64-pair batch.
+    Here it peaks at 34.4 MB, of which the batch alone takes 25.6 MB and the
+    index holds 7.7 MB, an int32 map per level and direction: as many bytes
+    as the int64 samples."""
+    net = synth_grid_network(40, 40, seed=2)
+    samples = sample_walks(net, normalized_views(net),
+                           WalkConfig(alpha=0.0001, num=150, length=4, seed=2))
+    embed = EmbedParams.init(net.m, 8, 2, seed=3)
+    scorer = PairScorer(net, samples, embed, RankerParams.init(embed.hdim, seed=4),
+                        apply_ablation("full"))
+    rng = np.random.default_rng(1)
+    pi, pj = rng.integers(0, net.n, size=(2, 64))
+    peak_mb = traced_peak_mb(scorer.loss_and_grads, pi, pj, (pi < pj).astype(float))
+    held = sum(e.nbytes for index in scorer._index for e in index.entry if e is not None)
+    assert held <= samples.sequences.nbytes, held
+    assert peak_mb < 40, peak_mb
