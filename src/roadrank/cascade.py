@@ -10,14 +10,12 @@ into a single decayed score.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .graph import RoadNetwork, ValidationError, in_edges
+from .graph import RoadNetwork, ValidationError, in_edges, read_node_table, write_node_table
 
 
 @dataclass(frozen=True)
@@ -189,46 +187,17 @@ def generate_ground_truth(net: RoadNetwork, cfg: CascadeConfig) -> ImportanceSco
 
 
 def save_scores(scores: ImportanceScores, path) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        fh.write("node_id,aff\n")
-        for i, v in enumerate(scores.aff):
-            fh.write(f"{i},{float(v)!r}\n")
+    write_node_table(path, ("aff",), scores.aff[:, None])
 
 
 def import_scores(path, n: int | None = None) -> ImportanceScores:
-    """Read externally produced scores from a ``node_id,aff`` CSV.
+    """Read externally produced scores from a node table (see
+    :func:`roadrank.graph.read_node_table`) with header ``node_id,aff``.
 
     Ids must cover ``0..n-1`` exactly (``n`` defaults to the row count);
-    scores must be finite and non-negative.  When both imported scores and
-    a simulator config are available, the imported scores win.
+    scores must be finite and non-negative.
     """
-    path = Path(path)
-    rows: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["node_id", "aff"]:
-            raise ValidationError(f"{path}: expected header 'node_id,aff'")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                node, value = int(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                raise ValidationError(f"{path}:{ln}: expected '<node_id>,<aff>' numbers, "
-                                      f"got {','.join(row)!r}") from None
-            if node in rows:
-                raise ValidationError(f"{path}:{ln}: duplicate node id {node}")
-            if not 0 <= value < math.inf:
-                raise ValidationError(f"{path}:{ln}: negative or non-finite score for node "
-                                      f"{node}: {row[1].strip()!r}")
-            rows[node] = value
-    count = n if n is not None else len(rows)
-    missing = sorted(set(range(count)) - set(rows))
-    if missing:
-        raise ValidationError(f"{path}: missing score for node {missing[0]}")
-    extra = sorted(set(rows) - set(range(count)))
-    if extra:
-        raise ValidationError(f"{path}: unexpected node id {extra[0]}")
-    aff = np.array([rows[i] for i in range(count)], dtype=np.float64)
-    return ImportanceScores(aff=aff, gamma=None, periods=None, provenance="imported")
+    names, values, _ = read_node_table(path, "score", n)
+    if names != ("aff",):
+        raise ValidationError(f"{path}: expected header 'node_id,aff'")
+    return ImportanceScores(aff=values[:, 0], gamma=None, periods=None, provenance="imported")

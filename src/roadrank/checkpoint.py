@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EmbedParams
-from .graph import ValidationError
+from .graph import ValidationError, open_text
 from .ranker import RankerParams
 
 _CKPT_MAGIC = "roadrank-checkpoint v1"
@@ -45,7 +45,7 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
     path = Path(path)
     meta: dict[str, str] = {}
     tensors: dict[str, tuple[int, np.ndarray]] = {}  # name -> (shape line, values)
-    with open(path) as fh:
+    with open_text(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != _CKPT_MAGIC:
             raise ValidationError(f"{path}: unrecognized checkpoint header {magic!r}")
@@ -66,6 +66,8 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
                     shape = tuple(int(d) for d in rest.split(" ")[1:])
                     ln, values = next(lines, (ln + 1, ""))
                     arr = np.array([float(v) for v in values.split()], dtype=np.float64)
+                except UnicodeDecodeError:
+                    raise  # open_text names the file
                 except ValueError:
                     raise ValidationError(
                         f"{path}:{ln}: tensor {name} has a non-numeric shape or value") from None

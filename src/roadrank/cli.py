@@ -6,7 +6,6 @@ its primary output so results can be replayed."""
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -22,7 +21,7 @@ from . import __version__
 from .baselines import betweenness_centrality, degree_centrality, pagerank
 from .cascade import CascadeConfig, generate_ground_truth, import_scores, save_scores
 from .checkpoint import load_checkpoint, save_checkpoint
-from .graph import ValidationError, load_network_dir, save_network
+from .graph import ValidationError, load_network_dir, open_text, read_rows, save_network
 from .metrics import descending_order, report_for_ranking
 from .model import PairScorer, apply_ablation
 # rank_from_matrix is not called here; perfbench/spans.py spans it under this module
@@ -145,7 +144,7 @@ def _read_config(path: Path, options: dict[str, Option]) -> dict[str, tuple[int,
     """``key -> (line number, value)`` for each ``key=value`` line; a key
     that is not in ``options``, a repeated key and an empty value are errors."""
     out: dict[str, tuple[int, str]] = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -197,9 +196,7 @@ def _build(cls, cfg: dict):
 def _read_node_ids(path: Path, split: str | None = None) -> list[int]:
     """Node ids from a one-column list or a CSV with a ``node_id`` header;
     when the file has a ``split`` column only rows of ``split`` are kept."""
-    with open(path, newline="") as fh:
-        rows = [(ln, [f.strip() for f in row]) for ln, row in enumerate(csv.reader(fh), start=1)
-                if row and any(f.strip() for f in row) and not row[0].startswith("#")]
+    rows = [(ln, row) for ln, row in read_rows(path) if not row[0].startswith("#")]
     if not rows:
         raise ValidationError(f"{path}: empty file")
     keys, data = (rows[0][1], rows[1:]) if "node_id" in rows[0][1] else (["node_id"], rows)

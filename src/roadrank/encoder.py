@@ -23,7 +23,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Every layer's initial weights: draws from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -48,9 +49,9 @@ class LSTMCellParams:
         # one gate at a time in i, f, c, o order: this order fixes what a seed draws
         for g in "ifco":
             w_x, w_h, b = cell.gate(g)
-            w_x[...] = _uniform(rng, (x, dim), x)
-            w_h[...] = _uniform(rng, (dim, dim), dim)
-            b[...] = _uniform(rng, (dim,), dim)
+            w_x[...] = uniform_init(rng, (x, dim), x)
+            w_h[...] = uniform_init(rng, (dim, dim), dim)
+            b[...] = uniform_init(rng, (dim,), dim)
         return cell
 
     @classmethod
@@ -92,8 +93,8 @@ class EmbedParams:
             raise ValidationError("encoder dims must be >= 1")
         rng = np.random.default_rng(seed)
         return cls(
-            w_in=_uniform(rng, (m, x), m),
-            b_in=_uniform(rng, (x,), m),
+            w_in=uniform_init(rng, (m, x), m),
+            b_in=uniform_init(rng, (x,), m),
             fw=LSTMCellParams.init(x, dim, rng),
             bw=LSTMCellParams.init(x, dim, rng),
             m=m,

@@ -5,10 +5,12 @@ drive every sampling probability downstream."""
 from __future__ import annotations
 
 import csv
+import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -87,88 +89,112 @@ class NormalizedViews:
         return self.abar.shape[0]
 
 
-def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+@contextmanager
+def open_text(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open ``path`` to read as UTF-8 text; a byte that is not UTF-8 raises
+    a :class:`ValidationError` naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """Stream a CSV as (1-based line number, fields) per data row."""
     empty = True
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         for ln, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not f.strip() for f in row):
-                continue
-            empty = False
-            yield ln, [f.strip() for f in row]
+            row = [f.strip() for f in row]
+            if any(row):
+                empty = False
+                yield ln, row
     if empty:
         raise ValidationError(f"{path}: file is empty")
+
+
+def read_node_table(path, what: str, n: int | None = None
+                    ) -> tuple[tuple[str, ...], np.ndarray, dict[int, int]]:
+    """Read a node table: header ``node_id,<name_1>,...,<name_k>``, then one
+    row of k finite values >= 0 per node, in any order, whose ids cover
+    ``0..n-1`` exactly (``n`` defaults to the row count).  Returns the names,
+    the (n, k) values and each node's line; ``what`` names a value in errors.
+    """
+    path = Path(path)
+    (header_ln, header), *rows = read_rows(path)
+    if header[0] != "node_id":
+        raise ValidationError(f"{path}:{header_ln}: {what} header must start with 'node_id'")
+    names = tuple(header[1:])
+    if not names:
+        raise ValidationError(f"{path}:{header_ln}: no {what} columns declared")
+    if not rows:
+        raise ValidationError(f"{path}: no node rows after the header")
+    n = len(rows) if n is None else n
+    line_of: dict[int, int] = {}
+    values: list = [None] * n
+    for ln, row in rows:
+        if len(row) != len(header):
+            raise ValidationError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
+        try:
+            node = int(row[0])
+        except ValueError:
+            raise ValidationError(f"{path}:{ln}: bad node id {row[0]!r}") from None
+        if node in line_of:
+            raise ValidationError(
+                f"{path}:{ln}: duplicate node id {node} (first at line {line_of[node]})")
+        if not 0 <= node < n:
+            missing = min(set(range(n)) - line_of.keys(), default=None)
+            raise ValidationError(f"{path}:{ln}: node id {node} outside 0..{n - 1}" + (
+                "" if missing is None else f"; missing node row for node {missing}"))
+        line_of[node] = ln
+        try:
+            values[node] = list(map(float, row[1:]))
+        except ValueError:
+            raise ValidationError(f"{path}:{ln}: non-numeric {what} value") from None
+        for name, v in zip(names, values[node]):
+            if not 0 <= v < math.inf:  # also false for nan
+                raise ValidationError(f"{path}:{ln}: {'negative' if v < 0 else 'non-finite'} "
+                                      f"{what} {name}={v} for node {node}")
+    if len(line_of) < n:
+        raise ValidationError(f"{path}: missing node row for node {values.index(None)}")
+    return names, np.array(values, dtype=np.float64), line_of
+
+
+def write_node_table(path, names, values) -> None:
+    """Write the node table :func:`read_node_table` reads: row ``i`` holds
+    ``values[i]`` at full float precision, so a read gives the values back
+    exactly."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(("node_id", *names)) + "\n")
+        for i, row in enumerate(np.asarray(values, dtype=np.float64).tolist()):
+            fh.write(str(i) + "," + ",".join(repr(v) for v in row) + "\n")
 
 
 def load_network(edge_file, attr_file) -> RoadNetwork:
     """Load a road network from an edge CSV and an attribute CSV.
 
     The edge file has header ``src,dst`` and one directed edge per line.
-    The attribute file has header ``node_id,<attr_1>,...,<attr_m>`` and one
-    row per node; row order is irrelevant but ids must cover ``0..n-1``
-    exactly.  Nodes left with out-degree 0 receive a self-loop, reported
-    via a warning and ``RoadNetwork.self_loop_nodes``.
+    The attribute file is a node table (:func:`read_node_table`) with header
+    ``node_id,<attr_1>,...,<attr_m>``.  Nodes left with out-degree 0
+    receive a self-loop, reported via a warning and
+    ``RoadNetwork.self_loop_nodes``.
 
     Raises :class:`ValidationError` (naming the offending line) for a
-    missing node row, a negative or non-finite attribute, a dangling edge
-    endpoint, a duplicate node id, or a duplicate edge.
+    malformed node table, a node with no positive attribute, a dangling
+    edge endpoint, or a duplicate edge.
     """
     edge_file = Path(edge_file)
-    attr_file = Path(attr_file)
-
-    attr_rows = list(_read_rows(attr_file))
-    header_ln, header = attr_rows[0]
-    if not header or header[0] != "node_id":
-        raise ValidationError(
-            f"{attr_file}:{header_ln}: attribute header must start with 'node_id'"
-        )
-    attr_names = tuple(header[1:])
-    m = len(attr_names)
-    if m < 1:
-        raise ValidationError(f"{attr_file}:{header_ln}: no attribute columns declared")
-
-    n = len(attr_rows) - 1
-    seen_line: dict[int, int] = {}
-    A = np.zeros((n, m), dtype=np.float64)
-    for ln, row in attr_rows[1:]:
-        if len(row) != m + 1:
-            raise ValidationError(
-                f"{attr_file}:{ln}: expected {m + 1} fields, got {len(row)}"
-            )
-        try:
-            node = int(row[0])
-        except ValueError:
-            raise ValidationError(f"{attr_file}:{ln}: bad node id {row[0]!r}") from None
-        if node in seen_line:
-            raise ValidationError(
-                f"{attr_file}:{ln}: duplicate node id {node} (first at line {seen_line[node]})"
-            )
-        if not 0 <= node < n:
-            missing = sorted(set(range(n)) - set(seen_line))[0]
-            raise ValidationError(
-                f"{attr_file}:{ln}: node id {node} outside 0..{n - 1}; "
-                f"missing node row for id {missing}"
-            )
-        seen_line[node] = ln
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError:
-            raise ValidationError(f"{attr_file}:{ln}: non-numeric attribute value") from None
-        for k, v in enumerate(values):
-            if not 0 <= v < np.inf:  # also false for nan
-                raise ValidationError(
-                    f"{attr_file}:{ln}: {'negative' if v < 0 else 'non-finite'} attribute "
-                    f"{attr_names[k]}={v} for node {node}")
-        A[node] = values
+    attr_names, A, attr_line = read_node_table(attr_file, "attribute")
+    n, m = A.shape
 
     zero_rows = np.flatnonzero(~(A > 0).any(axis=1))
     if zero_rows.size:
         raise ValidationError(
-            f"{attr_file}:{seen_line[int(zero_rows[0])]}: node {int(zero_rows[0])} "
+            f"{attr_file}:{attr_line[int(zero_rows[0])]}: node {int(zero_rows[0])} "
             "has no positive attribute (every node needs at least one)"
         )
 
-    edge_rows = _read_rows(edge_file)
+    edge_rows = read_rows(edge_file)
     e_ln, e_header = next(edge_rows)
     if e_header[:2] != ["src", "dst"]:
         raise ValidationError(f"{edge_file}:{e_ln}: edge header must be 'src,dst'")
@@ -226,10 +252,7 @@ def save_network(net: RoadNetwork, out_dir) -> None:
         fh.write("src,dst\n")
         for s, d in zip(net.src.tolist(), net.dst.tolist()):
             fh.write(f"{s},{d}\n")
-    with open(out_dir / "attributes.csv", "w", newline="") as fh:
-        fh.write("node_id," + ",".join(net.attr_names) + "\n")
-        for i in range(net.n):
-            fh.write(str(i) + "," + ",".join(repr(float(v)) for v in net.A[i]) + "\n")
+    write_node_table(out_dir / "attributes.csv", net.attr_names, net.A)
 
 
 def load_network_dir(net_dir) -> RoadNetwork:

@@ -15,6 +15,7 @@ from itertools import groupby
 
 import numpy as np
 
+from .encoder import uniform_init
 from .graph import ValidationError
 
 EPS = 1e-12
@@ -49,20 +50,15 @@ class RankerParams:
         if min(input_dim, f1, f2, rdim) < 1:
             raise ValidationError("ranker layer widths must be >= 1")
         rng = np.random.default_rng(seed)
-
-        def u(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
         return cls(
-            w1=u((input_dim, f1), input_dim),
-            b1=u((f1,), input_dim),
-            w2=u((f1, f2), f1),
-            b2=u((f2,), f1),
-            w3=u((f2, rdim), f2),
-            b3=u((rdim,), f2),
-            w_out=u((2 * rdim,), 2 * rdim),
-            b_out=u((1,), 2 * rdim),
+            w1=uniform_init(rng, (input_dim, f1), input_dim),
+            b1=uniform_init(rng, (f1,), input_dim),
+            w2=uniform_init(rng, (f1, f2), f1),
+            b2=uniform_init(rng, (f2,), f1),
+            w3=uniform_init(rng, (f2, rdim), f2),
+            b3=uniform_init(rng, (rdim,), f2),
+            w_out=uniform_init(rng, (2 * rdim,), 2 * rdim),
+            b_out=uniform_init(rng, (1,), 2 * rdim),
         )
 
     @classmethod

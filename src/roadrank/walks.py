@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .alias import AliasTable, alias_draw, build_alias
-from .graph import NormalizedViews, RoadNetwork, ValidationError
+from .graph import NormalizedViews, RoadNetwork, ValidationError, open_text
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def _read_sequence_lines(fh, path: Path, count: int, length: int, ids_below: int
 def load_samples(path) -> SampleSet:
     """Read a sample set written by :func:`save_samples` (v1 or v2)."""
     path = Path(path)
-    with open(path) as fh:
+    with open_text(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic not in _SAMPLES_MAGICS:
             raise ValidationError(f"{path}: unrecognized sample file header {magic!r}")

@@ -303,6 +303,12 @@ def test_import_scores_negative(tmp_path):
         import_scores(path)
 
 
+def test_import_scores_skips_whitespace_lines(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("node_id,aff\n0,1.0\n   \n1,2.0\n \t \n")
+    npt.assert_array_equal(import_scores(path, n=2).aff, [1.0, 2.0])
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         CascadeConfig(gamma=0.0)

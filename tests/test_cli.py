@@ -312,7 +312,7 @@ def test_threads_flag_removed(tmp_path):
 # the pipeline has 12 nodes, so id 12 is one past the last: a non-finite
 # score must be named at its line before the id is found to be extra
 @pytest.mark.parametrize("body", ["0,abc\n", "x,1.0\n", "0\n", "12,nan\n", "12,inf\n",
-                                  "12,-inf\n"])
+                                  "12,-inf\n", "12,2.0,junk\n"])
 def test_eval_rejects_malformed_truth(pipeline, tmp_path, capsys, body):
     base, _, scores, _, _, ranking = pipeline
     truth = tmp_path / "truth.csv"
@@ -321,6 +321,30 @@ def test_eval_rejects_malformed_truth(pipeline, tmp_path, capsys, body):
     err = invalid(capsys, "eval", "--ranking", str(ranking), "--truth", str(truth),
                   "--out", str(tmp_path / "report.txt"))
     assert f"{truth}:{lines + 1}:" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("node_id,aff,note\n" + "".join(f"{v},1.0,0.0\n" for v in range(12)),
+                 "expected header 'node_id,aff'", id="extra-column"),
+    pytest.param("node_id,aff\n", "no node rows after the header", id="header-only"),
+])
+def test_eval_rejects_truth_without_one_score_per_row(pipeline, tmp_path, capsys, text, message):
+    base, _, _, _, _, ranking = pipeline
+    truth = tmp_path / "truth.csv"
+    truth.write_text(text)
+    err = invalid(capsys, "eval", "--ranking", str(ranking), "--truth", str(truth),
+                  "--out", str(tmp_path / "report.txt"))
+    assert f"{truth}: {message}" in err
+
+
+def test_baseline_rejects_a_network_without_nodes(tmp_path, capsys):
+    net_dir = tmp_path / "net"
+    net_dir.mkdir()
+    (net_dir / "edges.csv").write_text("src,dst\n")
+    (net_dir / "attributes.csv").write_text("node_id,limiv,nlan\n")
+    err = invalid(capsys, "baseline", "--method", "bc", "--network", str(net_dir),
+                  "--out", str(tmp_path / "bc.csv"))
+    assert "attributes.csv: no node rows after the header" in err
 
 
 def test_node_readers_reject_bad_ids_and_short_rows(pipeline, tmp_path, capsys):
@@ -767,6 +791,23 @@ FUZZ_TOKENS = ["", "x", "-1", "0", "3", "17", "99", "0.5", "-0", "+2", "nan", "i
                "0x10", "1_0", "tensor", "meta"]
 
 
+# sha256 of what ``rank --ratings-out`` writes from the tests/data/v1
+# checkpoint: the forward encoder's and the ranker's bits, unrounded
+V1_RANK_SHA256 = {
+    "ranking.csv": "53b8eb2531e2e688888bbcc0d69dd47454960852c08d31cba29a17dff915a84c",
+    "ratings.csv": "032eac30d5ec144e164c1ef85834668ef30943b45163a162b8db1aa85be4050f",
+}
+
+
+def test_v1_rank_outputs_match_golden_digests(tmp_path):
+    assert run("rank", "--network", str(V1_DATA / "net"), "--ckpt", str(V1_DATA / "model.ckpt"),
+               "--samples", str(V1_DATA / "samples.txt"), "--ratings-out",
+               str(tmp_path / "ratings.csv"), "--out", str(tmp_path / "ranking.csv")) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in V1_RANK_SHA256}
+    assert digests == V1_RANK_SHA256
+
+
 @pytest.fixture(scope="module")
 def reader_inputs(tmp_path_factory):
     """Valid inputs for ``rank`` (checkpoint, samples), ``eval`` (ranking,
@@ -792,11 +833,14 @@ def reader_inputs(tmp_path_factory):
     return base, files
 
 
-def corrupt(text: str, op: str, k: int, j: int, junk: str, token: str) -> str:
-    """Truncate ``text`` at a byte, delete, garble or change one token of a
-    line, or repeat a line at the end."""
+def corrupt(text: str, op: str, k: int, j: int, junk: str, token: str) -> bytes:
+    """Truncate ``text`` at a byte, insert a byte that is not UTF-8, delete,
+    garble or change one token of a line, or repeat a line at the end."""
     if op == "truncate":
-        return text[:k % len(text)]
+        return text[:k % len(text)].encode()
+    if op == "byte":
+        data = text.encode()
+        return data[:k % len(data)] + b"\xff" + data[k % len(data):]
     lines = text.splitlines(keepends=True)
     i = k % len(lines)
     if op == "delete":
@@ -811,7 +855,7 @@ def corrupt(text: str, op: str, k: int, j: int, junk: str, token: str) -> str:
         if words:
             parts[words[j % len(words)]] = token
         lines[i] = "".join(parts)
-    return "".join(lines)
+    return "".join(lines).encode()
 
 
 # a truncated edge list leaves nodes without out-edges, which load with a warning
@@ -820,19 +864,20 @@ def corrupt(text: str, op: str, k: int, j: int, junk: str, token: str) -> str:
 @given(target=st.sampled_from(["model.ckpt", "samples.txt", "ranking.csv", "scores.csv",
                                "edges.csv", "attributes.csv", "train.cfg", "sample.cfg",
                                "generate.cfg"]),
-       op=st.sampled_from(["truncate", "delete", "garble", "token", "append"]),
+       op=st.sampled_from(["truncate", "byte", "delete", "garble", "token", "append"]),
        k=st.integers(0, 10**6), j=st.integers(0, 100),
        junk=st.text(alphabet="0123456789 ,.=-+einaftx", max_size=24),
        token=st.sampled_from(FUZZ_TOKENS))
 def test_readers_survive_corrupted_inputs(reader_inputs, target, op, k, j, junk, token):
     """A damaged input ends in exit 0 or a ValidationError (exit 4), never
-    in any other exception."""
+    in any other exception; every reader reads its file to the end, so a
+    byte that is not UTF-8 always ends in exit 4."""
     base, files = reader_inputs
     # every example writes into a new directory: on some filesystems
     # overwriting a file costs far more than creating one
     work = Path(tempfile.mkdtemp(dir=base))
     paths = {**files, target: work / target}
-    paths[target].write_text(corrupt(files[target].read_text(), op, k, j, junk, token))
+    paths[target].write_bytes(corrupt(files[target].read_text(), op, k, j, junk, token))
     if target in ("model.ckpt", "samples.txt"):
         argv = ["rank", "--network", str(V1_DATA / "net"), "--ckpt", str(paths["model.ckpt"]),
                 "--samples", str(paths["samples.txt"]), "--out", str(work / "out.csv")]
@@ -854,4 +899,4 @@ def test_readers_survive_corrupted_inputs(reader_inputs, target, op, k, j, junk,
         code = main(argv)
     except ValidationError:
         return
-    assert code in (EXIT_OK, EXIT_INVALID)
+    assert code in ((EXIT_INVALID,) if op == "byte" else (EXIT_OK, EXIT_INVALID))

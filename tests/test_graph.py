@@ -95,6 +95,7 @@ def test_sink_gets_self_loop(tmp_path):
     (["0,1", "1,0"], ["0,1,inf", "1,1,1"], "non-finite attribute b=inf"),
     (["0,1", "1,0"], ["0,1,1", "1,1,1e400"], "non-finite attribute b=inf"),
     (["0,1", "1,0"], ["0,-inf,1", "1,1,1"], "negative attribute a=-inf"),
+    (["0,1", "1,0"], [], "no node rows after the header"),
 ])
 def test_load_rejections(tmp_path, edge_lines, attr_lines, fragment):
     edges, attrs = write_net(tmp_path, edge_lines, attr_lines)
