@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import RoadNetwork, ValidationError, in_edges
+from .graph import RoadNetwork, ValidationError, flat_neighbours, in_edges
 
 
 def degree_centrality(net: RoadNetwork) -> np.ndarray:
@@ -16,20 +16,6 @@ def degree_centrality(net: RoadNetwork) -> np.ndarray:
 # Sources run together: each (sources x nodes) array of a block stays near
 # 1 MB.
 _BLOCK_ELEMENTS = 1 << 17
-
-
-def _expand(frontier: np.ndarray, n: int, ptr: np.ndarray,
-            idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair each flat ``source * n + node`` index in ``frontier`` with every
-    CSR neighbour ``idx[ptr[node]:ptr[node + 1]]`` of its node, in frontier
-    order, then CSR order.  Returns each pair's position in ``frontier`` and
-    its neighbour's flat index."""
-    node = frontier % n
-    start = ptr[node]
-    count = ptr[node + 1] - start
-    at = np.repeat(np.arange(frontier.size), count)
-    pos = np.arange(at.size) + (start - (np.cumsum(count) - count))[at]
-    return at, (frontier - node)[at] + idx[pos]
 
 
 def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
@@ -70,7 +56,7 @@ def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
         levels = [roots]
         while True:
             frontier = levels[-1]
-            at, w = _expand(frontier, n, net.out_ptr, net.out_idx)
+            at, _, w = flat_neighbours(frontier, n, net.out_ptr, net.out_idx)
             new = np.flatnonzero(dist[w] < 0)
             if not new.size:
                 break
@@ -85,7 +71,7 @@ def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
         while len(levels) > 1:
             d = len(levels) - 1
             frontier = levels.pop()[::-1]
-            at, v = _expand(frontier, n, in_ptr, in_src)
+            at, _, v = flat_neighbours(frontier, n, in_ptr, in_src)
             up = np.flatnonzero(dist[v] == d - 1)
             v, at = v[up], at[up]
             np.add.at(delta, v, sigma[v] / sigma[frontier][at] * (1.0 + delta[frontier])[at])

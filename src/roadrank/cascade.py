@@ -6,6 +6,11 @@ a target segment's capacity is slashed, congestion spills back upstream
 period by period; a segment fails the first period its speed drops below
 a fraction of its limit, and the per-period failure counts are folded
 into a single decayed score.
+
+The network is simulated once with no failure (the free run); each
+target's run is then the free run repaired only where the target's
+change has spread, which gives the same counts bit for bit as simulating
+the whole network per target.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import RoadNetwork, ValidationError, in_edges, read_node_table, write_node_table
+from .graph import (RoadNetwork, ValidationError, flat_neighbours, in_edges, read_node_table,
+                    write_node_table)
 
 
 @dataclass(frozen=True)
@@ -101,47 +107,146 @@ def assign_baseline_state(net: RoadNetwork, kappa: float = 1.0,
                          speed=_congested_speed(limiv, capacity, demand))
 
 
-# Targets simulated together: each (targets x in-edges) float temporary of
-# a block stays near 1 MB.
+# Targets repaired together: a block has at most this many (target, in-edge)
+# pairs and (target, segment) cells, so each flat table and temporary of a
+# block stays near 1 MB even where a target's change set covers the whole
+# network.
 _BLOCK_ELEMENTS = 1 << 17
 
 
-def _simulate_block(net: RoadNetwork, state: BaselineState, src: np.ndarray,
-                    dst: np.ndarray, targets: np.ndarray, cfg: CascadeConfig) -> np.ndarray:
-    """Failure counts per period, one row per target in ``targets``.
+class _LocalCascade:
+    """The target-free trajectory of one network, and exact per-target
+    repairs of it.
 
-    Every target's cascade is independent, so the block runs them as rows
-    of a (targets x n) demand matrix.  Per-segment sums go through
-    ``np.bincount``, which adds in input order from 0.0; with edges sorted
-    by (dst, src) that is the order of a plain loop over segments, so each
-    row equals a one-target, one-segment-at-a-time simulation bit for bit.
+    A target's run differs from the free run only where its reduced
+    capacity has spread, so a block of targets carries, from period to
+    period, only the flat ``row * n + segment`` cells whose demand differs
+    from the free run (D) and those whose failed state differs (F).  In
+    each period it recomputes the pushes into D, the targets and the
+    segments downstream of D, skipping those congested in neither run
+    (both push exactly 0.0), and the demand of D and of every segment
+    upstream of a recomputed one.  Every sum adds the same float64 terms
+    in the same order as the free run: a segment's upstream demand over
+    its in-edges in (dst, src) order, a segment's pushes received over its
+    out-edges in ascending dst order, each starting from 0.0 as
+    ``np.bincount`` does.  The cell sets themselves are in no particular
+    order.  Every other cell holds the free run's bits, so each target's
+    counts equal a whole-network simulation of it exactly.
     """
-    n, b = net.n, targets.size
-    limiv = net.A[:, net.attr_index("limiv")]
-    threshold = cfg.failure_speed_fraction * limiv
-    rows = np.arange(b)
-    cap = np.tile(state.capacity, (b, 1))
-    cap[rows, targets] *= cfg.capacity_reduction
-    dem = np.tile(state.demand, (b, 1))
-    offset = (rows * n)[:, None]
-    by_dst = (offset + dst).ravel()
-    by_src = (offset + src).ravel()
-    uniform = 1.0 / np.bincount(dst)[dst]  # equal shares when upstream demand is 0
-    failed = np.zeros((b, n), dtype=bool)
-    counts = np.zeros((b, cfg.periods), dtype=np.int64)
-    for t in range(cfg.periods):
-        if t > 0:
-            unmet = np.maximum(dem - cap, 0.0)
-            ups = dem[:, src]
-            total = np.bincount(by_dst, weights=ups.ravel(), minlength=b * n).reshape(b, n)[:, dst]
-            positive = total > 0
-            share = np.where(positive, ups / np.where(positive, total, 1.0), uniform)
-            pushed = (cfg.spillback_rate * unmet[:, dst]) * share
-            dem = dem + np.bincount(by_src, weights=pushed.ravel(), minlength=b * n).reshape(b, n)
-        newly = (_congested_speed(limiv, cap, dem) < threshold) & ~failed
-        counts[:, t] = newly.sum(axis=1)
-        failed |= newly
-    return counts
+
+    def __init__(self, net: RoadNetwork, state: BaselineState, cfg: CascadeConfig):
+        self.n, self.cfg = net.n, cfg
+        self.limiv = net.A[:, net.attr_index("limiv")]
+        self.threshold = cfg.failure_speed_fraction * self.limiv
+        self.cap = state.capacity
+        src, dst = in_edges(net)
+        self.src = src
+        self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=net.n))))
+        self.uniform = 1.0 / np.diff(self.in_ptr)[dst]  # equal shares when upstream demand is 0
+        # the same edges by (src, dst): each segment's out-edges, ascending dst
+        self.out_edge = np.argsort(src, kind="stable")
+        self.out_dst = dst[self.out_edge]
+        self.out_deg = np.bincount(src, minlength=net.n)
+        self.out_ptr = np.concatenate(([0], np.cumsum(self.out_deg)))
+        self.out_rank = np.empty_like(self.out_edge)  # each edge's place among its src's
+        self.out_rank[self.out_edge] = np.arange(src.size) - self.out_ptr[src[self.out_edge]]
+        self._free_run(state.demand, dst)
+
+    def _free_run(self, dem: np.ndarray, dst: np.ndarray) -> None:
+        n, cfg, src = self.n, self.cfg, self.src
+        self.dem = np.empty((cfg.periods, n))
+        self.push = np.zeros((cfg.periods, src.size))  # row 0 is unused
+        self.congested = np.empty((cfg.periods, n), dtype=bool)
+        self.newly = np.empty((cfg.periods, n), dtype=bool)
+        self.failed = np.zeros((cfg.periods + 1, n), dtype=bool)  # before each period
+        for t in range(cfg.periods):
+            if t > 0:
+                unmet = np.maximum(dem - self.cap, 0.0)
+                ups = dem[src]
+                total = np.bincount(dst, weights=ups, minlength=n)[dst]
+                positive = total > 0
+                share = np.where(positive, ups / np.where(positive, total, 1.0), self.uniform)
+                self.push[t] = (cfg.spillback_rate * unmet[dst]) * share
+                dem = dem + np.bincount(src, weights=self.push[t], minlength=n)
+            self.dem[t] = dem
+            self.congested[t] = dem > self.cap
+            below = _congested_speed(self.limiv, self.cap, dem) < self.threshold
+            self.newly[t] = below & ~self.failed[t]
+            self.failed[t + 1] = self.failed[t] | self.newly[t]
+
+    def counts(self, targets: np.ndarray) -> np.ndarray:
+        """Failure counts per period, one row per target in ``targets``."""
+        n, cfg, src = self.n, self.cfg, self.src
+        b = targets.size
+        tkeys = np.arange(b) * n + targets
+        # tables over the block's flat cells; a cell's ``dem`` entry holds
+        # its demand while the cell is in D
+        cap = np.tile(self.cap, b)
+        cap[tkeys] *= cfg.capacity_reduction
+        dem = np.empty(b * n)
+        in_d = np.zeros(b * n, dtype=bool)
+        in_f = np.zeros(b * n, dtype=bool)
+        seen = np.empty(b * n, dtype=np.intp)
+
+        def unique(keys):  # each key once
+            order = np.arange(keys.size)
+            seen[keys] = order
+            return keys[np.flatnonzero(seen[keys] == order)]
+
+        def demand(keys, seg, free):
+            return np.where(in_d[keys], dem[keys], free[seg])
+
+        counts = np.tile(self.newly.sum(axis=1), (b, 1))
+        d = f = d_out = np.empty(0, dtype=np.intp)
+        for t in range(cfg.periods):
+            if t > 0:
+                prev = self.dem[t - 1]
+                # pushes into D, the targets and D's out-neighbours, where
+                # congested in either run
+                c = unique(np.concatenate([d, tkeys, d_out]))
+                seg = c - c // n * n
+                unmet = np.maximum(demand(c, seg, prev) - cap[c], 0.0)
+                keep = np.flatnonzero((unmet > 0) | self.congested[t - 1][seg])
+                c, unmet = c[keep], unmet[keep]
+                at, e, up = flat_neighbours(c, n, self.in_ptr, src)
+                ups = demand(up, src[e], prev)
+                total = np.bincount(at, weights=ups, minlength=c.size)[at]
+                positive = total > 0
+                share = np.where(positive, ups / np.where(positive, total, 1.0), self.uniform[e])
+                pushed = (cfg.spillback_rate * unmet[at]) * share
+                # the demand of D and of the cells upstream of those pushes:
+                # the free run's pushes over each cell's out-edges, with the
+                # recomputed ones put in at their edges' places
+                u = unique(np.concatenate([d, up]))
+                seg = u - u // n * n
+                at, j, down = flat_neighbours(u, n, self.out_ptr, self.out_dst)
+                received = self.push[t][self.out_edge[j]]
+                seen[u] = np.arange(u.size)
+                deg = self.out_deg[seg]
+                received[(np.cumsum(deg) - deg)[seen[up]] + self.out_rank[e]] = pushed
+                new = demand(u, seg, prev) + np.bincount(at, weights=received, minlength=u.size)
+                moved = new != self.dem[t][seg]
+                in_d[d] = False
+                keep = np.flatnonzero(moved)
+                d = u[keep]
+                in_d[d] = True
+                dem[d] = new[keep]
+                # D's out-neighbours matter only where the free run is
+                # congested: any other is in D, a target, or congested in
+                # neither run
+                d_out = down[np.flatnonzero(moved[at] & self.congested[t][self.out_dst[j]])]
+            q = unique(np.concatenate([d, tkeys, f]))
+            row = q // n
+            seg = q - row * n
+            before = self.failed[t][seg] ^ in_f[q]
+            speed = _congested_speed(self.limiv[seg], cap[q], demand(q, seg, self.dem[t]))
+            newly = (speed < self.threshold[seg]) & ~before
+            counts[:, t] += (np.bincount(row[newly], minlength=b)
+                             - np.bincount(row[self.newly[t][seg]], minlength=b))
+            in_f[f] = False
+            f = q[np.flatnonzero((before | newly) != self.failed[t + 1][seg])]
+            in_f[f] = True
+        return counts
 
 
 def cascade_failure(net: RoadNetwork, state: BaselineState, target: int,
@@ -158,30 +263,33 @@ def cascade_failure(net: RoadNetwork, state: BaselineState, target: int,
     """
     if not 0 <= target < net.n:
         raise ValidationError(f"unknown target id {target}")
-    src, dst = in_edges(net)
-    return _simulate_block(net, state, src, dst, np.array([target]), cfg)[0]
+    return _LocalCascade(net, state, cfg).counts(np.array([target]))[0]
 
 
-def importance_score(counts, gamma: float) -> float:
-    """Decayed failure count: sum over periods t of gamma^t * n_t."""
+def importance_score(counts, gamma: float):
+    """Decayed failure count: sum over periods t of gamma^t * n_t.
+
+    The periods run along the last axis of ``counts``: one count per period
+    gives a float, and one row per target gives one score per row.
+    """
     counts = np.asarray(counts, dtype=np.float64)
     if (counts < 0).any():
         raise ValidationError("failure counts must be >= 0")
-    t = np.arange(1, counts.size + 1, dtype=np.float64)
-    return float(np.sum(np.power(gamma, t) * counts))
+    t = np.arange(1, counts.shape[-1] + 1, dtype=np.float64)
+    scores = np.sum(np.power(gamma, t) * counts, axis=-1)
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def generate_ground_truth(net: RoadNetwork, cfg: CascadeConfig) -> ImportanceScores:
     """Score every node by simulating its failure once."""
     state = assign_baseline_state(net, kappa=cfg.kappa,
                                   observation_window=cfg.observation_window)
-    src, dst = in_edges(net)
-    block = max(1, _BLOCK_ELEMENTS // max(src.size, 1))
+    cascade = _LocalCascade(net, state, cfg)
+    block = max(1, _BLOCK_ELEMENTS // max(cascade.src.size, net.n))
     aff = np.empty(net.n)
     for lo in range(0, net.n, block):
         targets = np.arange(lo, min(lo + block, net.n))
-        for target, counts in zip(targets, _simulate_block(net, state, src, dst, targets, cfg)):
-            aff[target] = importance_score(counts, cfg.gamma)
+        aff[targets] = importance_score(cascade.counts(targets), cfg.gamma)
     return ImportanceScores(aff=aff, gamma=cfg.gamma, periods=cfg.periods,
                             provenance="simulated")
 

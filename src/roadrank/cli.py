@@ -326,16 +326,15 @@ def _write_ratings(fh, nodes: list[int], blocks):
     ``i,j,rating`` header and then each block's lines to ``fh`` as it passes,
     skipping each node's rating of itself."""
     fh.write("i,j,rating\n")
-    cols = [f",{j}," for j in nodes]
+    cells = [f",{j},%r\n" for j in nodes]
     for lo, r in blocks:
         lines = []
-        for k, (i, row) in enumerate(zip(nodes[lo:lo + len(r)], r.tolist())):
-            pre = str(i)
-            row_lines = [pre + c + repr(x) for c, x in zip(cols, row)]
-            del row_lines[lo + k]
-            lines += row_lines
-        if lines:
-            fh.write("\n".join(lines) + "\n")
+        for p, (i, row) in enumerate(zip(nodes[lo:lo + len(r)], r.tolist()), start=lo):
+            others = cells[:p] + cells[p + 1:]
+            if others:
+                pre = str(i)
+                lines.append((pre + pre.join(others)) % tuple(row[:p] + row[p + 1:]))
+        fh.write("".join(lines))
         yield lo, r
 
 

@@ -270,6 +270,21 @@ def in_edges(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
     return net.src[order], net.dst[order]
 
 
+def flat_neighbours(frontier: np.ndarray, n: int, ptr: np.ndarray,
+                    idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair each flat ``row * n + node`` index in ``frontier`` with every
+    CSR neighbour ``idx[ptr[node]:ptr[node + 1]]`` of its node, in frontier
+    order, then CSR order.  Returns each pair's position in ``frontier``,
+    its CSR position and its neighbour's flat index."""
+    base = frontier // n * n
+    node = frontier - base
+    start = ptr[node]
+    count = ptr[node + 1] - start
+    at = np.repeat(np.arange(frontier.size), count)
+    pos = np.arange(at.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    return at, pos, np.repeat(base, count) + idx[pos]
+
+
 def normalize_attributes(net: RoadNetwork) -> tuple[np.ndarray, tuple[int, ...]]:
     """Row-normalize the transposed attribute matrix with the l1 norm.
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -30,12 +31,16 @@ def make_net(edges, limiv, nlan, vol):
     return RoadNetwork(n=n, m=5, src=src, dst=dst, A=A, attr_names=ATTRS)
 
 
-def reference_cascade(net, target, cfg):
-    """Independent plain-loop re-simulation of the documented rules."""
+def reference_cascade(net, target, cfg, demands=None):
+    """Independent plain-loop re-simulation of the documented rules.
+
+    ``target=None`` runs the network with no failure.  Each period's
+    demands are appended to ``demands`` when it is a list."""
     limiv = [float(net.A[i, 0]) for i in range(net.n)]
     cap = [float(net.A[i, 1] * net.A[i, 0] * cfg.kappa) for i in range(net.n)]
     dem = [float(net.A[i, 3] / cfg.observation_window) for i in range(net.n)]
-    cap[target] *= cfg.capacity_reduction
+    if target is not None:
+        cap[target] *= cfg.capacity_reduction
     edges = set(zip(net.src.tolist(), net.dst.tolist()))
     failed = {}
     counts = []
@@ -54,6 +59,8 @@ def reference_cascade(net, target, cfg):
                     share = dem[u] / total if total > 0 else 1.0 / len(ups)
                     inc[u] += cfg.spillback_rate * unmet * share
             dem = [d + i for d, i in zip(dem, inc)]
+        if demands is not None:
+            demands.append(dem)
         new = 0
         for i in range(net.n):
             speed = limiv[i] if dem[i] <= cap[i] or dem[i] == 0 else limiv[i] * cap[i] / dem[i]
@@ -161,6 +168,56 @@ def test_chain_propagates_upstream_strictly_later():
     npt.assert_array_equal(counts, ref_counts)
     assert 2 in ref_failed and 1 in ref_failed and 0 in ref_failed
     assert ref_failed[2] < ref_failed[1] < ref_failed[0]
+
+
+def test_failure_earlier_than_the_free_run_counts_once():
+    # a(0) -> b(1) -> c(2) with c over capacity: with no failure the
+    # spillback fails b in period 4 and a in period 7.  Failing c fails them
+    # in periods 2 and 5, so the free run's own later failures of a and b
+    # must not be counted again.
+    net = make_net([(0, 1), (1, 2)], limiv=[10, 10, 10], nlan=[3, 1, 1], vol=[2, 10, 15])
+    cfg = CascadeConfig(spillback_rate=0.9, failure_speed_fraction=0.5)
+    _, free_failed = reference_cascade(net, None, cfg)
+    ref_counts, ref_failed = reference_cascade(net, 2, cfg)
+    assert free_failed == {1: 4, 0: 7}
+    assert ref_failed == {2: 1, 1: 2, 0: 5}
+    npt.assert_array_equal(cascade_failure(net, assign_baseline_state(net), 2, cfg), ref_counts)
+    scores = generate_ground_truth(net, cfg)
+    for target in range(net.n):
+        ref_counts, _ = reference_cascade(net, target, cfg)
+        assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
+
+
+def test_change_set_over_the_whole_network_matches_reference():
+    # over 40 periods some failure moves the demand of every segment of a
+    # 6x6 grid away from the run with no failure
+    net = synth_grid_network(6, 6, seed=1)
+    cfg = CascadeConfig(periods=40)
+    free = []
+    reference_cascade(net, None, cfg, demands=free)
+    state = assign_baseline_state(net)
+    scores = generate_ground_truth(net, cfg)
+    reached = 0
+    for target in range(net.n):
+        demands = []
+        ref_counts, _ = reference_cascade(net, target, cfg, demands=demands)
+        npt.assert_array_equal(cascade_failure(net, state, target, cfg), ref_counts)
+        assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
+        reached = max(reached, *(sum(a != b for a, b in zip(dem, base))
+                                 for dem, base in zip(demands, free)))
+    assert reached == net.n
+
+
+def test_ground_truth_on_a_60x60_grid_allocates_no_n_by_n_array():
+    # one 3600 x 3600 float64 array would take 99 MB
+    net = synth_grid_network(60, 60, seed=2)
+    tracemalloc.start()
+    try:
+        generate_ground_truth(net, CascadeConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_cascade_matches_reference_on_random_networks():

@@ -274,6 +274,21 @@ def test_oracle_stage_outputs_match_golden_digests(tmp_path):
     assert digests == GOLDEN_SHA256
 
 
+# sha256 of `generate`'s scores.csv on a 30x30 grid (seed 1), where each
+# target's change set covers only part of the network
+GRID30_SCORES_SHA256 = "95065afaddaa29618ae56cdaccab764f45a37889dc5598924238e900edbb8659"
+
+
+def test_generate_on_a_30x30_grid_matches_golden_digest(tmp_path):
+    net_dir = tmp_path / "net"
+    assert run("synth", "--rows", "30", "--cols", "30", "--seed", "1",
+               "--out", str(net_dir)) == EXIT_OK
+    assert run("generate", "--network", str(net_dir),
+               "--out", str(tmp_path / "scores.csv")) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "scores.csv").read_bytes()).hexdigest()
+    assert digest == GRID30_SCORES_SHA256
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     base = tmp_path_factory.mktemp("pipeline")
