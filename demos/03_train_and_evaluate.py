@@ -11,8 +11,8 @@ from roadrank.metrics import labelled_pairs, micro_macro_f1, report_for_ranking
 from roadrank.model import PairScorer, apply_ablation
 
 net = rr.synth_grid_network(rows=5, cols=5, seed=0)
-views = rr.normalized_views(net)
-samples = rr.sample_walks(net, views, rr.WalkConfig(alpha=0.0001, num=150, length=4, seed=0))
+abar = rr.normalized_views(net)
+samples = rr.sample_walks(net, abar, rr.WalkConfig(alpha=0.0001, num=150, length=4, seed=0))
 scores = rr.generate_ground_truth(net, rr.CascadeConfig())
 print(f"{net.n} segments; score range {scores.aff.min():.2f}..{scores.aff.max():.2f}")
 
@@ -59,7 +59,7 @@ for mode in ("NoMG", "NoBiLSTM", "NoEmb"):
     acfg = rr.TrainConfig(seed=0, ablation=mode)
     variant = apply_ablation(mode)
     if variant.use_embedding and variant.sample_alpha is not None:
-        asamples = rr.sample_walks(net, views,
+        asamples = rr.sample_walks(net, abar,
                                    rr.WalkConfig(variant.sample_alpha, 150, 4, 0))
     elif variant.use_embedding:
         asamples = samples

@@ -10,8 +10,8 @@ from roadrank.model import PairScorer, apply_ablation
 from roadrank.training import gradient_check, make_pairs
 
 net = rr.synth_grid_network(rows=2, cols=3, seed=3)
-views = rr.normalized_views(net)
-samples = rr.sample_walks(net, views, rr.WalkConfig(alpha=0.5, num=3, length=4, seed=11))
+abar = rr.normalized_views(net)
+samples = rr.sample_walks(net, abar, rr.WalkConfig(alpha=0.5, num=3, length=4, seed=11))
 scores = rr.generate_ground_truth(net, rr.CascadeConfig())
 
 embed = rr.EmbedParams.init(net.m, x=8, dim=2, seed=5)

@@ -19,9 +19,8 @@ from .cascade import (CascadeConfig, ImportanceScores, assign_baseline_state,
                       importance_score, save_scores)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EmbedParams, LSTMCellParams, minmax_scale_columns
-from .graph import (NormalizedViews, RoadNetwork, ValidationError, load_network,
-                    load_network_dir, normalize_attributes, normalized_views,
-                    save_network)
+from .graph import (RoadNetwork, ValidationError, load_network, load_network_dir,
+                    normalized_views, save_network)
 from .metrics import (MetricReport, diff_metric, labelled_pairs, micro_macro_f1,
                       report_for_ranking)
 from .model import PairScorer, PipelineVariant, apply_ablation

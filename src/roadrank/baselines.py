@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import RoadNetwork, ValidationError, flat_neighbours, in_edges
+from .graph import RoadNetwork, ValidationError, flat_neighbours
 
 
 def degree_centrality(net: RoadNetwork) -> np.ndarray:
     """In-degree plus out-degree per node, counting self-loops once."""
-    ends = np.concatenate([net.src, net.dst[net.src != net.dst]])
-    return np.bincount(ends, minlength=net.n).astype(np.float64)
+    return (np.diff(net.out_ptr) + np.diff(net.in_ptr)).astype(np.float64)
 
 
 # Sources run together: each (sources x nodes) array of a block stays near
@@ -32,14 +31,12 @@ def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
       previous level's out-edges in first-occurrence order, and
       ``sigma[w] += sigma[v]`` runs in that candidate order;
     - the backward pass goes deepest level first, each level reversed, and
-      pulls from each ``w`` through its in-edges (``graph.in_edges``) to
+      pulls from each ``w`` through its in-edges (the network's in-CSR) to
       every ``v`` one level up, which is the order Brandes' stack pops
       ``w``;
     - each source's dependencies are added to ``bc`` in source order.
     """
     n = net.n
-    in_src, in_dst = in_edges(net)
-    in_ptr = np.concatenate(([0], np.cumsum(np.bincount(in_dst, minlength=n))))
     block = max(1, _BLOCK_ELEMENTS // n)
     bc = np.zeros(n)
     for lo in range(0, n, block):
@@ -71,7 +68,7 @@ def betweenness_centrality(net: RoadNetwork) -> np.ndarray:
         while len(levels) > 1:
             d = len(levels) - 1
             frontier = levels.pop()[::-1]
-            at, _, v = flat_neighbours(frontier, n, in_ptr, in_src)
+            at, _, v = flat_neighbours(frontier, n, net.in_ptr, net.in_src)
             up = np.flatnonzero(dist[v] == d - 1)
             v, at = v[up], at[up]
             np.add.at(delta, v, sigma[v] / sigma[frontier][at] * (1.0 + delta[frontier])[at])

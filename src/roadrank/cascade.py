@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (RoadNetwork, ValidationError, flat_neighbours, in_edges, read_node_table,
+from .graph import (RoadNetwork, ValidationError, flat_neighbours, read_node_table,
                     write_node_table)
 
 
@@ -139,10 +139,10 @@ class _LocalCascade:
         self.limiv = net.A[:, net.attr_index("limiv")]
         self.threshold = cfg.failure_speed_fraction * self.limiv
         self.cap = state.capacity
-        src, dst = in_edges(net)
-        self.src = src
-        self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=net.n))))
-        self.uniform = 1.0 / np.diff(self.in_ptr)[dst]  # equal shares when upstream demand is 0
+        src = self.src = net.in_src
+        self.in_ptr = net.in_ptr
+        dst = np.repeat(np.arange(net.n), np.diff(net.in_ptr))  # each in-edge's segment
+        self.uniform = 1.0 / np.diff(net.in_ptr)[dst]  # equal shares when upstream demand is 0
         # the same edges by (src, dst): each segment's out-edges, ascending dst
         self.out_edge = np.argsort(src, kind="stable")
         self.out_dst = dst[self.out_edge]

@@ -264,9 +264,8 @@ def cmd_sample(cfg: dict) -> int:
     net = load_network_dir(cfg["network"])
     from .graph import normalized_views
 
-    views = normalized_views(net)
     wcfg = WalkConfig(alpha=cfg["alpha"], num=cfg["num"], length=cfg["len"], seed=cfg["seed"])
-    samples = sample_walks(net, views, wcfg)
+    samples = sample_walks(net, normalized_views(net), wcfg)
     save_samples(samples, cfg["out"])
     print(f"sampled {wcfg.num} sequences of length {wcfg.length} for {net.n} nodes")
     return EXIT_OK
@@ -425,8 +424,8 @@ def cmd_gradcheck(cfg: dict) -> int:
 
     rng_seed = cfg["seed"]
     net = synth_grid_network(2, 3, rng_seed)
-    views = normalized_views(net)
-    samples = sample_walks(net, views, WalkConfig(alpha=0.5, num=3, length=4, seed=rng_seed))
+    samples = sample_walks(net, normalized_views(net),
+                           WalkConfig(alpha=0.5, num=3, length=4, seed=rng_seed))
     scores = generate_ground_truth(net, CascadeConfig())
     embed = EmbedParams.init(net.m, 8, 2, rng_seed)
     ranker = RankerParams.init(embed.hdim, seed=rng_seed + 1)

@@ -1,6 +1,6 @@
-"""Road-network data model: file ingestion, validation, and the two
-normalized views (uniform out-edge steps, row-normalized attributes) that
-drive every sampling probability downstream."""
+"""Road-network data model: file ingestion, validation, the network's
+adjacency (its edge arrays with an out-CSR and an in-CSR, built once), and
+the row-normalized attribute view that drives bridge sampling downstream."""
 
 from __future__ import annotations
 
@@ -27,6 +27,9 @@ class RoadNetwork:
     ``src[e]`` to segment ``dst[e]``, in file order; ``out_ptr``/``out_idx``
     index the same edges by source (CSR sorted by (src, dst)), so the
     out-neighbours of ``i`` are ``out_idx[out_ptr[i]:out_ptr[i + 1]]``.
+    ``in_ptr``/``in_src`` index the edges that are not self-loops by
+    destination (CSR sorted by (dst, src)), so the in-neighbours of ``i``
+    are ``in_src[in_ptr[i]:in_ptr[i + 1]]``.
     ``A`` holds one non-negative attribute row per node; every row has at
     least one strictly positive entry, and every node has out-degree >= 1
     (sinks are patched with a self-loop at load time and recorded in
@@ -43,6 +46,8 @@ class RoadNetwork:
     self_loop_nodes: tuple[int, ...] = ()
     out_ptr: np.ndarray = field(init=False, repr=False, compare=False)
     out_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    in_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    in_src: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outdeg = np.bincount(self.src, minlength=self.n)
@@ -51,7 +56,13 @@ class RoadNetwork:
                                   "patch sinks with a self-loop as load_network does")
         object.__setattr__(self, "out_ptr", np.concatenate(([0], np.cumsum(outdeg))))
         object.__setattr__(self, "out_idx", self.dst[np.lexsort((self.dst, self.src))])
-        for array in (self.src, self.dst, self.out_ptr, self.out_idx, self.A):
+        keep = np.flatnonzero(self.src != self.dst)
+        indeg = np.bincount(self.dst[keep], minlength=self.n)
+        object.__setattr__(self, "in_ptr", np.concatenate(([0], np.cumsum(indeg))))
+        object.__setattr__(self, "in_src",
+                           self.src[keep[np.lexsort((self.src[keep], self.dst[keep]))]])
+        for array in (self.src, self.dst, self.out_ptr, self.out_idx, self.in_ptr,
+                      self.in_src, self.A):
             array.flags.writeable = False
 
     def attr_index(self, name: str) -> int:
@@ -59,34 +70,6 @@ class RoadNetwork:
             return self.attr_names.index(name)
         except ValueError:
             raise ValidationError(f"network has no attribute named {name!r}") from None
-
-
-@dataclass(frozen=True)
-class NormalizedViews:
-    """The two probability views of a network.
-
-    An adjacency step from node ``i`` is uniform over its out-neighbours
-    ``out_idx[out_ptr[i]:out_ptr[i + 1]]`` (the network's CSR).
-    ``abar[k, i]`` is the l1-normalized share node ``i`` holds of attribute
-    ``k`` (each row sums to 1 unless the attribute is all-zero, in which
-    case the row stays zero and its index appears in ``zero_attr_rows``).
-    """
-
-    out_ptr: np.ndarray
-    out_idx: np.ndarray
-    abar: np.ndarray
-    zero_attr_rows: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        self.abar.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.out_ptr.size - 1
-
-    @property
-    def m(self) -> int:
-        return self.abar.shape[0]
 
 
 @contextmanager
@@ -261,15 +244,6 @@ def load_network_dir(net_dir) -> RoadNetwork:
     return load_network(net_dir / "edges.csv", net_dir / "attributes.csv")
 
 
-def in_edges(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Non-self-loop edges ``src -> dst`` sorted by (dst, src): the
-    in-edges of each node in turn, which the cascade and Brandes' backward
-    pass both read."""
-    keep = np.flatnonzero(net.src != net.dst)
-    order = keep[np.lexsort((net.src[keep], net.dst[keep]))]
-    return net.src[order], net.dst[order]
-
-
 def flat_neighbours(frontier: np.ndarray, n: int, ptr: np.ndarray,
                     idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair each flat ``row * n + node`` index in ``frontier`` with every
@@ -285,29 +259,21 @@ def flat_neighbours(frontier: np.ndarray, n: int, ptr: np.ndarray,
     return at, pos, np.repeat(base, count) + idx[pos]
 
 
-def normalize_attributes(net: RoadNetwork) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row-normalize the transposed attribute matrix with the l1 norm.
+def normalized_views(net: RoadNetwork) -> np.ndarray:
+    """The attribute view ``abar``, read-only: ``abar[k, i]`` is the
+    l1-normalized share node ``i`` holds of attribute ``k``.
 
-    Returns ``(abar, zero_rows)`` where ``abar[k]`` sums to 1 for every
-    attribute with positive total mass; all-zero attributes keep an
-    all-zero row, are reported via a warning, and are listed in
-    ``zero_rows``.  Normalizing removes the bias a large-valued attribute
-    would otherwise exert on sampling.
+    Each row sums to 1 unless the attribute is all-zero; such a row stays
+    zero and is reported via a warning.  Normalizing removes the bias a
+    large-valued attribute would otherwise exert on sampling.
     """
     if (net.A < 0).any():
         raise ValidationError("attribute matrix has negative entries")
     totals = net.A.sum(axis=0)
     zero = np.flatnonzero(totals == 0)
-    safe = np.where(totals == 0, 1.0, totals)
-    abar = (net.A / safe).T
+    abar = (net.A / np.where(totals == 0, 1.0, totals)).T
     if zero.size:
         names = [net.attr_names[int(k)] for k in zero]
         warnings.warn(f"attribute(s) {names} are all-zero; excluded from sampling", stacklevel=2)
-    return abar, tuple(int(k) for k in zero)
-
-
-def normalized_views(net: RoadNetwork) -> NormalizedViews:
-    """Build both probability views of a network in one call."""
-    abar, zero_rows = normalize_attributes(net)
-    return NormalizedViews(out_ptr=net.out_ptr, out_idx=net.out_idx, abar=abar,
-                           zero_attr_rows=zero_rows)
+    abar.flags.writeable = False
+    return abar

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .alias import AliasTable, alias_draw, build_alias
-from .graph import NormalizedViews, RoadNetwork, ValidationError, open_text
+from .graph import RoadNetwork, ValidationError, open_text
 
 
 @dataclass(frozen=True)
@@ -62,28 +62,29 @@ class SampleSet:
         self.sequences.flags.writeable = False
 
 
-def node_step_distribution(i: int, views: NormalizedViews) -> np.ndarray:
+def node_step_distribution(i: int, net: RoadNetwork) -> np.ndarray:
     """Adjacency-step distribution from node ``i``: uniform over its out-neighbours."""
-    if not 0 <= i < views.n:
+    if not 0 <= i < net.n:
         raise ValidationError(f"node id {i} out of range")
-    lo, hi = views.out_ptr[i], views.out_ptr[i + 1]
-    p = np.zeros(views.n)
-    p[views.out_idx[lo:hi]] = 1.0 / (hi - lo)
+    lo, hi = net.out_ptr[i], net.out_ptr[i + 1]
+    p = np.zeros(net.n)
+    p[net.out_idx[lo:hi]] = 1.0 / (hi - lo)
     return p
 
 
-def node_to_attr_distribution(i: int, views: NormalizedViews) -> np.ndarray:
-    """Relative contribution of each attribute to node ``i``."""
-    if not 0 <= i < views.n:
+def node_to_attr_distribution(i: int, abar: np.ndarray) -> np.ndarray:
+    """Relative contribution of each attribute to node ``i``, read from the
+    attribute view ``abar`` (:func:`graph.normalized_views`)."""
+    if not 0 <= i < abar.shape[1]:
         raise ValidationError(f"node id {i} out of range")
-    col = views.abar[:, i]
+    col = abar[:, i]
     total = col.sum()
     if total <= 0:
         raise ValidationError(f"node {i} has no positive attribute mass")
     return col / total
 
 
-def attr_to_node_distribution(i: int, k: int, views: NormalizedViews) -> np.ndarray:
+def attr_to_node_distribution(i: int, k: int, abar: np.ndarray) -> np.ndarray:
     """Bridge-step distribution from attribute ``k`` given origin node ``i``.
 
     Nodes carrying attribute ``k`` are weighted by similarity to the
@@ -92,9 +93,9 @@ def attr_to_node_distribution(i: int, k: int, views: NormalizedViews) -> np.ndar
     weights all vanish (identical or maximally distant values) the
     distribution falls back to uniform over the support.
     """
-    if not 0 <= k < views.m:
+    if not 0 <= k < abar.shape[0]:
         raise ValidationError(f"attribute id {k} out of range")
-    row = views.abar[k]
+    row = abar[k]
     support = row != 0
     if not support.any():
         raise ValidationError(f"attribute {k} has empty support (all-zero row)")
@@ -133,7 +134,7 @@ def _bridge_landing(origin: np.ndarray, k: np.ndarray, abar: np.ndarray,
     return landed
 
 
-def sample_walks(net: RoadNetwork, views: NormalizedViews, cfg: WalkConfig) -> SampleSet:
+def sample_walks(net: RoadNetwork, abar: np.ndarray, cfg: WalkConfig) -> SampleSet:
     """Sample ``cfg.num`` sequences of ``cfg.length`` vertices per node.
 
     Every sequence starts at its own node; attribute visits consume a
@@ -147,15 +148,15 @@ def sample_walks(net: RoadNetwork, views: NormalizedViews, cfg: WalkConfig) -> S
     attribute land on a node by :func:`_bridge_landing`.
     """
     n, num = net.n, cfg.num
-    deg = np.diff(views.out_ptr)
-    to_attr_prob = np.empty((n, views.m))
-    to_attr_alias = np.empty((n, views.m), dtype=np.int64)
+    deg = np.diff(net.out_ptr)
+    to_attr_prob = np.empty((n, net.m))
+    to_attr_alias = np.empty((n, net.m), dtype=np.int64)
     for i in range(n):
-        table = build_alias(node_to_attr_distribution(i, views))
+        table = build_alias(node_to_attr_distribution(i, abar))
         to_attr_prob[i], to_attr_alias[i] = table.prob, table.alias
     # each attribute's support (the nonzeros of its abar row) as a CSR
-    sup_k, sup_idx = np.nonzero(views.abar)
-    sup_ptr = np.concatenate(([0], np.cumsum(np.bincount(sup_k, minlength=views.m))))
+    sup_k, sup_idx = np.nonzero(abar)
+    sup_ptr = np.concatenate(([0], np.cumsum(np.bincount(sup_k, minlength=net.m))))
     out = np.empty((n, num, cfg.length), dtype=np.int64)
     for i in range(n):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
@@ -168,7 +169,7 @@ def sample_walks(net: RoadNetwork, views: NormalizedViews, cfg: WalkConfig) -> S
             step = np.flatnonzero(on_node & heads)
             if step.size:
                 cur = prev[step]
-                seqs[step, p] = views.out_idx[views.out_ptr[cur] + rng.integers(0, deg[cur])]
+                seqs[step, p] = net.out_idx[net.out_ptr[cur] + rng.integers(0, deg[cur])]
             bridge = np.flatnonzero(on_node & ~heads)
             if bridge.size:
                 cur = prev[bridge]
@@ -177,7 +178,7 @@ def sample_walks(net: RoadNetwork, views: NormalizedViews, cfg: WalkConfig) -> S
             land = np.flatnonzero(~on_node)
             if land.size:
                 seqs[land, p] = _bridge_landing(seqs[land, p - 2], prev[land] - n,
-                                                views.abar, sup_ptr, sup_idx, rng)
+                                                abar, sup_ptr, sup_idx, rng)
     return SampleSet(sequences=out, n=n, m=net.m, config=cfg)
 
 

@@ -29,8 +29,8 @@ def test_criterion_1_gradient_oracle():
     instances = [(2, 3, 0, 3), (2, 4, 1, 2), (3, 3, 2, 3), (2, 5, 3, 2), (2, 2, 4, 3)]
     for rows, cols, seed, num in instances:
         net = rr.synth_grid_network(rows, cols, seed=seed)
-        views = rr.normalized_views(net)
-        samples = rr.sample_walks(net, views, rr.WalkConfig(0.5, num, 4, seed + 10))
+        abar = rr.normalized_views(net)
+        samples = rr.sample_walks(net, abar, rr.WalkConfig(0.5, num, 4, seed + 10))
         scores = rr.generate_ground_truth(net, rr.CascadeConfig())
         embed = rr.EmbedParams.init(net.m, 8, 2, seed + 20)  # hdim = 8
         ranker = rr.RankerParams.init(embed.hdim, seed=seed + 30)
@@ -45,20 +45,20 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_sampler_law():
     start = time.monotonic()
     net = rr.synth_grid_network(4, 5, seed=2)  # 20 nodes
-    views = rr.normalized_views(net)
+    abar = rr.normalized_views(net)
     origin = 7
     walks = 100_000
     worst_tv = 0.0
     for alpha in (0.0, 0.5, 1.0):
         cfg = rr.WalkConfig(alpha=alpha, num=walks, length=2, seed=31)
-        first_steps = rr.sample_walks(net, views, cfg).sequences[origin, :, 1]
+        first_steps = rr.sample_walks(net, abar, cfg).sequences[origin, :, 1]
         counts = np.bincount(first_steps, minlength=net.n + net.m)
         analytic = np.zeros(net.n + net.m)
-        analytic[:net.n] = alpha * rr.node_step_distribution(origin, views)
-        analytic[net.n:] = (1 - alpha) * rr.node_to_attr_distribution(origin, views)
+        analytic[:net.n] = alpha * rr.node_step_distribution(origin, net)
+        analytic[net.n:] = (1 - alpha) * rr.node_to_attr_distribution(origin, abar)
         tv = 0.5 * np.abs(counts / walks - analytic).sum()
         worst_tv = max(worst_tv, tv)
-    pure = rr.sample_walks(net, views, rr.WalkConfig(1.0, 20, 4, 5))
+    pure = rr.sample_walks(net, abar, rr.WalkConfig(1.0, 20, 4, 5))
     nodes_only = pure.sequences.max() < net.n
     elapsed = time.monotonic() - start
     _report(2, "sampler law", worst_tv <= 0.01 and nodes_only and elapsed < 30.0,
@@ -125,8 +125,8 @@ def test_criterion_6_decayed_score_oracle():
 def test_criterion_7_learnable_task_threshold():
     start = time.monotonic()
     net = rr.synth_grid_network(8, 7, seed=2)  # 56 nodes
-    views = rr.normalized_views(net)
-    samples = rr.sample_walks(net, views, rr.WalkConfig(0.0001, 150, 4, 9))
+    abar = rr.normalized_views(net)
+    samples = rr.sample_walks(net, abar, rr.WalkConfig(0.0001, 150, 4, 9))
     vol = net.A[:, list(net.attr_names).index("vol")]
     scores = 2.0 * vol + 5.0  # fixed monotone function of an attribute
     cfg = rr.TrainConfig(seed=4)  # lr 1e-3, batch 64, epochs 100, hdim 8, dropout 0.45
@@ -154,10 +154,10 @@ def test_criterion_8_ablation_ordering():
     raw = {m: [] for m in modes}
     for seed in (0, 1, 2):
         net = rr.synth_grid_network(5, 5, seed=seed)
-        views = rr.normalized_views(net)
+        abar = rr.normalized_views(net)
         samples_by_alpha = {
-            0.0001: rr.sample_walks(net, views, rr.WalkConfig(0.0001, 150, 4, seed)),
-            1.0: rr.sample_walks(net, views, rr.WalkConfig(1.0, 150, 4, seed)),
+            0.0001: rr.sample_walks(net, abar, rr.WalkConfig(0.0001, 150, 4, seed)),
+            1.0: rr.sample_walks(net, abar, rr.WalkConfig(1.0, 150, 4, seed)),
         }
         scores = rr.generate_ground_truth(net, rr.CascadeConfig())
         for mode in modes:

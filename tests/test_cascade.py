@@ -10,7 +10,7 @@ from roadrank.cascade import (CascadeConfig, ImportanceScores,
                               assign_baseline_state, cascade_failure,
                               generate_ground_truth, import_scores,
                               importance_score, save_scores)
-from roadrank.graph import RoadNetwork, ValidationError, in_edges
+from roadrank.graph import RoadNetwork, ValidationError
 from roadrank.synth import synth_grid_network
 
 ATTRS = ("limiv", "nlan", "len", "vol", "avgv")
@@ -268,8 +268,7 @@ def test_ground_truth_over_several_blocks_matches_reference(monkeypatch):
     # 81 targets in blocks of 7 (the last one short) must score exactly as
     # one reference simulation per target
     net = synth_grid_network(9, 9, seed=4)
-    src, _ = in_edges(net)
-    monkeypatch.setattr(cascade, "_BLOCK_ELEMENTS", 7 * src.size)
+    monkeypatch.setattr(cascade, "_BLOCK_ELEMENTS", 7 * net.in_src.size)
     cfg = CascadeConfig()
     scores = generate_ground_truth(net, cfg)
     assert (scores.aff > 0).sum() > net.n // 2

@@ -277,6 +277,13 @@ def test_oracle_stage_outputs_match_golden_digests(tmp_path):
 # sha256 of `generate`'s scores.csv on a 30x30 grid (seed 1), where each
 # target's change set covers only part of the network
 GRID30_SCORES_SHA256 = "95065afaddaa29618ae56cdaccab764f45a37889dc5598924238e900edbb8659"
+# the other stages that read the network's adjacency, on the same grid:
+# Brandes runs 7 blocks of sources there, against 1 on the 6x6 grid
+GRID30_SHA256 = {
+    "samples.txt": "82e5e07235711a8988884cf2c7ac8ab5dce88d1fd3ddd6aba49541d0bb87f421",
+    "bc.csv": "dd8d4cf916cb6907c8843749a84689b7311fb658759d836cd06d6bd79a2736a4",
+    "dc.csv": "da085d22eeef3545e2b826cc33eee660616cad9d5e5b8d6b146878a96a6c4710",
+}
 
 
 def test_generate_on_a_30x30_grid_matches_golden_digest(tmp_path):
@@ -287,6 +294,14 @@ def test_generate_on_a_30x30_grid_matches_golden_digest(tmp_path):
                "--out", str(tmp_path / "scores.csv")) == EXIT_OK
     digest = hashlib.sha256((tmp_path / "scores.csv").read_bytes()).hexdigest()
     assert digest == GRID30_SCORES_SHA256
+    assert run("sample", "--network", str(net_dir), "--seed", "1",
+               "--out", str(tmp_path / "samples.txt")) == EXIT_OK
+    for method in ("bc", "dc"):
+        assert run("baseline", "--method", method, "--network", str(net_dir),
+                   "--out", str(tmp_path / f"{method}.csv")) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GRID30_SHA256}
+    assert digests == GRID30_SHA256
 
 
 @pytest.fixture(scope="module")

@@ -167,8 +167,8 @@ def test_pool_rejects_short_sequences():
 
 def test_embed_all_contracts():
     net = synth_grid_network(2, 3, seed=9)
-    views = normalized_views(net)
-    ss = sample_walks(net, views, WalkConfig(alpha=0.3, num=4, length=4, seed=1))
+    abar = normalized_views(net)
+    ss = sample_walks(net, abar, WalkConfig(alpha=0.3, num=4, length=4, seed=1))
     p = EmbedParams.init(net.m, x=8, dim=2, seed=3)
     H = embed_all(ss, net, p)
     assert H.shape == (net.n, p.hdim)
@@ -186,8 +186,8 @@ def test_embed_all_contracts():
 
 def test_embed_all_deterministic():
     net = synth_grid_network(2, 2, seed=0)
-    views = normalized_views(net)
-    ss = sample_walks(net, views, WalkConfig(alpha=0.5, num=3, length=4, seed=2))
+    abar = normalized_views(net)
+    ss = sample_walks(net, abar, WalkConfig(alpha=0.5, num=3, length=4, seed=2))
     p = EmbedParams.init(net.m, 8, 2, seed=5)
     npt.assert_array_equal(embed_all(ss, net, p), embed_all(ss, net, p))
 
@@ -210,8 +210,8 @@ def test_vertex_features_layout():
 def test_encoder_gradients_finite_difference():
     """Weighted-sum loss over PairScorer.node_embeddings, checked element by element."""
     net = synth_grid_network(2, 2, seed=6)
-    views = normalized_views(net)
-    ss = sample_walks(net, views, WalkConfig(alpha=0.5, num=2, length=4, seed=3))
+    abar = normalized_views(net)
+    ss = sample_walks(net, abar, WalkConfig(alpha=0.5, num=2, length=4, seed=3))
     p = EmbedParams.init(net.m, x=4, dim=2, seed=8)
     rng = np.random.default_rng(1)
     weights = rng.normal(size=(net.n, p.hdim))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadrank.baselines import degree_centrality, pagerank
-from roadrank.graph import (ValidationError, in_edges, load_network, load_network_dir,
-                            normalize_attributes, normalized_views, save_network)
+from roadrank.graph import (ValidationError, load_network, load_network_dir, normalized_views,
+                            save_network)
 from roadrank.synth import synth_grid_network
 from roadrank.walks import node_step_distribution
 
@@ -117,10 +117,9 @@ def test_normalize_adjacency_column(tmp_path):
                              ["0,1,1", "1,1,1", "2,1,1"])
     net = load_network(edges, attrs)
     mbar = normalize_adjacency(net)
-    views = normalized_views(net)
     for i, col in enumerate([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]):
         npt.assert_array_equal(mbar[:, i], col)
-        npt.assert_array_equal(node_step_distribution(i, views), col)
+        npt.assert_array_equal(node_step_distribution(i, net), col)
 
 
 def test_normalize_adjacency_self_loop_only(tmp_path):
@@ -128,7 +127,7 @@ def test_normalize_adjacency_self_loop_only(tmp_path):
     with pytest.warns(UserWarning):
         net = load_network(edges, attrs)
     assert normalize_adjacency(net)[1, 1] == 1.0
-    npt.assert_array_equal(node_step_distribution(1, normalized_views(net)), [0.0, 1.0])
+    npt.assert_array_equal(node_step_distribution(1, net), [0.0, 1.0])
 
 
 def test_normalize_attributes_values(tmp_path):
@@ -137,9 +136,9 @@ def test_normalize_attributes_values(tmp_path):
     edges.write_text("src,dst\n0,1\n1,2\n2,0\n")
     attrs.write_text("node_id,k\n0,2\n1,3\n2,5\n")
     net = load_network(edges, attrs)
-    abar, zero = normalize_attributes(net)
+    abar = normalized_views(net)
     npt.assert_allclose(abar[0], [0.2, 0.3, 0.5])
-    assert zero == ()
+    assert tuple(np.flatnonzero(~abar.any(axis=1))) == ()
 
 
 def test_normalize_attributes_zero_row_flagged(tmp_path):
@@ -149,8 +148,8 @@ def test_normalize_attributes_zero_row_flagged(tmp_path):
     attrs.write_text("node_id,k,z\n0,2,0\n1,3,0\n")
     net = load_network(edges, attrs)
     with pytest.warns(UserWarning, match="all-zero"):
-        abar, zero = normalize_attributes(net)
-    assert zero == (1,)
+        abar = normalized_views(net)
+    assert tuple(np.flatnonzero(~abar.any(axis=1))) == (1,)
     npt.assert_array_equal(abar[1], [0.0, 0.0])
     npt.assert_allclose(abar[0], [0.4, 0.6])
 
@@ -161,7 +160,7 @@ def test_normalize_attributes_single_node(tmp_path):
     edges.write_text("src,dst\n0,0\n")
     attrs.write_text("node_id,k\n0,7\n")
     net = load_network(edges, attrs)
-    abar, _ = normalize_attributes(net)
+    abar = normalized_views(net)
     npt.assert_allclose(abar, [[1.0]])
 
 
@@ -170,14 +169,14 @@ def test_view_sums_on_random_graphs():
     for _ in range(10):
         n = int(rng.integers(2, 15))
         net = random_network(rng, n)
-        views = normalized_views(net)
-        steps = np.array([node_step_distribution(i, views) for i in range(n)])
+        abar = normalized_views(net)
+        steps = np.array([node_step_distribution(i, net) for i in range(n)])
         npt.assert_allclose(steps.sum(axis=1), np.ones(n), atol=1e-12)
-        row_sums = views.abar.sum(axis=1)
+        row_sums = abar.sum(axis=1)
         for k, s in enumerate(row_sums):
             assert abs(s - 1.0) < 1e-12 or s == 0.0
         assert steps.min() >= 0.0 and steps.max() <= 1.0
-        assert views.abar.min() >= 0.0 and views.abar.max() <= 1.0
+        assert abar.min() >= 0.0 and abar.max() <= 1.0
 
 
 def test_round_trip_identity(tmp_path):
@@ -196,10 +195,10 @@ def test_round_trip_identity(tmp_path):
 def test_abar_scale_invariance(c):
     rng = np.random.default_rng(11)
     net = random_network(rng, 6)
-    abar_before, _ = normalize_attributes(net)
+    abar_before = normalized_views(net)
     A = net.A.copy()
     A[:, 1] *= c
-    abar_after, _ = normalize_attributes(dataclasses.replace(net, A=A))
+    abar_after = normalized_views(dataclasses.replace(net, A=A))
     npt.assert_allclose(abar_after, abar_before, atol=1e-12)
 
 
@@ -231,9 +230,10 @@ def test_production_scale_format(tmp_path):
 
 def test_sparse_core_matches_dense_oracle():
     """Bit for bit on random networks with sinks and explicit self-loops:
-    the step distribution is the dense column, the cascade's in-edges are
-    the dense (dst, src) scan without self-loops, and the CSR successors
-    are the dense row's nonzeros."""
+    the step distribution is the dense column, the in-CSR is the dense
+    (dst, src) scan without self-loops, the out-CSR successors are the
+    dense row's nonzeros, and the degree is the dense row plus column sum
+    with each self-loop counted once."""
     rng = np.random.default_rng(8)
     sinks = loops = 0
     for _ in range(30):
@@ -241,16 +241,18 @@ def test_sparse_core_matches_dense_oracle():
         net = random_network(rng, n, p=rng.uniform(0.05, 0.4), loops=True)
         dense = dense_adjacency(net)
         mbar = normalize_adjacency(net)
-        views = normalized_views(net)
         for v in range(n):
-            assert node_step_distribution(v, views).tobytes() == mbar[:, v].tobytes()
+            assert node_step_distribution(v, net).tobytes() == mbar[:, v].tobytes()
             npt.assert_array_equal(net.out_idx[net.out_ptr[v]:net.out_ptr[v + 1]],
                                    np.flatnonzero(dense[v]))
         dst, src = np.nonzero(dense.T)
         keep = src != dst
-        got_src, got_dst = in_edges(net)
-        npt.assert_array_equal(got_src, src[keep])
+        got_dst = np.repeat(np.arange(n), np.diff(net.in_ptr))
+        npt.assert_array_equal(net.in_src, src[keep])
         npt.assert_array_equal(got_dst, dst[keep])
+        assert not (net.in_ptr.flags.writeable or net.in_src.flags.writeable)
+        dense_degree = dense.sum(axis=1) + dense.sum(axis=0) - np.diag(dense)
+        assert degree_centrality(net).tobytes() == dense_degree.tobytes()
         sinks += len(net.self_loop_nodes)
         loops += int((net.src == net.dst).sum()) - len(net.self_loop_nodes)
     assert sinks and loops
@@ -276,7 +278,6 @@ def test_graph_core_allocates_no_dense_matrix(tmp_path):
         traced("normalized_views", normalized_views, net)
         traced("degree_centrality", degree_centrality, net)
         traced("pagerank", pagerank, net)
-        traced("in_edges", in_edges, net)
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) < 8e6, peaks

@@ -14,8 +14,8 @@ from roadrank.walks import WalkConfig, sample_walks
 
 def grid_task(rows=4, cols=5, seed=2, alpha=0.0001, num=150):
     net = synth_grid_network(rows, cols, seed=seed)
-    views = normalized_views(net)
-    samples = sample_walks(net, views, WalkConfig(alpha, num, 4, seed + 1))
+    abar = normalized_views(net)
+    samples = sample_walks(net, abar, WalkConfig(alpha, num, 4, seed + 1))
     scores = net.A[:, list(net.attr_names).index("vol")].copy()
     return net, samples, scores
 

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roadrank.graph import NormalizedViews, RoadNetwork, ValidationError, normalized_views
+from roadrank.graph import RoadNetwork, ValidationError, normalized_views
 from roadrank.synth import synth_grid_network
 from roadrank.walks import (SampleSet, WalkConfig, attr_to_node_distribution,
                             load_samples, node_step_distribution,
@@ -13,81 +13,85 @@ from roadrank.walks import (SampleSet, WalkConfig, attr_to_node_distribution,
                             save_samples)
 
 
-def views_from(succ=None, abar_rows=None, n=3, m=2):
-    """Hand-built views for distribution unit tests; ``succ[i]`` lists the
+def net_from(succ, n=3):
+    """Hand-built network for the step-law unit test; ``succ[i]`` lists the
     out-neighbours of node ``i``."""
-    rows = [sorted((succ or {}).get(i, [])) for i in range(n)]
-    out_ptr = np.cumsum([0] + [len(r) for r in rows])
-    out_idx = np.array([j for r in rows for j in r], dtype=np.int64)
+    src = np.array([i for i in range(n) for _ in succ[i]], dtype=np.int64)
+    dst = np.array([j for i in range(n) for j in succ[i]], dtype=np.int64)
+    return RoadNetwork(n=n, m=1, src=src, dst=dst, A=np.ones((n, 1)), attr_names=("a",))
+
+
+def abar_from(abar_rows, n=3, m=2):
+    """Hand-built attribute view for distribution unit tests; row ``k`` is
+    ``abar_rows[k]`` and the other rows are zero."""
     abar = np.zeros((m, n))
-    if abar_rows:
-        for k, row in abar_rows.items():
-            abar[k] = row
-    return NormalizedViews(out_ptr=out_ptr, out_idx=out_idx, abar=abar)
+    for k, row in abar_rows.items():
+        abar[k] = row
+    return abar
 
 
 def test_node_step_distribution():
-    v = views_from(succ={0: [1, 2], 1: [2], 2: [0]})
+    v = net_from(succ={0: [1, 2], 1: [2], 2: [0]})
     npt.assert_allclose(node_step_distribution(0, v), [0.0, 0.5, 0.5])
     npt.assert_allclose(node_step_distribution(1, v), [0.0, 0.0, 1.0])
 
 
 def test_node_to_attr_distribution():
     # abar column 0 is (0.1, 0.3) -> renormalized (0.25, 0.75)
-    v = views_from(abar_rows={0: [0.1, 0.9, 0.0], 1: [0.3, 0.3, 0.4]})
+    v = abar_from(abar_rows={0: [0.1, 0.9, 0.0], 1: [0.3, 0.3, 0.4]})
     npt.assert_allclose(node_to_attr_distribution(0, v), [0.25, 0.75])
-    single = views_from(abar_rows={0: [1.0, 0.0, 0.0]}, m=1)
+    single = abar_from(abar_rows={0: [1.0, 0.0, 0.0]}, m=1)
     npt.assert_allclose(node_to_attr_distribution(0, single), [1.0])
-    sym = views_from(abar_rows={0: [0.2, 0.8, 0.0], 1: [0.2, 0.8, 0.0]})
+    sym = abar_from(abar_rows={0: [0.2, 0.8, 0.0], 1: [0.2, 0.8, 0.0]})
     npt.assert_allclose(node_to_attr_distribution(0, sym), [0.5, 0.5])
 
 
 def test_node_to_attr_rejects_zero_column():
-    v = views_from(abar_rows={0: [0.0, 1.0, 0.0], 1: [0.0, 0.5, 0.5]})
+    v = abar_from(abar_rows={0: [0.0, 1.0, 0.0], 1: [0.0, 0.5, 0.5]})
     with pytest.raises(ValidationError, match="node 0"):
         node_to_attr_distribution(0, v)
 
 
 def test_attr_to_node_similarity_weights():
     # row (0.2, 0.3, 0.5), origin 0: d = (0, .1, .3), weights (1, .9, .7) / 2.6
-    v = views_from(abar_rows={0: [0.2, 0.3, 0.5], 1: [1 / 3] * 3})
+    v = abar_from(abar_rows={0: [0.2, 0.3, 0.5], 1: [1 / 3] * 3})
     got = attr_to_node_distribution(0, 0, v)
     npt.assert_allclose(got, [10 / 26, 9 / 26, 7 / 26], atol=1e-15)
     assert abs(got.sum() - 1.0) < 1e-12
 
 
 def test_attr_to_node_uniform_when_identical():
-    v = views_from(abar_rows={0: [0.5, 0.5, 0.0]})
+    v = abar_from(abar_rows={0: [0.5, 0.5, 0.0]})
     npt.assert_allclose(attr_to_node_distribution(0, 0, v), [0.5, 0.5, 0.0])
 
 
 def test_attr_to_node_singleton_support():
-    v = views_from(abar_rows={0: [1.0, 0.0, 0.0]})
+    v = abar_from(abar_rows={0: [1.0, 0.0, 0.0]})
     npt.assert_allclose(attr_to_node_distribution(0, 0, v), [1.0, 0.0, 0.0])
 
 
 def test_attr_to_node_zero_weight_support_falls_back_uniform():
     # origin holds none of the attribute, lone support node holds all of it:
     # the similarity weight vanishes, so the support is used uniformly
-    v = views_from(abar_rows={0: [0.0, 1.0, 0.0]})
+    v = abar_from(abar_rows={0: [0.0, 1.0, 0.0]})
     npt.assert_allclose(attr_to_node_distribution(0, 0, v), [0.0, 1.0, 0.0])
 
 
 def test_attr_to_node_empty_support_rejected():
-    v = views_from(abar_rows={0: [0.0, 0.0, 0.0]})
+    v = abar_from(abar_rows={0: [0.0, 0.0, 0.0]})
     with pytest.raises(ValidationError, match="empty support"):
         attr_to_node_distribution(0, 0, v)
 
 
 def test_distributions_sum_to_one_on_real_network():
     net = synth_grid_network(3, 4, seed=8)
-    views = normalized_views(net)
+    abar = normalized_views(net)
     for i in range(net.n):
-        for dist in (node_step_distribution(i, views), node_to_attr_distribution(i, views)):
+        for dist in (node_step_distribution(i, net), node_to_attr_distribution(i, abar)):
             assert dist.min() >= 0.0
             assert abs(dist.sum() - 1.0) < 1e-9
         for k in range(net.m):
-            dist = attr_to_node_distribution(i, k, views)
+            dist = attr_to_node_distribution(i, k, abar)
             assert dist.min() >= 0.0
             assert abs(dist.sum() - 1.0) < 1e-9
 
@@ -103,15 +107,15 @@ def test_walk_config_validation():
 
 def test_alpha_one_is_pure_random_walk():
     net = synth_grid_network(3, 3, seed=1)
-    views = normalized_views(net)
-    ss = sample_walks(net, views, WalkConfig(alpha=1.0, num=20, length=5, seed=3))
+    abar = normalized_views(net)
+    ss = sample_walks(net, abar, WalkConfig(alpha=1.0, num=20, length=5, seed=3))
     assert ss.sequences.max() < net.n  # node ids only
 
 
 def test_alpha_zero_bridge_pattern():
     net = synth_grid_network(3, 3, seed=1)
-    views = normalized_views(net)
-    ss = sample_walks(net, views, WalkConfig(alpha=0.0, num=10, length=4, seed=3))
+    abar = normalized_views(net)
+    ss = sample_walks(net, abar, WalkConfig(alpha=0.0, num=10, length=4, seed=3))
     is_attr = ss.sequences >= net.n
     # allowed patterns: (node, attr, node, attr) or (node, attr, node, node)
     patterns = {tuple(row) for row in is_attr.reshape(-1, 4)}
@@ -120,9 +124,9 @@ def test_alpha_zero_bridge_pattern():
 
 def test_sample_structural_invariants():
     net = synth_grid_network(4, 4, seed=5)
-    views = normalized_views(net)
+    abar = normalized_views(net)
     for alpha in (0.0, 0.3, 1.0):
-        ss = sample_walks(net, views, WalkConfig(alpha=alpha, num=8, length=6, seed=11))
+        ss = sample_walks(net, abar, WalkConfig(alpha=alpha, num=8, length=6, seed=11))
         n, num, l = ss.sequences.shape
         assert (n, num, l) == (net.n, 8, 6)
         starts = ss.sequences[:, :, 0]
@@ -135,18 +139,18 @@ def test_sample_structural_invariants():
 
 def test_sampling_deterministic():
     net = synth_grid_network(3, 3, seed=2)
-    views = normalized_views(net)
+    abar = normalized_views(net)
     cfg = WalkConfig(alpha=0.4, num=5, length=4, seed=99)
-    a = sample_walks(net, views, cfg)
-    b = sample_walks(net, views, cfg)
+    a = sample_walks(net, abar, cfg)
+    b = sample_walks(net, abar, cfg)
     npt.assert_array_equal(a.sequences, b.sequences)
 
 
 def test_sample_roundtrip(tmp_path):
     net = synth_grid_network(2, 3, seed=4)
-    views = normalized_views(net)
+    abar = normalized_views(net)
     cfg = WalkConfig(alpha=0.0001, num=3, length=4, seed=17)
-    ss = sample_walks(net, views, cfg)
+    ss = sample_walks(net, abar, cfg)
     path = tmp_path / "samples.txt"
     save_samples(ss, path)
     back = load_samples(path)
@@ -186,18 +190,18 @@ def test_bridge_landing_follows_attr_to_node_law():
     A[A.sum(axis=1) == 0, 0] = 1.0
     src = np.arange(n)
     net = RoadNetwork(n=n, m=3, src=src, dst=(src + 1) % n, A=A, attr_names=("a", "b", "c"))
-    views = normalized_views(net)
-    ss = sample_walks(net, views, WalkConfig(alpha=0.0, num=60_000, length=3, seed=8))
+    abar = normalized_views(net)
+    ss = sample_walks(net, abar, WalkConfig(alpha=0.0, num=60_000, length=3, seed=8))
     worst, least_acceptance = 0.0, 1.0
     for i in range(n):
         attr, land = ss.sequences[i, :, 1] - n, ss.sequences[i, :, 2]
-        for k in np.flatnonzero(views.abar[:, i]):
-            p = attr_to_node_distribution(i, k, views)
-            support = views.abar[k] > 0
+        for k in np.flatnonzero(abar[:, i]):
+            p = attr_to_node_distribution(i, k, abar)
+            support = abar[k] > 0
             if support.sum() < 2:
                 continue
             least_acceptance = min(least_acceptance, (1 - np.abs(
-                views.abar[k, support] - views.abar[k, i])).mean())
+                abar[k, support] - abar[k, i])).mean())
             worst = max(worst, chi_square_z(np.bincount(land[attr == k], minlength=n), p))
     assert least_acceptance < 0.8  # proposals are rejected for some (origin, attribute)
     assert worst < 4.0
@@ -208,12 +212,12 @@ def test_sampler_memory_does_not_grow_with_node_attribute_tables():
     attribute) pair would be 3,600 * 5 * 3,600 * 16 B, about 1 GB; the
     sampler's own arrays are the output (1.2 MB here) and O(n * m)."""
     net = synth_grid_network(60, 60, seed=1)
-    views = normalized_views(net)
+    abar = normalized_views(net)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sample_walks(net, views, WalkConfig(alpha=0.0001, num=10, length=4, seed=1))
+        sample_walks(net, abar, WalkConfig(alpha=0.0001, num=10, length=4, seed=1))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
