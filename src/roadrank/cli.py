@@ -23,13 +23,13 @@ from .cascade import CascadeConfig, generate_ground_truth, import_scores, save_s
 from .checkpoint import load_checkpoint, save_checkpoint
 from .graph import ValidationError, load_network_dir, open_text, read_rows, save_network
 from .metrics import descending_order, report_for_ranking
-from .model import PairScorer, apply_ablation
+from .model import PairScorer, PipelineVariant, apply_ablation
 # rank_from_matrix is not called here; perfbench/spans.py spans it under this module
 from .ranker import rank_blocks, rank_from_matrix  # noqa: F401
 from .synth import synth_grid_network
 from .training import (TrainConfig, gradient_check, stratified_split, train_model,
                        write_history)
-from .walks import WalkConfig, load_samples, sample_walks, save_samples
+from .walks import SampleSet, WalkConfig, load_samples, sample_walks, save_samples
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -100,7 +100,7 @@ def _run_files(command: str, options: dict[str, Option], cfg: dict,
         if name == "out" or name.endswith("_out"):
             outputs.append((flag, value))
         elif name == "network":
-            inputs += [(flag, value / "edges.csv"), (flag, value / "attributes.csv")]
+            inputs += [(flag, value / "attributes.csv"), (flag, value / "edges.csv")]
         else:
             inputs.append((flag, value))
     outputs += [(f"--out's {suffix} file", _beside(cfg["out"], suffix))
@@ -244,6 +244,16 @@ def export_plotdata(ranking, scores, k: int, path) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _variant_samples(variant: PipelineVariant, path: Path | None) -> SampleSet | None:
+    """The sample set ``variant`` encodes: none for NoEmb, otherwise the
+    --samples file, which an embedding variant cannot do without."""
+    if not variant.use_embedding:
+        return None
+    if path is None:
+        raise ValidationError(f"variant {variant.name} needs --samples")
+    return load_samples(path)
+
+
 def cmd_synth(cfg: dict) -> int:
     net = synth_grid_network(cfg["rows"], cfg["cols"], cfg["seed"])
     out = cfg["out"]
@@ -275,13 +285,7 @@ def cmd_train(cfg: dict) -> int:
     net = load_network_dir(cfg["network"])
     scores = import_scores(cfg["scores"], n=net.n)
     tcfg = _build(TrainConfig, cfg)
-    variant = apply_ablation(tcfg.ablation)
-    samples = None
-    if variant.use_embedding:
-        if cfg["samples"] is None:
-            raise ValidationError(f"ablation {tcfg.ablation} needs --samples")
-        samples = load_samples(cfg["samples"])
-
+    samples = _variant_samples(apply_ablation(tcfg.ablation), cfg["samples"])
     splits = stratified_split(scores, tcfg)
     result = train_model(net, samples, scores, splits, tcfg)
 
@@ -341,12 +345,7 @@ def cmd_rank(cfg: dict) -> int:
     net = load_network_dir(cfg["network"])
     embed, ranker, meta = load_checkpoint(cfg["ckpt"])
     variant = apply_ablation(meta.get("variant", "full"))
-    samples = None
-    if variant.use_embedding:
-        if cfg["samples"] is None:
-            raise ValidationError(f"checkpoint variant {variant.name} needs --samples")
-        samples = load_samples(cfg["samples"])
-    scorer = PairScorer(net, samples, embed, ranker, variant)
+    scorer = PairScorer(net, _variant_samples(variant, cfg["samples"]), embed, ranker, variant)
     if cfg["nodes"] is not None:
         nodes = sorted(_read_node_ids(cfg["nodes"], cfg["split"]))
         if not nodes:
@@ -511,8 +510,9 @@ def main(argv=None) -> int:
         cfg = _resolve(args, options)
         inputs, outputs = _run_files(args.subcommand, options, cfg, args.config)
         _refuse_shared_paths(inputs, outputs)
-        # digested before the run: the manifest records the inputs as read
-        digests = {str(p): _sha256(p) for _, p in inputs if p.is_file()}
+        # digested before the run: the manifest records the inputs as read,
+        # and a named input that cannot be read stops the run here
+        digests = {str(p): _sha256(p) for _, p in inputs}
         code = handler(cfg)
         _write_manifest(args.subcommand, cfg, digests, started)
         return code

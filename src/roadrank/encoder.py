@@ -92,15 +92,12 @@ class EmbedParams:
         if x < 1 or dim < 1:
             raise ValidationError("encoder dims must be >= 1")
         rng = np.random.default_rng(seed)
-        return cls(
-            w_in=uniform_init(rng, (m, x), m),
-            b_in=uniform_init(rng, (x,), m),
-            fw=LSTMCellParams.init(x, dim, rng),
-            bw=LSTMCellParams.init(x, dim, rng),
-            m=m,
-            x=x,
-            dim=dim,
-        )
+        p = cls.zeros(m, x, dim)
+        for t in (p.w_in, p.b_in):
+            t[...] = uniform_init(rng, t.shape, m)
+        p.fw = LSTMCellParams.init(x, dim, rng)
+        p.bw = LSTMCellParams.init(x, dim, rng)
+        return p
 
     @classmethod
     def zeros(cls, m: int, x: int, dim: int) -> "EmbedParams":

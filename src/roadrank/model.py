@@ -14,7 +14,6 @@ from .graph import RoadNetwork, ValidationError
 from .ranker import RankerParams, bce_loss, pair_backward, pair_forward
 from .walks import SampleSet
 
-ABLATIONS = ("full", "NoMG", "NoBiLSTM", "NoEmb")
 NODE_CHUNK = 64  # nodes per forward-only encoder pass
 RATING_ROWS = 64  # rows per block of the rating matrix
 
@@ -31,17 +30,20 @@ class PipelineVariant:
     use_bilstm: bool
 
 
+VARIANTS = {v.name: v for v in (
+    PipelineVariant("full", None, True, True),
+    PipelineVariant("NoMG", 1.0, True, True),
+    PipelineVariant("NoBiLSTM", None, True, False),
+    PipelineVariant("NoEmb", None, False, False),
+)}
+ABLATIONS = tuple(VARIANTS)
+
+
 def apply_ablation(mode: str) -> PipelineVariant:
     """Resolve an ablation mode name to its pipeline variant."""
-    if mode == "full":
-        return PipelineVariant("full", None, True, True)
-    if mode == "NoMG":
-        return PipelineVariant("NoMG", 1.0, True, True)
-    if mode == "NoBiLSTM":
-        return PipelineVariant("NoBiLSTM", None, True, False)
-    if mode == "NoEmb":
-        return PipelineVariant("NoEmb", None, False, False)
-    raise ValidationError(f"unknown ablation mode {mode!r}; expected one of {ABLATIONS}")
+    if mode not in VARIANTS:
+        raise ValidationError(f"unknown ablation mode {mode!r}; expected one of {ABLATIONS}")
+    return VARIANTS[mode]
 
 
 def embedding_width(variant: PipelineVariant, m: int, x: int, dim: int) -> int:

@@ -50,16 +50,13 @@ class RankerParams:
         if min(input_dim, f1, f2, rdim) < 1:
             raise ValidationError("ranker layer widths must be >= 1")
         rng = np.random.default_rng(seed)
-        return cls(
-            w1=uniform_init(rng, (input_dim, f1), input_dim),
-            b1=uniform_init(rng, (f1,), input_dim),
-            w2=uniform_init(rng, (f1, f2), f1),
-            b2=uniform_init(rng, (f2,), f1),
-            w3=uniform_init(rng, (f2, rdim), f2),
-            b3=uniform_init(rng, (rdim,), f2),
-            w_out=uniform_init(rng, (2 * rdim,), 2 * rdim),
-            b_out=uniform_init(rng, (1,), 2 * rdim),
-        )
+        p = cls.zeros(input_dim, f1, f2, rdim)
+        tensors = list(p.tensors().values())
+        # (weight, bias) layers in field order, both drawn with the weight's fan-in
+        for w, b in zip(tensors[::2], tensors[1::2]):
+            w[...] = uniform_init(rng, w.shape, w.shape[0])
+            b[...] = uniform_init(rng, b.shape, w.shape[0])
+        return p
 
     @classmethod
     def zeros(cls, input_dim: int, f1: int = 32, f2: int = 16, rdim: int = 8) -> "RankerParams":

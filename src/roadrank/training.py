@@ -210,15 +210,13 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
     root = np.random.SeedSequence((cfg.seed, 0x7124))
     ss_embed, ss_ranker, ss_shuffle, ss_dropout = root.spawn(4)
 
+    embed = None
     if variant.use_embedding:
         embed = init_embed if init_embed is not None else EmbedParams.init(
             net.m, cfg.x, cfg.dim, ss_embed)
-        width = embedding_width(variant, net.m, embed.x, embed.dim)
-    else:
-        embed = None
-        width = net.m
+    x, dim = (embed.x, embed.dim) if embed is not None else (cfg.x, cfg.dim)
     ranker = init_ranker if init_ranker is not None else RankerParams.init(
-        width, cfg.f1, cfg.f2, cfg.rdim, ss_ranker)
+        embedding_width(variant, net.m, x, dim), cfg.f1, cfg.f2, cfg.rdim, ss_ranker)
     scorer = PairScorer(net, samples, embed, ranker, variant)
 
     pi, pj, py = make_pairs(splits.train, aff).T

@@ -264,6 +264,31 @@ def test_cascade_matches_reference_with_a_high_in_degree_hub():
             assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
 
 
+def test_cascade_matches_reference_with_explicit_self_loops():
+    # the loader keeps an edge (i, i) on a node that has other out-edges;
+    # spillback passes over it like over a sink's added loop
+    rng = np.random.default_rng(23)
+    cfg = CascadeConfig(spillback_rate=0.7, periods=6)
+    loops = failures = 0
+    for trial in range(12):
+        n = int(rng.integers(4, 9))
+        edges = [(i, j) for i in range(n) for j in range(n)
+                 if rng.random() < (0.5 if i == j else 0.35)]
+        loops += sum(i == j and any(s == i != d for s, d in edges) for i, j in edges)
+        net = make_net(edges,
+                       limiv=rng.choice([30, 50, 80], size=n),
+                       nlan=rng.integers(1, 4, size=n),
+                       vol=rng.uniform(0, 300, size=n))
+        state = assign_baseline_state(net)
+        scores = generate_ground_truth(net, cfg)
+        for target in range(n):
+            ref_counts, _ = reference_cascade(net, target, cfg)
+            npt.assert_array_equal(cascade_failure(net, state, target, cfg), ref_counts)
+            assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
+            failures += sum(ref_counts)
+    assert loops >= 20 and failures > 0
+
+
 def test_ground_truth_over_several_blocks_matches_reference(monkeypatch):
     # 81 targets in blocks of 7 (the last one short) must score exactly as
     # one reference simulation per target

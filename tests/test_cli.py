@@ -19,7 +19,9 @@ from roadrank.cascade import CascadeConfig
 from roadrank.checkpoint import save_checkpoint
 from roadrank.cli import (COMMANDS, EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
                           export_plotdata, main)
+from roadrank.encoder import EmbedParams
 from roadrank.graph import ValidationError, load_network_dir
+from roadrank.model import apply_ablation, embedding_width
 from roadrank.ranker import RankerParams
 from roadrank.training import TrainConfig
 
@@ -801,6 +803,46 @@ def test_nomg_needs_samples_drawn_at_alpha_one(pipeline, tmp_path, capsys):
     assert run(*rank, "--samples", str(walks)) == EXIT_OK
     err = invalid(capsys, *rank, "--samples", str(samples))
     assert "NoMG" in err and "alpha=0.0001" in err
+
+
+@pytest.mark.parametrize("command, variant", [
+    ("synth", None), *((c, v) for c in ("train", "rank") for v in ("full", "NoMG", "NoBiLSTM"))])
+def test_a_run_missing_a_required_input_is_refused(pipeline, tmp_path, capsys, command, variant):
+    """``synth`` without --rows, and ``train`` or ``rank`` of every variant
+    that encodes sequences without --samples: exit 4, one line, nothing written."""
+    base, net_dir, scores, _, _, _ = pipeline
+    argv = {"synth": ("synth", "--cols", "2"),
+            "train": ("train", "--network", str(net_dir), "--scores", str(scores),
+                      "--ablation", variant, "--epochs", "1", "--strata", "2"),
+            "rank": ("rank", "--network", str(net_dir), "--ckpt", str(tmp_path / "v.ckpt"))}
+    if command == "rank":
+        m = load_network_dir(net_dir).m
+        width = embedding_width(apply_ablation(variant), m, 8, 2)
+        save_checkpoint(tmp_path / "v.ckpt", EmbedParams.init(m, 8, 2, 0),
+                        RankerParams.init(width, seed=1),
+                        {"variant": variant, "m": m, "x": 8, "dim": 2, "input_dim": width})
+    before = sorted(tmp_path.iterdir())
+    err = invalid(capsys, *argv[command], "--out", str(tmp_path / "out"))
+    assert err == ("error: missing required option --rows\n" if command == "synth"
+                   else f"error: variant {variant} needs --samples\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_named_input_the_variant_does_not_read_must_still_open(pipeline, tmp_path, capsys,
+                                                                  kind):
+    """NoEmb reads no samples, but a --samples it names is digested for the
+    manifest like every input: missing or a directory, it stops the run with
+    exit 3 before anything is written."""
+    base, net_dir, scores, _, _, _ = pipeline
+    bad, strerror = {"missing": (tmp_path / "missing.txt", "No such file or directory"),
+                     "directory": (tmp_path, "Is a directory")}[kind]
+    capsys.readouterr()
+    assert run("train", "--network", str(net_dir), "--scores", str(scores), "--ablation", "NoEmb",
+               "--samples", str(bad), "--epochs", "1", "--strata", "2",
+               "--out", str(tmp_path / "m.ckpt")) == EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == f"error: {bad}: {strerror}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_v1_checkpoint_reproduces_its_ranking(tmp_path):

@@ -130,6 +130,24 @@ def test_dimension_mismatch_rejected():
                    apply_ablation("NoEmb"))
 
 
+@pytest.mark.parametrize("case, message", [
+    pytest.param("embed", "variant full needs encoder parameters", id="no-encoder"),
+    pytest.param("samples", "variant full needs sampled sequences", id="no-samples"),
+    pytest.param("m", "encoder expects m=6, network has m=5", id="encoder-m"),
+    pytest.param("cover", "sample set does not cover the network's nodes", id="other-network"),
+])
+def test_scorer_refuses_missing_or_mismatched_encoder_inputs(case, message):
+    net, small = synth_grid_network(3, 3, seed=0), synth_grid_network(2, 2, seed=0)
+    walks = WalkConfig(0.5, 2, 3, 1)
+    samples = sample_walks(net, normalized_views(net), walks)
+    embed = EmbedParams.init(net.m, 8, 2, 0)
+    args = {"embed": (samples, None), "samples": (None, embed),
+            "m": (samples, EmbedParams.init(net.m + 1, 8, 2, 0)),
+            "cover": (sample_walks(small, normalized_views(small), walks), embed)}[case]
+    with pytest.raises(ValidationError, match=message):
+        PairScorer(net, *args, RankerParams.zeros(embed.hdim), apply_ablation("full"))
+
+
 def test_pair_label():
     assert pair_label(3.2, 1.1) == 1
     assert pair_label(2.0, 2.0) == 0  # ties go to the <= branch
