@@ -119,6 +119,13 @@ def _refuse_shared_paths(inputs: list, outputs: list) -> None:
         seen[key] = flag
 
 
+def _blas_build() -> dict | None:
+    """The name and version of the BLAS numpy was built with, when numpy
+    records it: trained and rated bytes hold for one BLAS kernel family."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas")
+    return None if blas is None else {k: blas.get(k) for k in ("name", "version")}
+
+
 def _write_manifest(command: str, cfg: dict, inputs: dict[str, str], started: str) -> None:
     """Write the manifest next to the run's output ``out``.  Timestamps are
     metadata and deliberately excluded from the byte-identical output
@@ -127,6 +134,8 @@ def _write_manifest(command: str, cfg: dict, inputs: dict[str, str], started: st
     manifest = {
         "tool": "roadrank",
         "version": __version__,
+        "numpy": np.__version__,
+        "blas": _blas_build(),
         "subcommand": command,
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()},
         "seed": cfg.get("seed"),

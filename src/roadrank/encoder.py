@@ -18,9 +18,15 @@ from .graph import ValidationError
 GATE_ORDER = "ifoc"
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function in its tanh form, which cannot overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function in its tanh form, which cannot overflow.  With
+    ``out`` (which may be ``z``) the same operations run in place."""
+    if out is None:
+        return 0.5 * (1.0 + np.tanh(0.5 * z))
+    np.multiply(0.5, z, out=out)
+    np.tanh(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -179,17 +185,85 @@ def identity_levels(ids: np.ndarray) -> Levels:
     return Levels([ids[:, t] for t in range(l)], [None] * l, [None] * l)
 
 
-def _take(a: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """Columns ``idx`` of ``a``; None takes every column in order."""
-    return a if idx is None else np.take(a, idx, axis=1)
-
-
-def _sum_into(a: np.ndarray, idx: np.ndarray | None, size: int) -> np.ndarray:
-    """Sum column k of ``a`` into column ``idx[k]`` of a (rows, size) result;
-    None keeps the columns as they are."""
+def _take(a: np.ndarray, idx: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+    """Columns ``idx`` of ``a``, into ``out`` when given; None takes every
+    column in order and returns ``a`` itself."""
     if idx is None:
         return a
-    return np.stack([np.bincount(idx, weights=row, minlength=size) for row in a])
+    # mode "raise" would fill a temporary and copy it to ``out``; the
+    # indices come from the levels and are always in range
+    return np.take(a, idx, axis=1, out=out, mode="raise" if out is None else "clip")
+
+
+def _sum_into(a: np.ndarray, idx: np.ndarray | None, size: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Sum column k of ``a`` into column ``idx[k]`` of a (rows, size) result,
+    ``out`` when given; None keeps the columns as they are and returns ``a``."""
+    if idx is None:
+        return a
+    if out is None:
+        out = np.empty((a.shape[0], size))
+    for row, dst in zip(a, out):
+        dst[...] = np.bincount(idx, weights=row, minlength=size)
+    return out
+
+
+# float64 rows per entry, in units of dim: a level's cache holds the gates
+# (4), c, tanh(c) and h; the step slot holds one level's temporaries, of
+# which the backward pass has the most (12, and x rows for its input)
+CACHE_ROWS = 7
+STEP_ROWS = 12
+
+
+class Workspace:
+    """The float64 buffers that encoder passes write their arrays into, by
+    slot name: each direction's per-level cache (``fw``, ``bw``), one level's
+    temporaries (``step``, reused level after level) and the sequences'
+    states or their gradient (``states``).
+
+    Training keeps one workspace from batch to batch, so a batch's live set
+    is written into memory the previous batch already paged in, instead of
+    being freed and faulted in again.  A slot grows to the largest size a
+    pass has needed, times ``1 + spare``, and never shrinks: a workspace
+    that later passes reuse takes some spare, so that slightly larger
+    batches do not grow it again, while one made for a single pass takes
+    none.  Every view handed out is valid only until the next pass writes
+    into the same slot."""
+
+    def __init__(self, spare: float = 0.0):
+        self._slots: dict[str, np.ndarray] = {}
+        self.spare = spare
+        self.width = 0  # the widest level of the pass fitted last: the step slot's stride
+
+    def grow(self, name: str, size: int) -> None:
+        """Make slot ``name`` hold at least ``size`` items."""
+        if name not in self._slots or self._slots[name].size < size:
+            self._slots.pop(name, None)  # the smaller buffer goes before the larger comes
+            self._slots[name] = np.empty(size + int(size * self.spare))
+
+    def fit(self, x: int, dim: int, sides: dict[str, Levels]) -> None:
+        """Size the cache slot of each side's levels and the step slot for
+        their widest level, before the pass writes anything."""
+        self.width = max(v.size for lv in sides.values() for v in lv.vertex)
+        for side, lv in sides.items():
+            self.grow(side, CACHE_ROWS * dim * sum(v.size for v in lv.vertex))
+        self.grow("step", (x + STEP_ROWS * dim) * self.width)
+
+    def views(self, name: str, shapes, stride: int | None = None) -> list[np.ndarray]:
+        """C-contiguous views of slot ``name``, one per (rows, cols) shape,
+        laid end to end.  With ``stride`` each view's region holds rows x
+        stride items, so a view sits at the same place at every level."""
+        buf, out, k = self._slots[name], [], 0
+        for rows, cols in shapes:
+            out.append(buf[k:k + rows * cols].reshape(rows, cols))
+            k += rows * (cols if stride is None else stride)
+        return out
+
+    def array(self, name: str, shape) -> np.ndarray:
+        """Slot ``name`` grown to ``shape`` and viewed as it."""
+        size = int(np.prod(shape))
+        self.grow(name, size)
+        return self._slots[name][:size].reshape(shape)
 
 
 class PrefixIndex:
@@ -266,45 +340,72 @@ def _encode_batch(ids: np.ndarray, feats: np.ndarray, p: EmbedParams):
     return enc.T, (feats, enc)
 
 
-def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams):
+def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
+                  ws: Workspace | None = None, side: str = "fw"):
     """Run one LSTM direction over ``levels``, one step per level, taking
     each entry's input from the (x, n + m) table ``enc`` and its previous
     state from its parent; returns the (dim, entries) states per level and
-    the cache."""
+    the cache.  The arrays are views into slot ``side`` and the step slot of
+    ``ws``, which must have been fitted to ``levels``; without it, into a
+    workspace of their own."""
     dim = cell.dim
+    if ws is None:
+        ws = Workspace()
+        ws.fit(enc.shape[0], dim, {side: levels})
     bias = cell.b[:, None]
-    xs, gates, cs, hs = [], [], [], []
-    h = c = np.zeros((dim, levels.vertex[0].size))
-    for vertex, parent in zip(levels.vertex, levels.parent):
-        h, c = _take(h, parent), _take(c, parent)
-        x = np.take(enc, vertex, axis=1)
-        at = cell.w_x.T @ x
-        at += cell.w_h.T @ h
+    gates, cs, tcs, hs = [], [], [], []
+    blocks = ws.views(side, [(CACHE_ROWS * dim, v.size) for v in levels.vertex])
+    for t, (vertex, parent, block) in enumerate(zip(levels.vertex, levels.parent, blocks)):
+        e = vertex.size
+        x, h_in, c_in, wh, ig = ws.views(
+            "step", [(enc.shape[0], e), (dim, e), (dim, e), (4 * dim, e), (dim, e)], ws.width)
+        if t == 0:  # no parent: the state starts at zero
+            h_in.fill(0.0)
+            c_in.fill(0.0)
+        else:
+            h_in, c_in = _take(h, parent, h_in), _take(c, parent, c_in)
+        at, c, tc, h = np.split(block, [4 * dim, 5 * dim, 6 * dim])
+        # the operations and their order are those of the expressions
+        # at = w_x.T @ x + w_h.T @ h + b, c = f * c + i * g, h = o * tanh(c)
+        np.take(enc, vertex, axis=1, out=x, mode="clip")
+        np.matmul(cell.w_x.T, x, out=at)
+        at += np.matmul(cell.w_h.T, h_in, out=wh)
         at += bias
-        at[:3 * dim] = sigmoid(at[:3 * dim])
+        sigmoid(at[:3 * dim], out=at[:3 * dim])
         np.tanh(at[3 * dim:], out=at[3 * dim:])
         i, f, o, g = np.split(at, 4)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        xs.append(x)
+        np.multiply(f, c_in, out=c)
+        c += np.multiply(i, g, out=ig)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
         gates.append(at)
         cs.append(c)
+        tcs.append(tc)
         hs.append(h)
-    return hs, (levels, xs, gates, cs, hs)
+    return hs, (levels, enc, gates, cs, tcs, hs, ws)
 
 
-def _bilstm_batch(enc: np.ndarray, levels: tuple[Levels, Levels], p: EmbedParams):
+def _bilstm_batch(enc: np.ndarray, levels: tuple[Levels, Levels], p: EmbedParams,
+                  ws: Workspace | None = None):
     """Both directions over their ``(forward, backward)`` levels; returns
     each sequence's states as (L, 2*dim, B) and the cache.  Backward level t
-    is the reversed suffix that starts at position L - 1 - t."""
+    is the reversed suffix that starts at position L - 1 - t.  Every array
+    is a view into ``ws`` (a workspace of their own without it), fitted to
+    these levels before the first is written."""
     fw, bw = levels
-    h_fw, cache_fw = _cell_forward(enc, fw, p.fw)
-    h_bw, cache_bw = _cell_forward(enc, bw, p.bw)
+    ws = Workspace() if ws is None else ws
+    ws.fit(enc.shape[0], p.dim, {"fw": fw, "bw": bw})
+    h_fw, cache_fw = _cell_forward(enc, fw, p.fw, ws, "fw")
+    h_bw, cache_bw = _cell_forward(enc, bw, p.bw, ws, "bw")
     l = len(h_fw)
-    h2 = np.empty((l, 2 * p.dim, fw.batch))
+    h2 = ws.array("states", (l, 2 * p.dim, fw.batch))
     for t in range(l):
-        h2[t, :p.dim] = _take(h_fw[t], fw.seq[t])
-        h2[t, p.dim:] = _take(h_bw[l - 1 - t], bw.seq[l - 1 - t])
+        for dst, h, seq in ((h2[t, :p.dim], h_fw[t], fw.seq[t]),
+                            (h2[t, p.dim:], h_bw[l - 1 - t], bw.seq[l - 1 - t])):
+            if seq is None:
+                dst[...] = h
+            else:
+                _take(h, seq, dst)
     return h2, (cache_fw, cache_bw)
 
 
@@ -322,11 +423,11 @@ def _pool_batch(h: np.ndarray, num: int) -> np.ndarray:
 # backward passes
 # ---------------------------------------------------------------------------
 
-def _encode_backward(ids: list[np.ndarray], dx: list[np.ndarray], cache, p: EmbedParams,
+def _encode_backward(ids: list, dx: list[np.ndarray], cache, p: EmbedParams,
                      grads: EmbedParams):
     """Sum each (x, k) input gradient of ``dx`` per vertex id, read from the
-    (k,) array of ``ids`` at the same position, then one matmul from the
-    vertex rows to ``w_in``."""
+    (k,) array of ``ids`` at the same position (None: its columns already
+    are the vertex ids), then one matmul from the vertex rows to ``w_in``."""
     feats, enc = cache
     dsum = sum(_sum_into(d, i, enc.shape[0]) for i, d in zip(ids, dx)).T
     dpre = dsum * (1.0 - enc * enc)
@@ -337,54 +438,73 @@ def _encode_backward(ids: list[np.ndarray], dx: list[np.ndarray], cache, p: Embe
 def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
                    grads: LSTMCellParams) -> list[np.ndarray]:
     """Backprop one direction into ``grads`` from ``dh_out`` (L, dim, B),
-    each sequence's state gradient in level order; returns dx, (x, entries)
-    per level.  A level's entries first sum their sequences' gradients,
-    then pass dh and dc down to their parents, each parent summing its
-    children's."""
-    levels, xs, gates, cs, hs = cache
+    each sequence's state gradient in level order; returns per level the
+    input gradient summed per vertex id, (x, n + m).  A level's entries
+    first sum their sequences' gradients, then pass dh and dc down to their
+    parents, each parent summing its children's.  The temporaries are views
+    into the cache's step slot, each at the same place at every level."""
+    levels, enc, gates, cs, tcs, hs, ws = cache
     dim = cell.dim
-    dx = [None] * len(gates)
+    dsums = [None] * len(gates)
     dh_next = dc_next = 0.0
     for t in range(len(gates) - 1, -1, -1):
-        at = gates[t]
-        parent = levels.parent[t]
+        at, parent, tc = gates[t], levels.parent[t], tcs[t]
+        e = at.shape[1]
+        size = gates[t - 1].shape[1] if t > 0 else 0
+        da, dh, dc, s, prev, x, wh_da, dc_f, dh_sum, dc_sum = ws.views(
+            "step", [(4 * dim, e)] + [(dim, e)] * 4 + [(enc.shape[0], e)] + [(dim, e)] * 2
+            + [(dim, size)] * 2, ws.width)
         i, f, o, g = np.split(at, 4)
-        da = np.empty_like(at)
         da_i, da_f, da_o, da_c = np.split(da, 4)
-        dh = _sum_into(dh_out[t], levels.seq[t], at.shape[1]) + dh_next
-        tc = np.tanh(cs[t])
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        c_prev = _take(cs[t - 1], parent) if t > 0 else 0.0
-        da_i[...] = dc * g * i * (1.0 - i)
-        da_f[...] = dc * c_prev * f * (1.0 - f)
-        da_o[...] = dh * tc * o * (1.0 - o)
-        da_c[...] = dc * i * (1.0 - g * g)
-        grads.w_x += xs[t] @ da.T
+        # the operations and their order are those of the expressions
+        # dh = sum(dh_out) + dh_next, dc = dh * o * (1 - tc * tc) + dc_next,
+        # da_i = dc * g * i * (1 - i), da_f = dc * c_prev * f * (1 - f),
+        # da_o = dh * tc * o * (1 - o) and da_c = dc * i * (1 - g * g)
+        np.add(_sum_into(dh_out[t], levels.seq[t], e, dh), dh_next, out=dh)
+        np.multiply(dh, o, out=dc)
+        np.multiply(tc, tc, out=s)
+        dc *= np.subtract(1.0, s, out=s)
+        dc += dc_next
+        c_prev = _take(cs[t - 1], parent, prev) if t > 0 else 0.0
+        for d, u, v, w in ((da_i, dc, g, i), (da_f, dc, c_prev, f), (da_o, dh, tc, o)):
+            np.multiply(u, v, out=d)
+            d *= w
+            d *= np.subtract(1.0, w, out=s)
+        np.multiply(dc, i, out=da_c)
+        np.multiply(g, g, out=s)
+        da_c *= np.subtract(1.0, s, out=s)
+        np.take(enc, levels.vertex[t], axis=1, out=x, mode="clip")
+        grads.w_x += x @ da.T
         grads.b += da.sum(axis=1)
-        dx[t] = cell.w_x @ da
+        dsums[t] = _sum_into(np.matmul(cell.w_x, da, out=x), levels.vertex[t], enc.shape[1])
         if t > 0:
-            grads.w_h += _take(hs[t - 1], parent) @ da.T
-            size = gates[t - 1].shape[1]
-            dh_next = _sum_into(cell.w_h @ da, parent, size)
-            dc_next = _sum_into(dc * f, parent, size)
-    return dx
+            grads.w_h += _take(hs[t - 1], parent, prev) @ da.T
+            dh_next = _sum_into(np.matmul(cell.w_h, da, out=wh_da), parent, size, dh_sum)
+            dc_next = _sum_into(np.multiply(dc, f, out=dc_f), parent, size, dc_sum)
+    return dsums
 
 
 def _bilstm_backward(dh2: np.ndarray, cache, p: EmbedParams, grads: EmbedParams):
-    """Both directions' backward passes; returns every entry's vertex id and
-    its input gradient, per level of both directions."""
+    """Both directions' backward passes; returns, per level of both
+    directions, None for the ids and the input gradient summed per vertex
+    id, the arguments of :func:`_encode_backward`."""
     cache_fw, cache_bw = cache
     dim = p.dim
-    dx_fw = _cell_backward(dh2[:, :dim], cache_fw, p.fw, grads.fw)
-    dx_bw = _cell_backward(dh2[::-1, dim:], cache_bw, p.bw, grads.bw)
-    return cache_fw[0].vertex + cache_bw[0].vertex, dx_fw + dx_bw
+    dsums = (_cell_backward(dh2[:, :dim], cache_fw, p.fw, grads.fw)
+             + _cell_backward(dh2[::-1, dim:], cache_bw, p.bw, grads.bw))
+    return [None] * len(dsums), dsums
 
 
-def _pool_backward(dpooled: np.ndarray, num: int, l: int) -> np.ndarray:
-    """(G, 2w) -> (L, w, G*num), the gradient of :func:`_pool_batch`."""
+def _pool_backward(dpooled: np.ndarray, num: int, l: int,
+                   ws: Workspace | None = None) -> np.ndarray:
+    """(G, 2w) -> (L, w, G*num), the gradient of :func:`_pool_batch`; a
+    view of the states slot of ``ws`` when given."""
     g, twow = dpooled.shape
     w = twow // 2
     dhbar = np.empty((l, w, g))
     dhbar[0] = dpooled[:, :w].T
     dhbar[1:] = dpooled[:, w:].T / (l - 1)
-    return np.repeat(dhbar / num, num, axis=2)
+    shape = (l, w, g, num)
+    out = np.empty(shape) if ws is None else ws.array("states", shape)
+    out[...] = (dhbar / num)[..., None]  # each node's mean spread over its num sequences
+    return out.reshape(l, w, g * num)

@@ -89,6 +89,7 @@ class PairScorer:
                     f"{variant.sample_alpha}, got alpha={samples.config.alpha}")
             self.ids = samples.sequences
             self._index = None  # forward and backward PrefixIndex, built by the first indexed batch
+            self._workspace = None  # the encoder's buffers, made by the first indexed batch
             self.feats = vertex_features(a_scaled)
             width = embedding_width(variant, net.m, embed.x, embed.dim)
         else:
@@ -114,7 +115,13 @@ class PairScorer:
         run once per distinct prefix and suffix; without it the encoder runs
         over ``NODE_CHUNK`` nodes at a time, one column per sequence, so its
         arrays stay the same size however many nodes are embedded.  Both
-        give the same bits."""
+        give the same bits.
+
+        The first call with the cache gives the scorer an
+        ``encoder.Workspace``, and from then on every call writes the
+        encoder's arrays into it: training's batches and validation reuse
+        one set of buffers.  A cache is therefore valid only until the next
+        call; the embeddings themselves are fresh arrays."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if not self.variant.use_embedding:
             return self.h0[nodes], None
@@ -131,6 +138,8 @@ class PairScorer:
         indexed at the first such call; otherwise over every sequence."""
         g = nodes.size
         _, num, l = self.ids.shape
+        if indexed and self._workspace is None:
+            self._workspace = encoder.Workspace(spare=0.25)
         flat_ids = self.ids[nodes].reshape(g * num, l)
         enc, enc_cache = encoder._encode_batch(flat_ids, self.feats, self.embed)
         if not self.variant.use_bilstm:
@@ -145,12 +154,12 @@ class PairScorer:
                       self._index[1].levels(flat_ids[:, ::-1], rows))
         else:
             levels = (encoder.identity_levels(flat_ids), encoder.identity_levels(flat_ids[:, ::-1]))
-        h, lstm_cache = encoder._bilstm_batch(enc, levels, self.embed)
+        h, lstm_cache = encoder._bilstm_batch(enc, levels, self.embed, self._workspace)
         return encoder._pool_batch(h, num), (enc_cache, flat_ids, lstm_cache, num, l)
 
     def _embed_backward(self, dpooled: np.ndarray, cache, grads: EmbedParams):
         enc_cache, flat_ids, lstm_cache, num, l = cache
-        dh = encoder._pool_backward(dpooled, num, l)
+        dh = encoder._pool_backward(dpooled, num, l, self._workspace)
         if self.variant.use_bilstm:
             ids, dx = encoder._bilstm_backward(dh, lstm_cache, self.embed, grads)
         else:

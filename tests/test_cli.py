@@ -722,6 +722,24 @@ def test_every_option_reads_the_same_as_flag_and_config_key(
     assert {key: str(value) for key, value in configs[0].items()} == values
 
 
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_manifest_records_the_numpy_and_blas_build(pipeline, tmp_path, monkeypatch,
+                                                        command):
+    """Trained and rated bytes hold for one numpy version and one BLAS kernel
+    family, so each manifest names the build that wrote its output: a pinned
+    digest that fails elsewhere can be read against it."""
+    values = _option_values(*pipeline)[command]
+    monkeypatch.chdir(tmp_path)
+    assert run(command, *[a for key, value in values.items()
+                          for a in (f"--{key.replace('_', '-')}", value)]) == EXIT_OK
+    manifest = _manifest(Path(values["out"]))
+    # numpy before 1.25 records no build configuration: the field is then null
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas")
+    assert manifest["numpy"] == np.__version__
+    assert manifest["blas"] == (None if blas is None
+                                else {"name": blas["name"], "version": blas["version"]})
+
+
 def test_manifest_digests_an_input_before_the_output_overwrites_it(pipeline, tmp_path):
     """``eval --ranking r.csv ... --out w.csv``, w.csv a hard link to r.csv,
     replaces the ranking with the report: the paths differ, so the run is not
@@ -864,7 +882,11 @@ FUZZ_TOKENS = ["", "x", "-1", "0", "3", "17", "99", "0.5", "-0", "+2", "nan", "i
 
 
 # sha256 of what ``rank --ratings-out`` writes from the tests/data/v1
-# checkpoint: the forward encoder's and the ranker's bits, unrounded
+# checkpoint: the forward encoder's and the ranker's bits, unrounded.  Like
+# every pin of trained or rated bytes it holds for one numpy version and one
+# BLAS kernel family (README, "Everything is seeded"): OpenBLAS's non-FMA
+# kernels move ratings.csv by 1 ulp.  Each manifest records the numpy and
+# BLAS build that wrote it.
 V1_RANK_SHA256 = {
     "ranking.csv": "53b8eb2531e2e688888bbcc0d69dd47454960852c08d31cba29a17dff915a84c",
     "ratings.csv": "032eac30d5ec144e164c1ef85834668ef30943b45163a162b8db1aa85be4050f",
@@ -878,6 +900,33 @@ def test_v1_rank_outputs_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in V1_RANK_SHA256}
     assert digests == V1_RANK_SHA256
+
+
+# sha256 of what ``train`` writes on the 6x6 grid of GOLDEN_SHA256: every
+# bit of three epochs of the encoder's and the ranker's forward and backward
+# passes and of Adam.  The same scope as V1_RANK_SHA256: one numpy version
+# and one BLAS kernel family, which the manifest records.
+TRAIN_SHA256 = {
+    "model.ckpt": "779513417b83e151edff096344a7596bb46022631588ec0f641875fc3254bcc5",
+    "model.ckpt.history.csv": "06869a6b46ed9ec9995e4e0654c568d776ebd9319fe39692c44ad6f1988275cf",
+    "model.ckpt.splits.csv": "4863b3477d1c6bf28c3695d937a5b224f21535fbea2c308eb0b0c6a6c19c058b",
+}
+
+
+def test_train_outputs_match_golden_digests(tmp_path):
+    net_dir = tmp_path / "net"
+    assert run("synth", "--rows", "6", "--cols", "6", "--seed", "1",
+               "--out", str(net_dir)) == EXIT_OK
+    assert run("generate", "--network", str(net_dir),
+               "--out", str(tmp_path / "scores.csv")) == EXIT_OK
+    assert run("sample", "--network", str(net_dir), "--seed", "1",
+               "--out", str(tmp_path / "samples.txt")) == EXIT_OK
+    assert run("train", "--network", str(net_dir), "--scores", str(tmp_path / "scores.csv"),
+               "--samples", str(tmp_path / "samples.txt"), "--epochs", "3", "--seed", "2",
+               "--out", str(tmp_path / "model.ckpt")) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in TRAIN_SHA256}
+    assert digests == TRAIN_SHA256
 
 
 @pytest.fixture(scope="module")

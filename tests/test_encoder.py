@@ -440,3 +440,37 @@ def test_indexed_embeddings_equal_the_chunked_path():
         indexed, _ = scorer.node_embeddings(nodes, with_cache=True)
         chunked, _ = scorer.node_embeddings(nodes)
         assert indexed.tobytes() == chunked.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["full", "NoMG"])
+def test_a_reused_workspace_gives_a_fresh_scorers_bits(mode):
+    """A training scorer's batches and forward-only passes write into one
+    workspace.  After a small batch, a large one and a small one again, each
+    followed by a forward-only pass over every node, its loss, gradients and
+    ratings for batch B must be a fresh scorer's, bit for bit: nothing an
+    earlier pass left in the buffers, or their layout, may reach a later
+    one."""
+    net = synth_grid_network(6, 6, seed=2)
+    variant = apply_ablation(mode)
+    alpha = 1e-4 if variant.sample_alpha is None else variant.sample_alpha
+    ss = sample_walks(net, normalized_views(net), WalkConfig(alpha=alpha, num=20, length=4, seed=5))
+    p = EmbedParams.init(net.m, x=8, dim=2, seed=6)
+    ranker = RankerParams.init(p.hdim, seed=7)
+    rng = np.random.default_rng(3)
+    small, large, b = ((pi, pj, (pi < pj).astype(float))
+                       for pi, pj in (rng.integers(0, net.n, size=(2, k)) for k in (3, 200, 40)))
+    used = PairScorer(net, ss, p, ranker, variant)
+    every = np.arange(net.n)
+    for batch in (small, large, small):
+        used.loss_and_grads(*batch)
+        # validation's forward-only pass writes into the same workspace
+        got = used.node_embeddings(every)[0]
+        assert got.tobytes() == PairScorer(net, ss, p, ranker, variant).node_embeddings(
+            every)[0].tobytes()
+    got = used.loss_and_grads(*b)
+    want = PairScorer(net, ss, p, ranker, variant).loss_and_grads(*b)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].keys() == want[1].keys()
+    for name, g in want[1].items():
+        assert got[1][name].tobytes() == g.tobytes(), name
+    assert got[2].tobytes() == want[2].tobytes()

@@ -328,9 +328,12 @@ def test_validation_memory_on_grid40():
 def test_prefix_index_and_one_training_batch_memory_on_grid40():
     """Real walks over 1,600 nodes, 150 sequences each: the first
     ``loss_and_grads`` builds the prefix index, then runs a 64-pair batch.
-    Here it peaks at 34.4 MB, of which the batch alone takes 25.6 MB and the
-    index holds 7.7 MB, an int32 map per level and direction: as many bytes
-    as the int64 samples."""
+    Here it peaks at 33.2 MB (34.4 MB when every batch allocated its own
+    arrays).  The index holds 7.7 MB, an int32 map per level and direction:
+    as many bytes as the int64 samples.  Besides the index, the scorer holds
+    21.0 MB between batches, 19.9 MB of it the encoder workspace (a quarter
+    spare) that every later batch writes into: such a batch peaks at 6.0 MB
+    above it, where it took 25.6 MB when it allocated its own arrays."""
     net = synth_grid_network(40, 40, seed=2)
     samples = sample_walks(net, normalized_views(net),
                            WalkConfig(alpha=0.0001, num=150, length=4, seed=2))
@@ -338,8 +341,24 @@ def test_prefix_index_and_one_training_batch_memory_on_grid40():
     scorer = PairScorer(net, samples, embed, RankerParams.init(embed.hdim, seed=4),
                         apply_ablation("full"))
     rng = np.random.default_rng(1)
-    pi, pj = rng.integers(0, net.n, size=(2, 64))
-    peak_mb = traced_peak_mb(scorer.loss_and_grads, pi, pj, (pi < pj).astype(float))
-    held = sum(e.nbytes for index in scorer._index for e in index.entry if e is not None)
-    assert held <= samples.sequences.nbytes, held
+    batches = [(pi, pj, (pi < pj).astype(float))
+               for pi, pj in (rng.integers(0, net.n, size=(2, 64)) for _ in range(3))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scorer.loss_and_grads(*batches[0])
+        held, peak = tracemalloc.get_traced_memory()
+        peak_mb = (peak - before) / 1e6
+        later_mb = []
+        for batch in batches[1:]:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            scorer.loss_and_grads(*batch)
+            later_mb.append((tracemalloc.get_traced_memory()[1] - base) / 1e6)
+    finally:
+        tracemalloc.stop()
+    index = sum(e.nbytes for index in scorer._index for e in index.entry if e is not None)
+    assert index <= samples.sequences.nbytes, index
     assert peak_mb < 40, peak_mb
+    assert (held - before - index) / 1e6 <= 26, (held - before - index) / 1e6
+    assert max(later_mb) < 10, later_mb
