@@ -10,19 +10,10 @@ import numpy as np
 
 from .encoder import EmbedParams
 from .graph import ValidationError, open_text
+from .model import apply_ablation, named_tensors
 from .ranker import RankerParams
 
 _CKPT_MAGIC = "roadrank-checkpoint v1"
-
-
-def named_tensors(embed: EmbedParams | None, ranker: RankerParams) -> dict[str, np.ndarray]:
-    """Every parameter tensor under its checkpoint name; optimizers and
-    gradient dicts use the same names.  ``embed`` may be None (NoEmb)."""
-    out = {}
-    if embed is not None:
-        out.update({f"embed.{k}": v for k, v in embed.tensors().items()})
-    out.update({f"ranker.{k}": v for k, v in ranker.tensors().items()})
-    return out
 
 
 def save_checkpoint(path, embed: EmbedParams | None, ranker: RankerParams,
@@ -92,7 +83,7 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
     ranker = RankerParams.zeros(meta_int("input_dim"), meta_int("f1", 32), meta_int("f2", 16),
                                 meta_int("rdim", 8))
     embed = None
-    if any(name.startswith("embed.") for name in tensors):
+    if apply_ablation(meta.get("variant", "full")).use_embedding:
         embed = EmbedParams.zeros(meta_int("m"), meta_int("x"), meta_int("dim"))
     expected = named_tensors(embed, ranker)
     for name, (ln, _) in tensors.items():

@@ -383,6 +383,7 @@ def cmd_eval(cfg: dict) -> int:
     ranking = _read_node_ids(cfg["ranking"])
     if not ranking:
         raise ValidationError(f"{cfg['ranking']}: no ranked nodes")
+    _reject_repeated_ids(cfg["ranking"], ranking)
     n_scores = max(ranking) + 1
     truth = import_scores(cfg["truth"])
     if truth.aff.size < n_scores:

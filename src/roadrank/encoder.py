@@ -85,9 +85,18 @@ class EmbedParams:
     b_in: np.ndarray
     fw: LSTMCellParams
     bw: LSTMCellParams
-    m: int
-    x: int
-    dim: int
+
+    @property
+    def m(self) -> int:
+        return self.w_in.shape[0]
+
+    @property
+    def x(self) -> int:
+        return self.w_in.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.fw.dim
 
     @property
     def hdim(self) -> int:
@@ -112,9 +121,6 @@ class EmbedParams:
             b_in=np.zeros(x),
             fw=LSTMCellParams.zeros(x, dim),
             bw=LSTMCellParams.zeros(x, dim),
-            m=m,
-            x=x,
-            dim=dim,
         )
 
     def tensors(self) -> dict[str, np.ndarray]:
@@ -164,47 +170,33 @@ def vertex_features(a_scaled: np.ndarray) -> np.ndarray:
 class Levels:
     """One direction's entries over a batch of sequences, level by level:
     ``vertex[t]`` is each entry's last vertex id, ``parent[t]`` the index of
-    its length-t prefix among level t - 1's entries, and ``seq[t]`` each
-    sequence's entry.  None is the identity map: entry k extends level
-    t - 1's entry k (always so at level 0), or sequence k is entry k."""
+    its length-t prefix among level t - 1's entries (None at level 0, which
+    has no parent), and ``seq[t]`` each sequence's entry."""
 
     vertex: list[np.ndarray]
     parent: list[np.ndarray | None]
-    seq: list[np.ndarray | None]
-
-    @property
-    def batch(self) -> int:
-        """The number of sequences."""
-        last = self.seq[-1]
-        return self.vertex[-1].size if last is None else last.size
+    seq: list[np.ndarray]
 
 
 def identity_levels(ids: np.ndarray) -> Levels:
-    """Levels over a (B, L) id batch with one entry per sequence."""
-    l = ids.shape[1]
-    return Levels([ids[:, t] for t in range(l)], [None] * l, [None] * l)
+    """Levels over a (B, L) id batch with one entry per sequence: entry k
+    is sequence k's at every level."""
+    b, l = ids.shape
+    k = np.arange(b)
+    return Levels([ids[:, t] for t in range(l)], [None] + [k] * (l - 1), [k] * l)
 
 
-def _take(a: np.ndarray, idx: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
-    """Columns ``idx`` of ``a``, into ``out`` when given; None takes every
-    column in order and returns ``a`` itself."""
-    if idx is None:
-        return a
+def _take(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Columns ``idx`` of ``a``, written into ``out``."""
     # mode "raise" would fill a temporary and copy it to ``out``; the
     # indices come from the levels and are always in range
-    return np.take(a, idx, axis=1, out=out, mode="raise" if out is None else "clip")
+    return np.take(a, idx, axis=1, out=out, mode="clip")
 
 
-def _sum_into(a: np.ndarray, idx: np.ndarray | None, size: int,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Sum column k of ``a`` into column ``idx[k]`` of a (rows, size) result,
-    ``out`` when given; None keeps the columns as they are and returns ``a``."""
-    if idx is None:
-        return a
-    if out is None:
-        out = np.empty((a.shape[0], size))
+def _sum_into(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum column k of ``a`` into column ``idx[k]`` of ``out``."""
     for row, dst in zip(a, out):
-        dst[...] = np.bincount(idx, weights=row, minlength=size)
+        dst[...] = np.bincount(idx, weights=row, minlength=out.shape[1])
     return out
 
 
@@ -273,7 +265,8 @@ class PrefixIndex:
     ``entry[t][s]`` (int32) is the rank of sequence s's length-(t + 1)
     prefix among that level's ``size[t]`` distinct prefixes.  From the first
     level whose prefixes are all distinct on, ``entry[t]`` is None: a
-    prefix's id is then its sequence's, and no map is stored.
+    prefix's id is then its sequence's, and no map is stored; the batch's
+    levels there map entry k to sequence k.
     """
 
     def __init__(self, seqs: np.ndarray):
@@ -306,20 +299,17 @@ class PrefixIndex:
         prev = None  # the previous level's ``seq``
         for t, (entry, size) in enumerate(zip(self.entry, self.size)):
             if entry is None:  # every prefix distinct: sequence k is entry k
-                vertex.append(ids[:, t])
-                parent.append(prev)
-                seq.append(None)
-                prev = None
-                continue
-            ent = entry[rows]
-            mark = np.zeros(size, dtype=bool)
-            mark[ent] = True
-            uniq = np.flatnonzero(mark)
-            local = np.empty(size, dtype=np.intp)
-            local[uniq] = np.arange(uniq.size)
-            inv = local[ent]
-            rep = np.empty(uniq.size, dtype=np.intp)  # one sequence of each entry
-            rep[inv] = np.arange(inv.size)
+                inv = rep = np.arange(len(rows))
+            else:
+                ent = entry[rows]
+                mark = np.zeros(size, dtype=bool)
+                mark[ent] = True
+                uniq = np.flatnonzero(mark)
+                local = np.empty(size, dtype=np.intp)
+                local[uniq] = np.arange(uniq.size)
+                inv = local[ent]
+                rep = np.empty(uniq.size, dtype=np.intp)  # one sequence of each entry
+                rep[inv] = np.arange(inv.size)
             vertex.append(ids[rep, t])
             parent.append(None if t == 0 else prev[rep])
             seq.append(inv)
@@ -341,17 +331,13 @@ def _encode_batch(ids: np.ndarray, feats: np.ndarray, p: EmbedParams):
 
 
 def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
-                  ws: Workspace | None = None, side: str = "fw"):
+                  ws: Workspace, side: str):
     """Run one LSTM direction over ``levels``, one step per level, taking
     each entry's input from the (x, n + m) table ``enc`` and its previous
     state from its parent; returns the (dim, entries) states per level and
     the cache.  The arrays are views into slot ``side`` and the step slot of
-    ``ws``, which must have been fitted to ``levels``; without it, into a
-    workspace of their own."""
+    ``ws``, which must have been fitted to ``levels``."""
     dim = cell.dim
-    if ws is None:
-        ws = Workspace()
-        ws.fit(enc.shape[0], dim, {side: levels})
     bias = cell.b[:, None]
     gates, cs, tcs, hs = [], [], [], []
     blocks = ws.views(side, [(CACHE_ROWS * dim, v.size) for v in levels.vertex])
@@ -386,26 +372,21 @@ def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
 
 
 def _bilstm_batch(enc: np.ndarray, levels: tuple[Levels, Levels], p: EmbedParams,
-                  ws: Workspace | None = None):
+                  ws: Workspace):
     """Both directions over their ``(forward, backward)`` levels; returns
     each sequence's states as (L, 2*dim, B) and the cache.  Backward level t
     is the reversed suffix that starts at position L - 1 - t.  Every array
-    is a view into ``ws`` (a workspace of their own without it), fitted to
-    these levels before the first is written."""
+    is a view into ``ws``, fitted to these levels before the first is
+    written."""
     fw, bw = levels
-    ws = Workspace() if ws is None else ws
     ws.fit(enc.shape[0], p.dim, {"fw": fw, "bw": bw})
     h_fw, cache_fw = _cell_forward(enc, fw, p.fw, ws, "fw")
     h_bw, cache_bw = _cell_forward(enc, bw, p.bw, ws, "bw")
     l = len(h_fw)
-    h2 = ws.array("states", (l, 2 * p.dim, fw.batch))
+    h2 = ws.array("states", (l, 2 * p.dim, fw.seq[0].size))
     for t in range(l):
-        for dst, h, seq in ((h2[t, :p.dim], h_fw[t], fw.seq[t]),
-                            (h2[t, p.dim:], h_bw[l - 1 - t], bw.seq[l - 1 - t])):
-            if seq is None:
-                dst[...] = h
-            else:
-                _take(h, seq, dst)
+        _take(h_fw[t], fw.seq[t], h2[t, :p.dim])
+        _take(h_bw[l - 1 - t], bw.seq[l - 1 - t], h2[t, p.dim:])
     return h2, (cache_fw, cache_bw)
 
 
@@ -423,14 +404,12 @@ def _pool_batch(h: np.ndarray, num: int) -> np.ndarray:
 # backward passes
 # ---------------------------------------------------------------------------
 
-def _encode_backward(ids: list, dx: list[np.ndarray], cache, p: EmbedParams,
-                     grads: EmbedParams):
-    """Sum each (x, k) input gradient of ``dx`` per vertex id, read from the
-    (k,) array of ``ids`` at the same position (None: its columns already
-    are the vertex ids), then one matmul from the vertex rows to ``w_in``."""
+def _encode_backward(dsum: np.ndarray, cache, p: EmbedParams, grads: EmbedParams):
+    """Backprop the (x, n + m) input gradient ``dsum``, summed per vertex
+    id, through the table's tanh: one matmul from the vertex rows to
+    ``w_in``."""
     feats, enc = cache
-    dsum = sum(_sum_into(d, i, enc.shape[0]) for i, d in zip(ids, dx)).T
-    dpre = dsum * (1.0 - enc * enc)
+    dpre = dsum.T * (1.0 - enc * enc)
     grads.w_in += feats.T @ dpre
     grads.b_in += dpre.sum(axis=0)
 
@@ -460,7 +439,7 @@ def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
         # dh = sum(dh_out) + dh_next, dc = dh * o * (1 - tc * tc) + dc_next,
         # da_i = dc * g * i * (1 - i), da_f = dc * c_prev * f * (1 - f),
         # da_o = dh * tc * o * (1 - o) and da_c = dc * i * (1 - g * g)
-        np.add(_sum_into(dh_out[t], levels.seq[t], e, dh), dh_next, out=dh)
+        np.add(_sum_into(dh_out[t], levels.seq[t], dh), dh_next, out=dh)
         np.multiply(dh, o, out=dc)
         np.multiply(tc, tc, out=s)
         dc *= np.subtract(1.0, s, out=s)
@@ -476,35 +455,32 @@ def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
         np.take(enc, levels.vertex[t], axis=1, out=x, mode="clip")
         grads.w_x += x @ da.T
         grads.b += da.sum(axis=1)
-        dsums[t] = _sum_into(np.matmul(cell.w_x, da, out=x), levels.vertex[t], enc.shape[1])
+        dsums[t] = _sum_into(np.matmul(cell.w_x, da, out=x), levels.vertex[t], np.empty(enc.shape))
         if t > 0:
             grads.w_h += _take(hs[t - 1], parent, prev) @ da.T
-            dh_next = _sum_into(np.matmul(cell.w_h, da, out=wh_da), parent, size, dh_sum)
-            dc_next = _sum_into(np.multiply(dc, f, out=dc_f), parent, size, dc_sum)
+            dh_next = _sum_into(np.matmul(cell.w_h, da, out=wh_da), parent, dh_sum)
+            dc_next = _sum_into(np.multiply(dc, f, out=dc_f), parent, dc_sum)
     return dsums
 
 
-def _bilstm_backward(dh2: np.ndarray, cache, p: EmbedParams, grads: EmbedParams):
-    """Both directions' backward passes; returns, per level of both
-    directions, None for the ids and the input gradient summed per vertex
-    id, the arguments of :func:`_encode_backward`."""
+def _bilstm_backward(dh2: np.ndarray, cache, p: EmbedParams, grads: EmbedParams) -> np.ndarray:
+    """Both directions' backward passes; returns the (x, n + m) input
+    gradient summed per vertex id, forward levels first, each direction's
+    in level order: the argument of :func:`_encode_backward`."""
     cache_fw, cache_bw = cache
     dim = p.dim
-    dsums = (_cell_backward(dh2[:, :dim], cache_fw, p.fw, grads.fw)
-             + _cell_backward(dh2[::-1, dim:], cache_bw, p.bw, grads.bw))
-    return [None] * len(dsums), dsums
+    return sum(_cell_backward(dh2[:, :dim], cache_fw, p.fw, grads.fw)
+               + _cell_backward(dh2[::-1, dim:], cache_bw, p.bw, grads.bw))
 
 
-def _pool_backward(dpooled: np.ndarray, num: int, l: int,
-                   ws: Workspace | None = None) -> np.ndarray:
-    """(G, 2w) -> (L, w, G*num), the gradient of :func:`_pool_batch`; a
-    view of the states slot of ``ws`` when given."""
+def _pool_backward(dpooled: np.ndarray, num: int, l: int, ws: Workspace) -> np.ndarray:
+    """(G, 2w) -> (L, w, G*num), the gradient of :func:`_pool_batch`, a
+    view of the states slot of ``ws``."""
     g, twow = dpooled.shape
     w = twow // 2
     dhbar = np.empty((l, w, g))
     dhbar[0] = dpooled[:, :w].T
     dhbar[1:] = dpooled[:, w:].T / (l - 1)
-    shape = (l, w, g, num)
-    out = np.empty(shape) if ws is None else ws.array("states", shape)
+    out = ws.array("states", (l, w, g, num))
     out[...] = (dhbar / num)[..., None]  # each node's mean spread over its num sequences
     return out.reshape(l, w, g * num)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .checkpoint import named_tensors
 from .encoder import EmbedParams, minmax_scale_columns, vertex_features
 from .graph import RoadNetwork, ValidationError
 from .ranker import RankerParams, bce_loss, pair_backward, pair_forward
@@ -44,6 +43,16 @@ def apply_ablation(mode: str) -> PipelineVariant:
     if mode not in VARIANTS:
         raise ValidationError(f"unknown ablation mode {mode!r}; expected one of {ABLATIONS}")
     return VARIANTS[mode]
+
+
+def named_tensors(embed: EmbedParams | None, ranker: RankerParams) -> dict[str, np.ndarray]:
+    """Every parameter tensor under its checkpoint name; optimizers and
+    gradient dicts use the same names.  ``embed`` may be None (NoEmb)."""
+    out = {}
+    if embed is not None:
+        out.update({f"embed.{k}": v for k, v in embed.tensors().items()})
+    out.update({f"ranker.{k}": v for k, v in ranker.tensors().items()})
+    return out
 
 
 def embedding_width(variant: PipelineVariant, m: int, x: int, dim: int) -> int:
@@ -154,17 +163,19 @@ class PairScorer:
                       self._index[1].levels(flat_ids[:, ::-1], rows))
         else:
             levels = (encoder.identity_levels(flat_ids), encoder.identity_levels(flat_ids[:, ::-1]))
-        h, lstm_cache = encoder._bilstm_batch(enc, levels, self.embed, self._workspace)
+        ws = self._workspace or encoder.Workspace()  # before any training batch: one per chunk
+        h, lstm_cache = encoder._bilstm_batch(enc, levels, self.embed, ws)
         return encoder._pool_batch(h, num), (enc_cache, flat_ids, lstm_cache, num, l)
 
     def _embed_backward(self, dpooled: np.ndarray, cache, grads: EmbedParams):
         enc_cache, flat_ids, lstm_cache, num, l = cache
         dh = encoder._pool_backward(dpooled, num, l, self._workspace)
         if self.variant.use_bilstm:
-            ids, dx = encoder._bilstm_backward(dh, lstm_cache, self.embed, grads)
+            dsum = encoder._bilstm_backward(dh, lstm_cache, self.embed, grads)
         else:
-            ids, dx = list(flat_ids.T), list(dh)
-        encoder._encode_backward(ids, dx, enc_cache, self.embed, grads)
+            size = (dh.shape[1], self.feats.shape[0])  # (x, n + m)
+            dsum = sum(encoder._sum_into(d, i, np.empty(size)) for i, d in zip(flat_ids.T, dh))
+        encoder._encode_backward(dsum, enc_cache, self.embed, grads)
 
     # -- pairwise scoring ---------------------------------------------------
 

@@ -19,11 +19,12 @@ from roadrank.cascade import CascadeConfig
 from roadrank.checkpoint import save_checkpoint
 from roadrank.cli import (COMMANDS, EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
                           export_plotdata, main)
-from roadrank.encoder import EmbedParams
+from roadrank.encoder import EmbedParams, PrefixIndex
 from roadrank.graph import ValidationError, load_network_dir
 from roadrank.model import apply_ablation, embedding_width
 from roadrank.ranker import RankerParams
 from roadrank.training import TrainConfig
+from roadrank.walks import load_samples
 
 
 def run(*argv):
@@ -397,6 +398,10 @@ def test_node_readers_reject_bad_ids_and_short_rows(pipeline, tmp_path, capsys):
     err = invalid(capsys, "eval", "--ranking", str(bad_ranking), "--truth", str(scores),
                   "--out", str(tmp_path / "report.txt"))
     assert f"{bad_ranking}:3:" in err
+    bad_ranking.write_text("node_id\n4\n1\n4\n")
+    err = invalid(capsys, "eval", "--ranking", str(bad_ranking), "--truth", str(scores),
+                  "--out", str(tmp_path / "report.txt"))
+    assert f"{bad_ranking}: duplicate node id(s) [4]" in err
     pairs = tmp_path / "splits.csv"
     pairs.write_text("node_id,split,stratum\n0,test,0\n1,test\n")
     err = invalid(capsys, "eval", "--ranking", str(ranking), "--truth", str(scores),
@@ -534,26 +539,45 @@ def test_checkpoint_refuses_a_repeated_name(pipeline, tmp_path, capsys, extra, a
     assert f"{bad}:{second}: repeated {repeated}" in err
 
 
-@pytest.mark.parametrize("variant", ["full", "NoEmb"])
-def test_checkpoint_refuses_an_unknown_tensor(pipeline, tmp_path, capsys, variant):
+@pytest.mark.parametrize("variant, change", [
+    pytest.param("full", "ranker.foo", id="full"),
+    pytest.param("NoEmb", "ranker.foo", id="NoEmb"),
+    pytest.param("NoEmb", "add-encoder", id="NoEmb-given-encoder-tensors"),
+    pytest.param("full", "drop-encoder", id="full-without-encoder-tensors"),
+])
+def test_checkpoint_refuses_an_unknown_tensor(pipeline, tmp_path, capsys, variant, change):
     """A tensor name the variant does not define is refused at its line,
-    whether or not the checkpoint has encoder tensors."""
+    whether or not the checkpoint has encoder tensors.  ``meta variant``,
+    not the names present, decides which encoder tensors are defined: a
+    NoEmb checkpoint given a full one's is refused at the first of them, and
+    a full one without them misses ``embed.w_in``."""
     base, net_dir, scores, samples, ckpt, _ = pipeline
     good = tmp_path / "good.ckpt"
     if variant == "full":
         shutil.copy(ckpt, good)
     else:
         m = load_network_dir(net_dir).m
+        cfg = TrainConfig()  # the dims ``train`` records for every variant
         save_checkpoint(good, None, RankerParams.init(m, seed=3),
-                        {"variant": "NoEmb", "input_dim": m})
+                        {"variant": "NoEmb", "m": m, "x": cfg.x, "dim": cfg.dim, "input_dim": m})
     rank = ("rank", "--network", str(net_dir), "--samples", str(samples),
             "--out", str(tmp_path / "r.csv"), "--ckpt")
     assert run(*rank, str(good)) == EXIT_OK
     bad = tmp_path / "model.ckpt"
     lines = good.read_text().splitlines(keepends=True)
-    bad.write_text("".join(lines + ["tensor ranker.foo 1\n", "0.5\n"]))
+    full = ckpt.read_text().splitlines(keepends=True)
+    # each encoder tensor of the full checkpoint: its name line and its values line
+    encoder = {j for k, text in enumerate(full) if text.startswith("tensor embed.") for j in (k, k + 1)}
+    assert len(encoder) == 2 * 26
+    if change == "drop-encoder":
+        bad.write_text("".join(text for k, text in enumerate(lines) if k not in encoder))
+        assert f"{bad}: missing tensor embed.w_in" in invalid(capsys, *rank, str(bad))
+        return
+    extra = (["tensor ranker.foo 1\n", "0.5\n"] if change == "ranker.foo"
+             else [full[k] for k in sorted(encoder)])
+    bad.write_text("".join(lines + extra))
     err = invalid(capsys, *rank, str(bad))
-    assert f"{bad}:{len(lines) + 1}: unknown tensor ranker.foo" in err
+    assert f"{bad}:{len(lines) + 1}: unknown tensor {extra[0].split()[1]}" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--beta1", "1.0"), ("--eps", "inf")])
@@ -927,6 +951,41 @@ def test_train_outputs_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in TRAIN_SHA256}
     assert digests == TRAIN_SHA256
+
+
+# sha256 of ``train`` and ``rank --ratings-out`` on a 4x4 grid with walks of
+# length 6.  From forward level 4 and backward level 3 on, every prefix of
+# the sample set is distinct: the prefix index stores no map there, and
+# training steps those levels one entry per sequence, which TRAIN_SHA256's
+# length-4 walks never reach.  The same scope as TRAIN_SHA256.
+LEN6_SHA256 = {
+    "model.ckpt": "22b704c0eebd11842cdbe69e1ec57e62049eb197f9125e6d9501f4b7adbd21f7",
+    "model.ckpt.history.csv": "afe66a27408f33bff13acb940317ca286cc489fc1167cae5fa9c80ee97ad188f",
+    "ratings.csv": "4c0f50b1cde1c08558cb100cb37976051180c5bc87745ef4d8a2926f607f0b5d",
+    "ranking.csv": "79912100164330528f3bad91bf2923dacef7febcc613819f4c45e12e77af32ab",
+}
+
+
+def test_training_through_all_distinct_levels_matches_golden_digests(tmp_path):
+    net_dir, samples, ckpt = tmp_path / "net", tmp_path / "samples.txt", tmp_path / "model.ckpt"
+    assert run("synth", "--rows", "4", "--cols", "4", "--seed", "1",
+               "--out", str(net_dir)) == EXIT_OK
+    assert run("generate", "--network", str(net_dir),
+               "--out", str(tmp_path / "scores.csv")) == EXIT_OK
+    assert run("sample", "--network", str(net_dir), "--num", "5", "--len", "6", "--seed", "2",
+               "--out", str(samples)) == EXIT_OK
+    seqs = load_samples(samples).sequences.reshape(-1, 6)
+    assert [e is None for e in PrefixIndex(seqs).entry] == [False] * 4 + [True] * 2
+    assert [e is None for e in PrefixIndex(seqs[:, ::-1]).entry] == [False] * 3 + [True] * 3
+    assert run("train", "--network", str(net_dir), "--scores", str(tmp_path / "scores.csv"),
+               "--samples", str(samples), "--epochs", "3", "--strata", "2", "--seed", "1",
+               "--out", str(ckpt)) == EXIT_OK
+    assert run("rank", "--network", str(net_dir), "--ckpt", str(ckpt), "--samples", str(samples),
+               "--ratings-out", str(tmp_path / "ratings.csv"),
+               "--out", str(tmp_path / "ranking.csv")) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in LEN6_SHA256}
+    assert digests == LEN6_SHA256
 
 
 @pytest.fixture(scope="module")

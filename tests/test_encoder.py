@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roadrank.encoder import (EmbedParams, LSTMCellParams, PrefixIndex, _bilstm_backward,
-                              _bilstm_batch, _cell_forward, _encode_backward, _encode_batch,
-                              _pool_batch, identity_levels, minmax_scale_columns, sigmoid,
-                              vertex_features)
+from roadrank.encoder import (EmbedParams, LSTMCellParams, PrefixIndex, Workspace,
+                              _bilstm_backward, _bilstm_batch, _cell_forward, _encode_backward,
+                              _encode_batch, _pool_batch, identity_levels, minmax_scale_columns,
+                              sigmoid, vertex_features)
 from roadrank.graph import ValidationError, normalized_views
 from roadrank.model import NODE_CHUNK, PairScorer, apply_ablation, embedding_width
 from roadrank.ranker import RankerParams
@@ -25,7 +25,9 @@ def lstm(xs, cell):
     """One direction over a single sequence (L, x) -> (L, dim): input t is
     column t of the vertex table."""
     xs = np.asarray(xs, dtype=float)
-    h, _ = _cell_forward(xs.T, identity_levels(np.arange(len(xs))[None, :]), cell)
+    levels, ws = identity_levels(np.arange(len(xs))[None, :]), Workspace()
+    ws.fit(xs.shape[1], cell.dim, {"fw": levels})
+    h, _ = _cell_forward(xs.T, levels, cell, ws, "fw")
     return np.stack([ht[:, 0] for ht in h])
 
 
@@ -33,7 +35,7 @@ def bilstm(xs, p):
     """Both directions over a single sequence (L, x) -> (L, 2*dim)."""
     ids = np.arange(len(xs))[None, :]
     h2, _ = _bilstm_batch(np.asarray(xs, dtype=float).T,
-                          (identity_levels(ids), identity_levels(ids[:, ::-1])), p)
+                          (identity_levels(ids), identity_levels(ids[:, ::-1])), p, Workspace())
     return h2[:, :, 0]
 
 
@@ -374,11 +376,10 @@ def indexed_states(seqs, nodes, feats, p, dh_rng):
     levels = (PrefixIndex(every).levels(flat, rows),
               PrefixIndex(every[:, ::-1]).levels(flat[:, ::-1], rows))
     enc, enc_cache = _encode_batch(flat, feats, p)
-    h2, cache = _bilstm_batch(enc, levels, p)
+    h2, cache = _bilstm_batch(enc, levels, p, Workspace())
     dh2 = dh_rng.normal(size=h2.shape)
     grads = EmbedParams.zeros(p.m, p.x, p.dim)
-    ids, dx = _bilstm_backward(dh2, cache, p, grads)
-    _encode_backward(ids, dx, enc_cache, p, grads)
+    _encode_backward(_bilstm_backward(dh2, cache, p, grads), enc_cache, p, grads)
     return h2.transpose(2, 0, 1), grads, dh2.transpose(2, 0, 1)
 
 

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadrank.checkpoint import named_tensors
 from roadrank.encoder import EmbedParams, sigmoid
 from roadrank.graph import ValidationError, normalized_views
 from roadrank.metrics import labelled_pairs
-from roadrank.model import PairScorer, apply_ablation, embedding_width
+from roadrank.model import PairScorer, apply_ablation, embedding_width, named_tensors
 from roadrank.ranker import (RankerParams, _branch_backward, _branch_forward, bce_loss,
                              pair_forward, rank_from_matrix)
 from roadrank.synth import synth_grid_network
