@@ -82,8 +82,12 @@ def load_checkpoint(path) -> tuple[EmbedParams | None, RankerParams, dict]:
 
     ranker = RankerParams.zeros(meta_int("input_dim"), meta_int("f1", 32), meta_int("f2", 16),
                                 meta_int("rdim", 8))
+    try:
+        variant = apply_ablation(meta.get("variant", "full"))
+    except ValidationError as e:
+        raise ValidationError(f"{path}: meta variant: {e}") from None
     embed = None
-    if apply_ablation(meta.get("variant", "full")).use_embedding:
+    if variant.use_embedding:
         embed = EmbedParams.zeros(meta_int("m"), meta_int("x"), meta_int("dim"))
     expected = named_tensors(embed, ranker)
     for name, (ln, _) in tensors.items():

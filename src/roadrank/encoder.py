@@ -200,62 +200,53 @@ def _sum_into(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# float64 rows per entry, in units of dim: a level's cache holds the gates
-# (4), c, tanh(c) and h; the step slot holds one level's temporaries, of
-# which the backward pass has the most (12, and x rows for its input)
-CACHE_ROWS = 7
-STEP_ROWS = 12
-
-
 class Workspace:
     """The float64 buffers that encoder passes write their arrays into, by
     slot name: each direction's per-level cache (``fw``, ``bw``), one level's
     temporaries (``step``, reused level after level) and the sequences'
     states or their gradient (``states``).
 
-    Training keeps one workspace from batch to batch, so a batch's live set
-    is written into memory the previous batch already paged in, instead of
-    being freed and faulted in again.  A slot grows to the largest size a
-    pass has needed, times ``1 + spare``, and never shrinks: a workspace
-    that later passes reuse takes some spare, so that slightly larger
-    batches do not grow it again, while one made for a single pass takes
-    none.  Every view handed out is valid only until the next pass writes
-    into the same slot."""
+    Each pass sizes a slot by the views it asks of it.  Training keeps one
+    workspace from batch to batch, so a batch's live set is written into
+    memory the previous batch already paged in, instead of being freed and
+    faulted in again.  A slot grows to the largest size a pass has asked
+    for, times ``1 + spare``, and never shrinks: a workspace that later
+    passes reuse takes some spare, so that slightly larger batches do not
+    grow it again, while one made for a single pass takes none.  Every view
+    handed out is valid only until the next pass writes into the same
+    slot."""
 
     def __init__(self, spare: float = 0.0):
         self._slots: dict[str, np.ndarray] = {}
         self.spare = spare
-        self.width = 0  # the widest level of the pass fitted last: the step slot's stride
-
-    def grow(self, name: str, size: int) -> None:
-        """Make slot ``name`` hold at least ``size`` items."""
-        if name not in self._slots or self._slots[name].size < size:
-            self._slots.pop(name, None)  # the smaller buffer goes before the larger comes
-            self._slots[name] = np.empty(size + int(size * self.spare))
-
-    def fit(self, x: int, dim: int, sides: dict[str, Levels]) -> None:
-        """Size the cache slot of each side's levels and the step slot for
-        their widest level, before the pass writes anything."""
-        self.width = max(v.size for lv in sides.values() for v in lv.vertex)
-        for side, lv in sides.items():
-            self.grow(side, CACHE_ROWS * dim * sum(v.size for v in lv.vertex))
-        self.grow("step", (x + STEP_ROWS * dim) * self.width)
 
     def views(self, name: str, shapes, stride: int | None = None) -> list[np.ndarray]:
         """C-contiguous views of slot ``name``, one per (rows, cols) shape,
-        laid end to end.  With ``stride`` each view's region holds rows x
-        stride items, so a view sits at the same place at every level."""
-        buf, out, k = self._slots[name], [], 0
+        laid end to end, the slot grown to hold them.  With ``stride`` each
+        view's region holds rows x stride items, so a view sits at the same
+        place at every level."""
+        at, k = [], 0  # each view's first item and shape
         for rows, cols in shapes:
-            out.append(buf[k:k + rows * cols].reshape(rows, cols))
+            at.append((k, rows, cols))
             k += rows * (cols if stride is None else stride)
-        return out
+        buf = self._slots.get(name)
+        if buf is None or buf.size < k:
+            self._slots.pop(name, None)  # the smaller buffer goes before the larger comes
+            buf = self._slots[name] = np.empty(k + int(k * self.spare))
+        return [buf[i:i + rows * cols].reshape(rows, cols) for i, rows, cols in at]
 
     def array(self, name: str, shape) -> np.ndarray:
         """Slot ``name`` grown to ``shape`` and viewed as it."""
-        size = int(np.prod(shape))
-        self.grow(name, size)
-        return self._slots[name][:size].reshape(shape)
+        return self.views(name, [(1, int(np.prod(shape)))])[0].reshape(shape)
+
+
+def _step_views(ws: Workspace, x: int, dim: int, e: int, size: int, width: int):
+    """One level's temporaries in the step slot of ``ws``, each at the same
+    place at every level of a pass whose widest level has ``width`` entries:
+    (x, e), (4*dim, e), six (dim, e) and two (dim, size).  Both passes carve
+    this one layout, which the backward pass fills, so a batch's forward
+    pass already sizes the slot for its backward pass."""
+    return ws.views("step", [(x, e), (4 * dim, e)] + [(dim, e)] * 6 + [(dim, size)] * 2, width)
 
 
 class PrefixIndex:
@@ -335,16 +326,16 @@ def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
     """Run one LSTM direction over ``levels``, one step per level, taking
     each entry's input from the (x, n + m) table ``enc`` and its previous
     state from its parent; returns the (dim, entries) states per level and
-    the cache.  The arrays are views into slot ``side`` and the step slot of
-    ``ws``, which must have been fitted to ``levels``."""
+    the cache.  The arrays are views into slot ``side`` of ``ws``, which
+    this pass sizes to the levels' cache, and its step slot, sized to the
+    widest level."""
     dim = cell.dim
     bias = cell.b[:, None]
+    width = max(v.size for v in levels.vertex)
     gates, cs, tcs, hs = [], [], [], []
-    blocks = ws.views(side, [(CACHE_ROWS * dim, v.size) for v in levels.vertex])
+    blocks = ws.views(side, [(7 * dim, v.size) for v in levels.vertex])  # gates, c, tanh(c), h
     for t, (vertex, parent, block) in enumerate(zip(levels.vertex, levels.parent, blocks)):
-        e = vertex.size
-        x, h_in, c_in, wh, ig = ws.views(
-            "step", [(enc.shape[0], e), (dim, e), (dim, e), (4 * dim, e), (dim, e)], ws.width)
+        x, wh, h_in, c_in, ig, *_ = _step_views(ws, enc.shape[0], dim, vertex.size, 0, width)
         if t == 0:  # no parent: the state starts at zero
             h_in.fill(0.0)
             c_in.fill(0.0)
@@ -353,7 +344,7 @@ def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
         at, c, tc, h = np.split(block, [4 * dim, 5 * dim, 6 * dim])
         # the operations and their order are those of the expressions
         # at = w_x.T @ x + w_h.T @ h + b, c = f * c + i * g, h = o * tanh(c)
-        np.take(enc, vertex, axis=1, out=x, mode="clip")
+        _take(enc, vertex, x)
         np.matmul(cell.w_x.T, x, out=at)
         at += np.matmul(cell.w_h.T, h_in, out=wh)
         at += bias
@@ -376,10 +367,8 @@ def _bilstm_batch(enc: np.ndarray, levels: tuple[Levels, Levels], p: EmbedParams
     """Both directions over their ``(forward, backward)`` levels; returns
     each sequence's states as (L, 2*dim, B) and the cache.  Backward level t
     is the reversed suffix that starts at position L - 1 - t.  Every array
-    is a view into ``ws``, fitted to these levels before the first is
-    written."""
+    is a view into ``ws``, each slot sized by the pass that writes it."""
     fw, bw = levels
-    ws.fit(enc.shape[0], p.dim, {"fw": fw, "bw": bw})
     h_fw, cache_fw = _cell_forward(enc, fw, p.fw, ws, "fw")
     h_bw, cache_bw = _cell_forward(enc, bw, p.bw, ws, "bw")
     l = len(h_fw)
@@ -421,18 +410,17 @@ def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
     input gradient summed per vertex id, (x, n + m).  A level's entries
     first sum their sequences' gradients, then pass dh and dc down to their
     parents, each parent summing its children's.  The temporaries are views
-    into the cache's step slot, each at the same place at every level."""
+    into the cache's step slot, laid out for the widest cached level."""
     levels, enc, gates, cs, tcs, hs, ws = cache
     dim = cell.dim
+    width = max(a.shape[1] for a in gates)
     dsums = [None] * len(gates)
     dh_next = dc_next = 0.0
     for t in range(len(gates) - 1, -1, -1):
         at, parent, tc = gates[t], levels.parent[t], tcs[t]
-        e = at.shape[1]
         size = gates[t - 1].shape[1] if t > 0 else 0
-        da, dh, dc, s, prev, x, wh_da, dc_f, dh_sum, dc_sum = ws.views(
-            "step", [(4 * dim, e)] + [(dim, e)] * 4 + [(enc.shape[0], e)] + [(dim, e)] * 2
-            + [(dim, size)] * 2, ws.width)
+        x, da, dh, dc, s, prev, wh_da, dc_f, dh_sum, dc_sum = _step_views(
+            ws, enc.shape[0], dim, at.shape[1], size, width)
         i, f, o, g = np.split(at, 4)
         da_i, da_f, da_o, da_c = np.split(da, 4)
         # the operations and their order are those of the expressions
@@ -452,7 +440,7 @@ def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
         np.multiply(dc, i, out=da_c)
         np.multiply(g, g, out=s)
         da_c *= np.subtract(1.0, s, out=s)
-        np.take(enc, levels.vertex[t], axis=1, out=x, mode="clip")
+        _take(enc, levels.vertex[t], x)
         grads.w_x += x @ da.T
         grads.b += da.sum(axis=1)
         dsums[t] = _sum_into(np.matmul(cell.w_x, da, out=x), levels.vertex[t], np.empty(enc.shape))

@@ -490,7 +490,7 @@ def test_samples_drawn_for_another_attribute_count_rejected(pipeline, tmp_path, 
     ("ranker.b_out", "0.5x"), ("embed.fw.w_hc", "0.1 0.2 three 0.4"),
     ("ranker.b_out", "nan"), ("ranker.b_out", "-inf"),
     ("ranker.b_out", ("2", "0.1 0.2")), ("ranker.b_out", ("1 1", "0.1")),
-    ("x", "-1"), ("input_dim", "-3"), ("f2", "0"),
+    ("x", "-1"), ("input_dim", "-3"), ("f2", "0"), ("variant", "bogus"),
 ])
 def test_checkpoint_meta_rejected(pipeline, tmp_path, capsys, key, value):
     """Meta keys are dropped or replaced; a tensor's value line, or its
@@ -513,7 +513,7 @@ def test_checkpoint_meta_rejected(pipeline, tmp_path, capsys, key, value):
         assert len(kept) == len(lines) - 1
         if value is not None:
             kept.insert(1, f"meta {key} {value}\n")
-        lines, expected = kept, f"meta {key}"
+        lines, expected = kept, f"{bad}: meta {key}"
     bad.write_text("".join(lines))
     err = invalid(capsys, "rank", "--network", str(net_dir), "--ckpt", str(bad),
                   "--samples", str(samples), "--out", str(tmp_path / "r.csv"))

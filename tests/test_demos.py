@@ -1,6 +1,6 @@
 """The demos stay runnable: the quick ones run end to end as scripts; the
-training demo (10-20 s on a 2-vCPU VM) and the README's library quick start
-only have their roadrank names checked."""
+training demo (about 5 s on a 2-vCPU VM, which CI runs as a script) and the
+README's library quick start only have their roadrank names checked here."""
 
 import ast
 import importlib

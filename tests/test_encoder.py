@@ -25,9 +25,8 @@ def lstm(xs, cell):
     """One direction over a single sequence (L, x) -> (L, dim): input t is
     column t of the vertex table."""
     xs = np.asarray(xs, dtype=float)
-    levels, ws = identity_levels(np.arange(len(xs))[None, :]), Workspace()
-    ws.fit(xs.shape[1], cell.dim, {"fw": levels})
-    h, _ = _cell_forward(xs.T, levels, cell, ws, "fw")
+    levels = identity_levels(np.arange(len(xs))[None, :])
+    h, _ = _cell_forward(xs.T, levels, cell, Workspace(), "fw")
     return np.stack([ht[:, 0] for ht in h])
 
 
@@ -475,3 +474,31 @@ def test_a_reused_workspace_gives_a_fresh_scorers_bits(mode):
     for name, g in want[1].items():
         assert got[1][name].tobytes() == g.tobytes(), name
     assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_a_training_batch_allocates_each_slot_once(monkeypatch):
+    """Each pass sizes the workspace slots it writes, and the first
+    training batch must still allocate each slot once, at the size the
+    whole batch needs; the same batch again allocates none.  A step slot
+    that the forward pass sizes and the backward pass grows again fails
+    here."""
+    net = synth_grid_network(6, 6, seed=2)
+    ss = sample_walks(net, normalized_views(net), WalkConfig(alpha=1e-4, num=20, length=4, seed=5))
+    p = EmbedParams.init(net.m, x=8, dim=2, seed=6)
+    scorer = PairScorer(net, ss, p, RankerParams.init(p.hdim, seed=7), apply_ablation("full"))
+    pi, pj = np.random.default_rng(3).integers(0, net.n, size=(2, 40))
+    buffers = {}  # slot name -> every buffer it has held
+    views = Workspace.views
+
+    def recording_views(ws, name, *args):
+        out = views(ws, name, *args)
+        seen = buffers.setdefault(name, [])
+        if not any(b is ws._slots[name] for b in seen):
+            seen.append(ws._slots[name])
+        return out
+
+    monkeypatch.setattr(Workspace, "views", recording_views)
+    for _ in range(2):
+        scorer.loss_and_grads(pi, pj, (pi < pj).astype(float))
+        assert {name: len(seen) for name, seen in buffers.items()} == {
+            "fw": 1, "bw": 1, "step": 1, "states": 1}
