@@ -21,7 +21,7 @@ print("baseline speed:          ", np.round(state.speed[:6], 1))
 
 # %%
 target = int(state.demand.argmax())
-counts = rr.cascade_failure(net, state, target, cfg)
+counts = rr.cascade_failure(net, target, cfg)
 print(f"failing segment {target}: newly failed per period {counts.tolist()}")
 print(f"decayed score: {rr.importance_score(counts, cfg.gamma):.4f}")
 print("(a failure in period t is worth gamma^t, so early damage dominates)")

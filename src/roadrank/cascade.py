@@ -134,8 +134,9 @@ class _LocalCascade:
     counts equal a whole-network simulation of it exactly.
     """
 
-    def __init__(self, net: RoadNetwork, state: BaselineState, cfg: CascadeConfig):
+    def __init__(self, net: RoadNetwork, cfg: CascadeConfig):
         self.n, self.cfg = net.n, cfg
+        state = assign_baseline_state(net, cfg.kappa, cfg.observation_window)
         self.limiv = net.A[:, net.attr_index("limiv")]
         self.threshold = cfg.failure_speed_fraction * self.limiv
         self.cap = state.capacity
@@ -162,17 +163,22 @@ class _LocalCascade:
         for t in range(cfg.periods):
             if t > 0:
                 unmet = np.maximum(dem - self.cap, 0.0)
-                ups = dem[src]
-                total = np.bincount(dst, weights=ups, minlength=n)[dst]
-                positive = total > 0
-                share = np.where(positive, ups / np.where(positive, total, 1.0), self.uniform)
-                self.push[t] = (cfg.spillback_rate * unmet[dst]) * share
+                self.push[t] = self._push(dst, dem[src], self.uniform, unmet)
                 dem = dem + np.bincount(src, weights=self.push[t], minlength=n)
             self.dem[t] = dem
             self.congested[t] = dem > self.cap
             below = _congested_speed(self.limiv, self.cap, dem) < self.threshold
             self.newly[t] = below & ~self.failed[t]
             self.failed[t + 1] = self.failed[t] | self.newly[t]
+
+    def _push(self, at, ups, uniform, unmet) -> np.ndarray:
+        """Each in-edge's push: ``spillback_rate`` times its segment's unmet
+        demand, shared by the upstream demands ``ups`` (by ``uniform`` where
+        they total 0).  Both runs push through here, so they round alike."""
+        total = np.bincount(at, weights=ups)[at]
+        positive = total > 0
+        share = np.where(positive, ups / np.where(positive, total, 1.0), uniform)
+        return (self.cfg.spillback_rate * unmet[at]) * share
 
     def counts(self, targets: np.ndarray) -> np.ndarray:
         """Failure counts per period, one row per target in ``targets``."""
@@ -209,11 +215,7 @@ class _LocalCascade:
                 keep = np.flatnonzero((unmet > 0) | self.congested[t - 1][seg])
                 c, unmet = c[keep], unmet[keep]
                 at, e, up = flat_neighbours(c, n, self.in_ptr, src)
-                ups = demand(up, src[e], prev)
-                total = np.bincount(at, weights=ups, minlength=c.size)[at]
-                positive = total > 0
-                share = np.where(positive, ups / np.where(positive, total, 1.0), self.uniform[e])
-                pushed = (cfg.spillback_rate * unmet[at]) * share
+                pushed = self._push(at, demand(up, src[e], prev), self.uniform[e], unmet)
                 # the demand of D and of the cells upstream of those pushes:
                 # the free run's pushes over each cell's out-edges, with the
                 # recomputed ones put in at their edges' places
@@ -249,8 +251,7 @@ class _LocalCascade:
         return counts
 
 
-def cascade_failure(net: RoadNetwork, state: BaselineState, target: int,
-                    cfg: CascadeConfig) -> np.ndarray:
+def cascade_failure(net: RoadNetwork, target: int, cfg: CascadeConfig) -> np.ndarray:
     """Simulate the failure of ``target`` and count newly failed segments
     per period.
 
@@ -259,11 +260,12 @@ def cascade_failure(net: RoadNetwork, state: BaselineState, target: int,
     its upstream in-neighbors (self-loops excluded), split by their demand
     share (uniformly if all upstream demand is zero).  A segment is failed
     the first period its speed is strictly below
-    ``failure_speed_fraction * limiv``; each segment counts once.
+    ``failure_speed_fraction * limiv``; each segment counts once.  Every
+    input comes from ``cfg``, through :func:`assign_baseline_state`.
     """
     if not 0 <= target < net.n:
         raise ValidationError(f"unknown target id {target}")
-    return _LocalCascade(net, state, cfg).counts(np.array([target]))[0]
+    return _LocalCascade(net, cfg).counts(np.array([target]))[0]
 
 
 def importance_score(counts, gamma: float):
@@ -282,9 +284,7 @@ def importance_score(counts, gamma: float):
 
 def generate_ground_truth(net: RoadNetwork, cfg: CascadeConfig) -> ImportanceScores:
     """Score every node by simulating its failure once."""
-    state = assign_baseline_state(net, kappa=cfg.kappa,
-                                  observation_window=cfg.observation_window)
-    cascade = _LocalCascade(net, state, cfg)
+    cascade = _LocalCascade(net, cfg)
     block = max(1, _BLOCK_ELEMENTS // max(cascade.src.size, net.n))
     aff = np.empty(net.n)
     for lo in range(0, net.n, block):

@@ -170,11 +170,12 @@ def vertex_features(a_scaled: np.ndarray) -> np.ndarray:
 class Levels:
     """One direction's entries over a batch of sequences, level by level:
     ``vertex[t]`` is each entry's last vertex id, ``parent[t]`` the index of
-    its length-t prefix among level t - 1's entries (None at level 0, which
-    has no parent), and ``seq[t]`` each sequence's entry."""
+    its length-t prefix among level t - 1's entries (at level 0, all zeros:
+    the one empty prefix, whose state is zero), and ``seq[t]`` each
+    sequence's entry."""
 
     vertex: list[np.ndarray]
-    parent: list[np.ndarray | None]
+    parent: list[np.ndarray]
     seq: list[np.ndarray]
 
 
@@ -183,7 +184,7 @@ def identity_levels(ids: np.ndarray) -> Levels:
     is sequence k's at every level."""
     b, l = ids.shape
     k = np.arange(b)
-    return Levels([ids[:, t] for t in range(l)], [None] + [k] * (l - 1), [k] * l)
+    return Levels([ids[:, t] for t in range(l)], [np.zeros_like(k)] + [k] * (l - 1), [k] * l)
 
 
 def _take(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -287,7 +288,7 @@ class PrefixIndex:
     def levels(self, ids: np.ndarray, rows: np.ndarray) -> Levels:
         """The levels of the batch ``ids``, the indexed sequences ``rows``."""
         vertex, parent, seq = [], [], []
-        prev = None  # the previous level's ``seq``
+        prev = np.zeros(len(rows), dtype=np.intp)  # the previous level's ``seq``
         for t, (entry, size) in enumerate(zip(self.entry, self.size)):
             if entry is None:  # every prefix distinct: sequence k is entry k
                 inv = rep = np.arange(len(rows))
@@ -302,7 +303,7 @@ class PrefixIndex:
                 rep = np.empty(uniq.size, dtype=np.intp)  # one sequence of each entry
                 rep[inv] = np.arange(inv.size)
             vertex.append(ids[rep, t])
-            parent.append(None if t == 0 else prev[rep])
+            parent.append(prev[rep])
             seq.append(inv)
             prev = inv
         return Levels(vertex, parent, seq)
@@ -328,19 +329,18 @@ def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
     state from its parent; returns the (dim, entries) states per level and
     the cache.  The arrays are views into slot ``side`` of ``ws``, which
     this pass sizes to the levels' cache, and its step slot, sized to the
-    widest level."""
+    widest level.  The cached ``cs`` and ``hs`` lead with the empty prefix's
+    zero state, so ``cs[t]`` holds the cell states of level t's parents."""
     dim = cell.dim
     bias = cell.b[:, None]
     width = max(v.size for v in levels.vertex)
-    gates, cs, tcs, hs = [], [], [], []
+    gates, tcs = [], []
+    cs, hs = [np.zeros((dim, 1))], [np.zeros((dim, 1))]
     blocks = ws.views(side, [(7 * dim, v.size) for v in levels.vertex])  # gates, c, tanh(c), h
-    for t, (vertex, parent, block) in enumerate(zip(levels.vertex, levels.parent, blocks)):
+    for vertex, parent, block in zip(levels.vertex, levels.parent, blocks):
         x, wh, h_in, c_in, ig, *_ = _step_views(ws, enc.shape[0], dim, vertex.size, 0, width)
-        if t == 0:  # no parent: the state starts at zero
-            h_in.fill(0.0)
-            c_in.fill(0.0)
-        else:
-            h_in, c_in = _take(h, parent, h_in), _take(c, parent, c_in)
+        _take(hs[-1], parent, h_in)
+        _take(cs[-1], parent, c_in)
         at, c, tc, h = np.split(block, [4 * dim, 5 * dim, 6 * dim])
         # the operations and their order are those of the expressions
         # at = w_x.T @ x + w_h.T @ h + b, c = f * c + i * g, h = o * tanh(c)
@@ -359,7 +359,7 @@ def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
         cs.append(c)
         tcs.append(tc)
         hs.append(h)
-    return hs, (levels, enc, gates, cs, tcs, hs, ws)
+    return hs[1:], (levels, enc, gates, cs, tcs, hs, ws)
 
 
 def _bilstm_batch(enc: np.ndarray, levels: tuple[Levels, Levels], p: EmbedParams,
@@ -418,9 +418,8 @@ def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
     dh_next = dc_next = 0.0
     for t in range(len(gates) - 1, -1, -1):
         at, parent, tc = gates[t], levels.parent[t], tcs[t]
-        size = gates[t - 1].shape[1] if t > 0 else 0
         x, da, dh, dc, s, prev, wh_da, dc_f, dh_sum, dc_sum = _step_views(
-            ws, enc.shape[0], dim, at.shape[1], size, width)
+            ws, enc.shape[0], dim, at.shape[1], cs[t].shape[1], width)
         i, f, o, g = np.split(at, 4)
         da_i, da_f, da_o, da_c = np.split(da, 4)
         # the operations and their order are those of the expressions
@@ -432,7 +431,7 @@ def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
         np.multiply(tc, tc, out=s)
         dc *= np.subtract(1.0, s, out=s)
         dc += dc_next
-        c_prev = _take(cs[t - 1], parent, prev) if t > 0 else 0.0
+        c_prev = _take(cs[t], parent, prev)
         for d, u, v, w in ((da_i, dc, g, i), (da_f, dc, c_prev, f), (da_o, dh, tc, o)):
             np.multiply(u, v, out=d)
             d *= w
@@ -444,10 +443,9 @@ def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
         grads.w_x += x @ da.T
         grads.b += da.sum(axis=1)
         dsums[t] = _sum_into(np.matmul(cell.w_x, da, out=x), levels.vertex[t], np.empty(enc.shape))
-        if t > 0:
-            grads.w_h += _take(hs[t - 1], parent, prev) @ da.T
-            dh_next = _sum_into(np.matmul(cell.w_h, da, out=wh_da), parent, dh_sum)
-            dc_next = _sum_into(np.multiply(dc, f, out=dc_f), parent, dc_sum)
+        grads.w_h += _take(hs[t], parent, prev) @ da.T
+        dh_next = _sum_into(np.matmul(cell.w_h, da, out=wh_da), parent, dh_sum)
+        dc_next = _sum_into(np.multiply(dc, f, out=dc_f), parent, dc_sum)
     return dsums
 
 

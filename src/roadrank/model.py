@@ -78,7 +78,6 @@ class PairScorer:
         self.variant = variant
         self.embed = embed
         self.ranker = ranker
-        self.n = net.n
         a_scaled = minmax_scale_columns(net.A)
         if variant.use_embedding:
             if embed is None:
@@ -111,7 +110,6 @@ class PairScorer:
                 f"ranker input width {ranker.input_dim} does not match "
                 f"embedding width {width} for variant {variant.name}"
             )
-        self.width = width
 
     def tensors(self) -> dict[str, np.ndarray]:
         return named_tensors(self.embed if self.variant.use_embedding else None, self.ranker)

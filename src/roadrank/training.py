@@ -228,9 +228,8 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
 
     history: list[dict] = []
     best_epoch = 0
-    best_micro = -np.inf
-    best_embed = embed.copy() if embed is not None else None
-    best_ranker = ranker.copy()
+    best_micro = -np.inf  # epoch 1's finite validation micro-F1 always beats it
+    best_embed = best_ranker = None
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(pi.size)
         loss_sum = 0.0

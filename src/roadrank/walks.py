@@ -197,14 +197,12 @@ def save_samples(samples: SampleSet, path) -> None:
     cfg = samples.config
     rows = samples.sequences.reshape(-1, cfg.length)
     line = " ".join(["%d"] * cfg.length) + "\n"
+    header = {"n": samples.n, "m": samples.m, "num": cfg.num, "l": cfg.length,
+              "alpha": cfg.alpha, "seed": cfg.seed}
     with open(Path(path), "w") as fh:
         fh.write(_SAMPLES_MAGIC + "\n")
-        fh.write(f"n {samples.n}\n")
-        fh.write(f"m {samples.m}\n")
-        fh.write(f"num {cfg.num}\n")
-        fh.write(f"l {cfg.length}\n")
-        fh.write(f"alpha {cfg.alpha!r}\n")
-        fh.write(f"seed {cfg.seed}\n")
+        for key, cast in _SAMPLES_HEADER:
+            fh.write(f"{key} {cast(header[key])!r}\n")
         for lo in range(0, len(rows), _WRITE_LINES):
             block = rows[lo:lo + _WRITE_LINES]
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))

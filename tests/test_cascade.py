@@ -71,6 +71,28 @@ def reference_cascade(net, target, cfg, demands=None):
     return counts, failed
 
 
+# kappa scales capacity and observation_window demand; scaling both alike
+# would change no count
+SCALED = ({}, {"kappa": 0.5}, {"observation_window": 2.0})
+
+
+def assert_matches_reference(net, cfg):
+    """cascade_failure and generate_ground_truth equal the reference for
+    every target, under ``cfg`` and under ``cfg`` with each of ``SCALED``;
+    returns the number of failures over all of them."""
+    failures = 0
+    for scaled in SCALED:
+        c = dataclasses.replace(cfg, **scaled)
+        scores = generate_ground_truth(net, c)
+        for target in range(net.n):
+            ref_counts, _ = reference_cascade(net, target, c)
+            npt.assert_array_equal(cascade_failure(net, target, c), ref_counts)
+            assert scores.aff[target] == importance_score(ref_counts, c.gamma)
+            assert sum(ref_counts) <= net.n  # nothing fails twice
+            failures += sum(ref_counts)
+    return failures
+
+
 def test_baseline_state_free_flow():
     net = make_net([(0, 1), (1, 0)], limiv=[60, 40], nlan=[2, 1], vol=[0, 0])
     state = assign_baseline_state(net)
@@ -104,18 +126,18 @@ def test_failure_threshold_boundary():
     # alive; nudging demand to 1.01 x capacity fails it in period 1
     net = make_net([], limiv=[100], nlan=[2], vol=[200])
     cfg = CascadeConfig()
-    counts = cascade_failure(net, assign_baseline_state(net), 0, cfg)
+    counts = cascade_failure(net, 0, cfg)
     assert counts.sum() == 0
 
     over = make_net([], limiv=[100], nlan=[2], vol=[202])
-    counts = cascade_failure(over, assign_baseline_state(over), 0, cfg)
+    counts = cascade_failure(over, 0, cfg)
     assert counts[0] == 1
     assert counts.sum() == 1
 
 
 def test_zero_demand_target_never_fails():
     net = make_net([(0, 1), (1, 0)], limiv=[50, 50], nlan=[1, 1], vol=[0, 0])
-    counts = cascade_failure(net, assign_baseline_state(net), 0, CascadeConfig())
+    counts = cascade_failure(net, 0, CascadeConfig())
     npt.assert_array_equal(counts, np.zeros(10, dtype=np.int64))
 
 
@@ -124,9 +146,8 @@ def test_free_flow_invariance():
     # nothing spills back, and no period records a failure
     net = make_net([(0, 1), (1, 2), (2, 0)], limiv=[50, 50, 50], nlan=[2, 2, 2],
                    vol=[9, 8, 7])  # reduced capacity is 10
-    state = assign_baseline_state(net)
     for target in range(3):
-        counts = cascade_failure(net, state, target, CascadeConfig())
+        counts = cascade_failure(net, target, CascadeConfig())
         assert counts.sum() == 0
 
 
@@ -150,7 +171,7 @@ def test_target_demand_monotonicity():
             vol = base_vol.copy()
             vol[target] = scale * cap[target]
             net = make_net(edges, limiv=limiv, nlan=nlan, vol=vol)
-            counts = cascade_failure(net, assign_baseline_state(net), target, cfg)
+            counts = cascade_failure(net, target, cfg)
             ref_counts, _ = reference_cascade(net, target, cfg)
             npt.assert_array_equal(counts, ref_counts)
             aff = importance_score(counts, cfg.gamma)
@@ -163,7 +184,7 @@ def test_chain_propagates_upstream_strictly_later():
     net = make_net([(0, 1), (1, 2)], limiv=[10, 10, 10], nlan=[3, 1, 1],
                    vol=[2, 10, 50])
     cfg = CascadeConfig(spillback_rate=0.9)
-    counts = cascade_failure(net, assign_baseline_state(net), 2, cfg)
+    counts = cascade_failure(net, 2, cfg)
     ref_counts, ref_failed = reference_cascade(net, 2, cfg)
     npt.assert_array_equal(counts, ref_counts)
     assert 2 in ref_failed and 1 in ref_failed and 0 in ref_failed
@@ -181,7 +202,7 @@ def test_failure_earlier_than_the_free_run_counts_once():
     ref_counts, ref_failed = reference_cascade(net, 2, cfg)
     assert free_failed == {1: 4, 0: 7}
     assert ref_failed == {2: 1, 1: 2, 0: 5}
-    npt.assert_array_equal(cascade_failure(net, assign_baseline_state(net), 2, cfg), ref_counts)
+    npt.assert_array_equal(cascade_failure(net, 2, cfg), ref_counts)
     scores = generate_ground_truth(net, cfg)
     for target in range(net.n):
         ref_counts, _ = reference_cascade(net, target, cfg)
@@ -195,13 +216,12 @@ def test_change_set_over_the_whole_network_matches_reference():
     cfg = CascadeConfig(periods=40)
     free = []
     reference_cascade(net, None, cfg, demands=free)
-    state = assign_baseline_state(net)
     scores = generate_ground_truth(net, cfg)
     reached = 0
     for target in range(net.n):
         demands = []
         ref_counts, _ = reference_cascade(net, target, cfg, demands=demands)
-        npt.assert_array_equal(cascade_failure(net, state, target, cfg), ref_counts)
+        npt.assert_array_equal(cascade_failure(net, target, cfg), ref_counts)
         assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
         reached = max(reached, *(sum(a != b for a, b in zip(dem, base))
                                  for dem, base in zip(demands, free)))
@@ -230,13 +250,7 @@ def test_cascade_matches_reference_on_random_networks():
                        limiv=rng.choice([30, 50, 80], size=n),
                        nlan=rng.integers(1, 4, size=n),
                        vol=rng.uniform(0, 300, size=n))
-        cfg = CascadeConfig(spillback_rate=0.7, periods=6)
-        state = assign_baseline_state(net)
-        for target in range(n):
-            counts = cascade_failure(net, state, target, cfg)
-            ref_counts, _ = reference_cascade(net, target, cfg)
-            npt.assert_array_equal(counts, ref_counts)
-            assert counts.sum() <= n  # nothing fails twice
+        assert_matches_reference(net, CascadeConfig(spillback_rate=0.7, periods=6))
 
 
 def test_cascade_matches_reference_with_a_high_in_degree_hub():
@@ -256,12 +270,7 @@ def test_cascade_matches_reference_with_a_high_in_degree_hub():
                        nlan=rng.integers(1, 4, size=n),
                        vol=rng.uniform(0, 300, size=n) * 10.0 ** rng.uniform(-2, 1, size=n))
         assert int(((net.src > 0) & (net.dst == 0)).sum()) >= 8
-        state = assign_baseline_state(net)
-        scores = generate_ground_truth(net, cfg)
-        for target in range(n):
-            ref_counts, _ = reference_cascade(net, target, cfg)
-            npt.assert_array_equal(cascade_failure(net, state, target, cfg), ref_counts)
-            assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
+        assert_matches_reference(net, cfg)
 
 
 def test_cascade_matches_reference_with_explicit_self_loops():
@@ -279,13 +288,7 @@ def test_cascade_matches_reference_with_explicit_self_loops():
                        limiv=rng.choice([30, 50, 80], size=n),
                        nlan=rng.integers(1, 4, size=n),
                        vol=rng.uniform(0, 300, size=n))
-        state = assign_baseline_state(net)
-        scores = generate_ground_truth(net, cfg)
-        for target in range(n):
-            ref_counts, _ = reference_cascade(net, target, cfg)
-            npt.assert_array_equal(cascade_failure(net, state, target, cfg), ref_counts)
-            assert scores.aff[target] == importance_score(ref_counts, cfg.gamma)
-            failures += sum(ref_counts)
+        failures += assert_matches_reference(net, cfg)
     assert loops >= 20 and failures > 0
 
 
@@ -305,7 +308,7 @@ def test_ground_truth_over_several_blocks_matches_reference(monkeypatch):
 def test_cascade_unknown_target():
     net = make_net([(0, 1), (1, 0)], limiv=[50, 50], nlan=[1, 1], vol=[1, 1])
     with pytest.raises(ValidationError, match="target"):
-        cascade_failure(net, assign_baseline_state(net), 5, CascadeConfig())
+        cascade_failure(net, 5, CascadeConfig())
 
 
 def test_importance_score_hand_value():
