@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EmbedParams
-from .graph import ValidationError, open_text
+from .graph import ValidationError, open_output, open_text
 from .model import apply_ablation, named_tensors
 from .ranker import RankerParams
 
@@ -20,7 +20,7 @@ def save_checkpoint(path, embed: EmbedParams | None, ranker: RankerParams,
                     meta: dict) -> None:
     """Write parameters and metadata; ``embed`` may be None (NoEmb)."""
     tensors = named_tensors(embed, ranker)
-    with open(Path(path), "w") as fh:
+    with open_output(Path(path)) as fh:
         fh.write(_CKPT_MAGIC + "\n")
         for key in sorted(meta):
             fh.write(f"meta {key} {meta[key]}\n")

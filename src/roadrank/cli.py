@@ -6,9 +6,12 @@ its primary output so results can be replayed."""
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
+import re
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -21,7 +24,8 @@ from . import __version__
 from .baselines import betweenness_centrality, degree_centrality, pagerank
 from .cascade import CascadeConfig, generate_ground_truth, import_scores, save_scores
 from .checkpoint import load_checkpoint, save_checkpoint
-from .graph import ValidationError, load_network_dir, open_text, read_rows, save_network
+from .graph import (ValidationError, load_network_dir, open_output, open_text, read_rows,
+                    save_network)
 from .metrics import descending_order, report_for_ranking
 from .model import PairScorer, PipelineVariant, apply_ablation
 # rank_from_matrix is not called here; perfbench/spans.py spans it under this module
@@ -126,6 +130,28 @@ def _blas_build() -> dict | None:
     return None if blas is None else {k: blas.get(k) for k in ("name", "version")}
 
 
+@functools.cache
+def _blas_core() -> str | None:
+    """The OpenBLAS core (kernel family) in use, which numpy does not
+    report: asked through ctypes of the OpenBLAS library this process maps,
+    or None where no such library or symbol is found.  Asked once per
+    process, as OpenBLAS picks its core once, at load."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for lib in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
+        try:
+            getter = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        except OSError:
+            continue
+        if getter is not None:
+            getter.restype = ctypes.c_char_p
+            name = getter()
+            return name.decode() if name else None
+    return None
+
+
 def _write_manifest(command: str, cfg: dict, inputs: dict[str, str], started: str) -> None:
     """Write the manifest next to the run's output ``out``.  Timestamps are
     metadata and deliberately excluded from the byte-identical output
@@ -136,6 +162,7 @@ def _write_manifest(command: str, cfg: dict, inputs: dict[str, str], started: st
         "version": __version__,
         "numpy": np.__version__,
         "blas": _blas_build(),
+        "blas_core": _blas_core(),
         "subcommand": command,
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()},
         "seed": cfg.get("seed"),
@@ -143,8 +170,8 @@ def _write_manifest(command: str, cfg: dict, inputs: dict[str, str], started: st
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out / "manifest.json" if out.is_dir()
-              else out.with_name(out.name + ".manifest.json"), "w") as fh:
+    with open_output(out / "manifest.json" if out.is_dir()
+                     else out.with_name(out.name + ".manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -240,7 +267,7 @@ def export_plotdata(ranking, scores, k: int, path) -> int:
     actual_set = set(actual)
     predicted_set = set(predicted)
     overlap = len(actual_set & predicted_set)
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(f"# top-{k} overlap: {overlap} of {k}\n")
         fh.write("position,predicted_node,predicted_hit,actual_node,actual_hit\n")
         for pos in range(k):
@@ -315,7 +342,7 @@ def cmd_train(cfg: dict) -> int:
     save_checkpoint(out, result.embed, result.ranker, meta)
     history_suffix, splits_suffix = SIDE_OUTPUTS["train"]
     write_history(result.history, _beside(out, history_suffix), tcfg)
-    with open(_beside(out, splits_suffix), "w") as fh:
+    with open_output(_beside(out, splits_suffix)) as fh:
         fh.write("node_id,split,stratum\n")
         for name, members in (("train", splits.train), ("val", splits.val),
                               ("test", splits.test)):
@@ -365,10 +392,10 @@ def cmd_rank(cfg: dict) -> int:
     else:
         nodes = list(range(net.n))
     ratings_out = cfg["ratings_out"]
-    with open(ratings_out, "w") if ratings_out is not None else nullcontext() as fh:
+    with open_output(ratings_out) if ratings_out is not None else nullcontext() as fh:
         blocks = scorer.rating_blocks(nodes)
         result = rank_blocks(nodes, blocks if fh is None else _write_ratings(fh, nodes, blocks))
-    with open(cfg["out"], "w") as fh:
+    with open_output(cfg["out"]) as fh:
         fh.write("rank,node_id,copeland,rating_sum\n")
         for pos, v in enumerate(result.order, start=1):
             fh.write(f"{pos},{v},{result.copeland[v]},{result.rating_sum[v]!r}\n")
@@ -405,7 +432,7 @@ def cmd_eval(cfg: dict) -> int:
     elif cfg["topk_out"] is not None:
         raise ValidationError("--topk-out needs --topk")
     text = "\n".join(lines) + "\n"
-    with open(cfg["out"], "w") as fh:
+    with open_output(cfg["out"]) as fh:
         fh.write(text)
     sys.stdout.write(text)
     return EXIT_OK
@@ -417,7 +444,7 @@ def cmd_baseline(cfg: dict) -> int:
     values = methods[cfg["method"]](net)
     order = descending_order(range(net.n), values)
     out = cfg["out"]
-    with open(out, "w") as fh:
+    with open_output(out) as fh:
         fh.write("rank,node_id,score\n")
         for pos, v in enumerate(order, start=1):
             fh.write(f"{pos},{v},{float(values[v])!r}\n")
@@ -443,7 +470,7 @@ def cmd_gradcheck(cfg: dict) -> int:
     lines = [f"{name} {err:.3e}" for name, err in sorted(report.per_tensor.items())]
     lines.append(f"worst {report.worst:.3e}")
     text = "\n".join(lines) + "\n"
-    with open(cfg["out"], "w") as fh:
+    with open_output(cfg["out"]) as fh:
         fh.write(text)
     sys.stdout.write(text)
     if report.worst >= 1e-4:

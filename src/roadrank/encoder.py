@@ -191,7 +191,7 @@ def _take(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Columns ``idx`` of ``a``, written into ``out``."""
     # mode "raise" would fill a temporary and copy it to ``out``; the
     # indices come from the levels and are always in range
-    return np.take(a, idx, axis=1, out=out, mode="clip")
+    return a.take(idx, axis=1, out=out, mode="clip")
 
 
 def _sum_into(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -239,6 +239,12 @@ class Workspace:
     def array(self, name: str, shape) -> np.ndarray:
         """Slot ``name`` grown to ``shape`` and viewed as it."""
         return self.views(name, [(1, int(np.prod(shape)))])[0].reshape(shape)
+
+
+def _gate_rows(a: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """The four ``GATE_ORDER`` row blocks of a (4*dim, e) array, by basic
+    slicing (``np.split`` costs several times more per call)."""
+    return a[:dim], a[dim:2 * dim], a[2 * dim:3 * dim], a[3 * dim:]
 
 
 def _step_views(ws: Workspace, x: int, dim: int, e: int, size: int, width: int):
@@ -341,7 +347,8 @@ def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
         x, wh, h_in, c_in, ig, *_ = _step_views(ws, enc.shape[0], dim, vertex.size, 0, width)
         _take(hs[-1], parent, h_in)
         _take(cs[-1], parent, c_in)
-        at, c, tc, h = np.split(block, [4 * dim, 5 * dim, 6 * dim])
+        at = block[:4 * dim]
+        c, tc, h = block[4 * dim:5 * dim], block[5 * dim:6 * dim], block[6 * dim:]
         # the operations and their order are those of the expressions
         # at = w_x.T @ x + w_h.T @ h + b, c = f * c + i * g, h = o * tanh(c)
         _take(enc, vertex, x)
@@ -350,7 +357,7 @@ def _cell_forward(enc: np.ndarray, levels: Levels, cell: LSTMCellParams,
         at += bias
         sigmoid(at[:3 * dim], out=at[:3 * dim])
         np.tanh(at[3 * dim:], out=at[3 * dim:])
-        i, f, o, g = np.split(at, 4)
+        i, f, o, g = _gate_rows(at, dim)
         np.multiply(f, c_in, out=c)
         c += np.multiply(i, g, out=ig)
         np.tanh(c, out=tc)
@@ -420,8 +427,8 @@ def _cell_backward(dh_out: np.ndarray, cache, cell: LSTMCellParams,
         at, parent, tc = gates[t], levels.parent[t], tcs[t]
         x, da, dh, dc, s, prev, wh_da, dc_f, dh_sum, dc_sum = _step_views(
             ws, enc.shape[0], dim, at.shape[1], cs[t].shape[1], width)
-        i, f, o, g = np.split(at, 4)
-        da_i, da_f, da_o, da_c = np.split(da, 4)
+        i, f, o, g = _gate_rows(at, dim)
+        da_i, da_f, da_o, da_c = _gate_rows(da, dim)
         # the operations and their order are those of the expressions
         # dh = sum(dh_out) + dh_next, dc = dh * o * (1 - tc * tc) + dc_next,
         # da_i = dc * g * i * (1 - i), da_f = dc * c_prev * f * (1 - f),

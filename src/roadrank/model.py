@@ -46,13 +46,28 @@ def apply_ablation(mode: str) -> PipelineVariant:
 
 
 def named_tensors(embed: EmbedParams | None, ranker: RankerParams) -> dict[str, np.ndarray]:
-    """Every parameter tensor under its checkpoint name; optimizers and
-    gradient dicts use the same names.  ``embed`` may be None (NoEmb)."""
+    """Every parameter tensor under its checkpoint name; gradient dicts use
+    the same names.  ``embed`` may be None (NoEmb)."""
     out = {}
     if embed is not None:
         out.update({f"embed.{k}": v for k, v in embed.tensors().items()})
     out.update({f"ranker.{k}": v for k, v in ranker.tensors().items()})
     return out
+
+
+def _one_vector(embed: EmbedParams | None, ranker: RankerParams) -> np.ndarray:
+    """Copy every packed array of ``embed`` (if any) and ``ranker`` into one
+    float64 vector, end to end in field order, and rebind each field to its
+    view of it; returns the vector.  Every tensor, and so every per-gate
+    view, then lies in it."""
+    holders = [ranker] if embed is None else [embed, embed.fw, embed.bw, ranker]
+    fields = [(h, k, v) for h in holders for k, v in vars(h).items() if isinstance(v, np.ndarray)]
+    flat = np.concatenate([v.ravel() for _, _, v in fields])
+    at = 0
+    for h, k, v in fields:
+        setattr(h, k, flat[at:at + v.size].reshape(v.shape))
+        at += v.size
+    return flat
 
 
 def embedding_width(variant: PipelineVariant, m: int, x: int, dim: int) -> int:
@@ -68,8 +83,13 @@ class PairScorer:
     """Forward and backward passes from sampled sequences (or raw
     attributes) through pooled embeddings to pairwise ratings.
 
-    Parameters are referenced, not copied, so optimizer updates through
-    ``tensors()`` are visible immediately.
+    At construction the scorer moves every parameter tensor of its variant
+    into one float64 vector, ``params``, by rebinding the fields of the
+    ``embed`` and ``ranker`` it is given: ``tensors()``, the parameter sets
+    and an optimizer stepping ``params`` then see the same arrays.  A
+    parameter set belongs to the latest scorer built on it.
+    :meth:`loss_and_grads` adds its gradients into ``gradient``, a vector
+    of the same layout.
     """
 
     def __init__(self, net: RoadNetwork, samples: SampleSet | None,
@@ -110,6 +130,12 @@ class PairScorer:
                 f"ranker input width {ranker.input_dim} does not match "
                 f"embedding width {width} for variant {variant.name}"
             )
+        embed = embed if variant.use_embedding else None
+        self.params = _one_vector(embed, ranker)
+        egrads = None if embed is None else EmbedParams.zeros(embed.m, embed.x, embed.dim)
+        rgrads = RankerParams.zeros(ranker.input_dim, ranker.b1.size, ranker.b2.size, ranker.rdim)
+        self.gradient = _one_vector(egrads, rgrads)
+        self._grads = egrads, rgrads, named_tensors(egrads, rgrads)
 
     def tensors(self) -> dict[str, np.ndarray]:
         return named_tensors(self.embed if self.variant.use_embedding else None, self.ranker)
@@ -128,25 +154,29 @@ class PairScorer:
         ``encoder.Workspace``, and from then on every call writes the
         encoder's arrays into it: training's batches and validation reuse
         one set of buffers.  A cache is therefore valid only until the next
-        call; the embeddings themselves are fresh arrays."""
+        call; the embeddings themselves are fresh arrays.  Before that, a
+        call without the cache hands all its chunks one workspace of its
+        own, freed when it returns."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if not self.variant.use_embedding:
             return self.h0[nodes], None
         if with_cache:
-            return self._encode(nodes, indexed=True)
-        chunks = [self._encode(nodes[lo:lo + NODE_CHUNK], indexed=False)[0]
+            if self._workspace is None:
+                self._workspace = encoder.Workspace(spare=0.25)
+            return self._encode(nodes, self._workspace, indexed=True)
+        ws = self._workspace or encoder.Workspace()
+        chunks = [self._encode(nodes[lo:lo + NODE_CHUNK], ws, indexed=False)[0]
                   for lo in range(0, nodes.size, NODE_CHUNK)]
         return np.concatenate(chunks), None
 
-    def _encode(self, nodes: np.ndarray, indexed: bool):
-        """One encoder batch over every sequence of ``nodes``: the pooled
-        embeddings and the cache their backward pass reads.  ``indexed``
-        steps the LSTM over the sample set's distinct prefixes and suffixes,
-        indexed at the first such call; otherwise over every sequence."""
+    def _encode(self, nodes: np.ndarray, ws: encoder.Workspace, indexed: bool):
+        """One encoder batch over every sequence of ``nodes``, its arrays
+        written into ``ws``: the pooled embeddings and the cache their
+        backward pass reads.  ``indexed`` steps the LSTM over the sample
+        set's distinct prefixes and suffixes, indexed at the first such
+        call; otherwise over every sequence."""
         g = nodes.size
         _, num, l = self.ids.shape
-        if indexed and self._workspace is None:
-            self._workspace = encoder.Workspace(spare=0.25)
         flat_ids = self.ids[nodes].reshape(g * num, l)
         enc, enc_cache = encoder._encode_batch(flat_ids, self.feats, self.embed)
         if not self.variant.use_bilstm:
@@ -161,7 +191,6 @@ class PairScorer:
                       self._index[1].levels(flat_ids[:, ::-1], rows))
         else:
             levels = (encoder.identity_levels(flat_ids), encoder.identity_levels(flat_ids[:, ::-1]))
-        ws = self._workspace or encoder.Workspace()  # before any training batch: one per chunk
         h, lstm_cache = encoder._bilstm_batch(enc, levels, self.embed, ws)
         return encoder._pool_batch(h, num), (enc_cache, flat_ids, lstm_cache, num, l)
 
@@ -203,8 +232,10 @@ class PairScorer:
         """Mean BCE over a pair batch plus gradients for every tensor.
 
         Returns ``(loss, grads, ratings)`` with grads keyed like
-        :meth:`tensors`.  Dropout (inverted scaling) applies to the pooled
-        embeddings only when a rate and generator are given.
+        :meth:`tensors`.  Each call zero-fills :attr:`gradient` and adds the
+        batch's gradients into it; ``grads`` are named views of it, valid
+        only until the next call.  Dropout (inverted scaling) applies to the
+        pooled embeddings only when a rate and generator are given.
         """
         pi = np.asarray(pi, dtype=np.int64)
         pj = np.asarray(pj, dtype=np.int64)
@@ -226,7 +257,8 @@ class PairScorer:
         ratings = encoder.sigmoid(u[li] + v[lj] + r.b_out[0])
         loss = bce_loss(ratings, y)
 
-        rgrads = RankerParams.zeros(r.input_dim, r.b1.size, r.b2.size, r.rdim)
+        egrads, rgrads, grads = self._grads
+        self.gradient.fill(0.0)
         dlogit = (ratings - y) / y.size
         du = np.bincount(li, weights=dlogit, minlength=nodes.size)
         dv = np.bincount(lj, weights=dlogit, minlength=nodes.size)
@@ -234,8 +266,6 @@ class PairScorer:
         if mask is not None:
             dh = dh * mask
 
-        egrads = None
-        if self.variant.use_embedding:
-            egrads = EmbedParams.zeros(self.embed.m, self.embed.x, self.embed.dim)
+        if egrads is not None:
             self._embed_backward(dh, cache, egrads)
-        return loss, named_tensors(egrads, rgrads), ratings
+        return loss, grads, ratings

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cascade import ImportanceScores
 from .encoder import EmbedParams
-from .graph import RoadNetwork, ValidationError
+from .graph import RoadNetwork, ValidationError, open_output
 from .metrics import _f1_from_counts, confusion_counts, diff_metric, labelled_pairs
 from .model import ABLATIONS, PairScorer, apply_ablation, embedding_width
 # rank_from_matrix is not called here; perfbench/spans.py spans it under this module
@@ -138,32 +138,33 @@ def make_pairs(nodes, scores) -> np.ndarray:
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a named tensor dict; updates
-    happen in place so parameter objects stay live."""
+    """Adaptive-moment gradient descent on one parameter vector, updated in
+    place so that its views (a scorer's tensors) stay live.  Each step runs
+    its operations once over the whole vector; every element sees the
+    operations, in the order, of a per-tensor update."""
 
-    def __init__(self, tensors: dict[str, np.ndarray], lr: float,
+    def __init__(self, params: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.tensors = tensors
+        self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """One update from ``grad``, laid out like ``params``."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for key, g in grads.items():
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            self.tensors[key] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        self.params -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 @dataclass
@@ -222,7 +223,7 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
     pi, pj, py = make_pairs(splits.train, aff).T
     py = py.astype(np.float64)
 
-    adam = Adam(scorer.tensors(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    adam = Adam(scorer.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     shuffle_rng = np.random.default_rng(ss_shuffle)
     dropout_rng = np.random.default_rng(ss_dropout)
 
@@ -235,13 +236,13 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
         loss_sum = 0.0
         for b, start in enumerate(range(0, pi.size, cfg.batch), start=1):
             idx = perm[start:start + cfg.batch]
-            loss, grads, _ = scorer.loss_and_grads(
+            loss, _, _ = scorer.loss_and_grads(
                 pi[idx], pj[idx], py[idx],
                 dropout_rate=cfg.dropout, dropout_rng=dropout_rng)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {b}")
-            adam.step(grads)
+            adam.step(scorer.gradient)
             loss_sum += loss * idx.size
         val_micro, val_macro, val_diff = _evaluate_split(scorer, splits.val, aff)
         history.append({"epoch": epoch, "train_loss": loss_sum / pi.size, "val_micro_f1": val_micro,
@@ -257,7 +258,7 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
 
 def write_history(history: list[dict], path, cfg: TrainConfig) -> None:
     """History CSV with the protocol choices documented in its header."""
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(f"# strata={cfg.strata} split={cfg.train_frac}/{cfg.val_frac}/{cfg.test_frac}"
                  f" ablation={cfg.ablation} seed={cfg.seed}\n")
         fh.write("# checkpoint selection: best validation micro-F1 over all epochs\n")
@@ -285,7 +286,8 @@ def gradient_check(scorer: PairScorer, pi, pj, labels, step: float = 1e-5) -> Gr
     pi = np.asarray(pi, dtype=np.int64)
     pj = np.asarray(pj, dtype=np.int64)
     y = np.asarray(labels, dtype=np.float64)
-    _, analytic, _ = scorer.loss_and_grads(pi, pj, y)
+    _, grads, _ = scorer.loss_and_grads(pi, pj, y)
+    analytic = {name: g.copy() for name, g in grads.items()}  # the calls below overwrite grads
 
     def loss_only() -> float:
         loss, _, _ = scorer.loss_and_grads(pi, pj, y)

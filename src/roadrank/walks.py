@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .alias import AliasTable, alias_draw, build_alias
-from .graph import RoadNetwork, ValidationError, open_text
+from .graph import RoadNetwork, ValidationError, open_output, open_text
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def save_samples(samples: SampleSet, path) -> None:
     line = " ".join(["%d"] * cfg.length) + "\n"
     header = {"n": samples.n, "m": samples.m, "num": cfg.num, "l": cfg.length,
               "alpha": cfg.alpha, "seed": cfg.seed}
-    with open(Path(path), "w") as fh:
+    with open_output(Path(path)) as fh:
         fh.write(_SAMPLES_MAGIC + "\n")
         for key, cast in _SAMPLES_HEADER:
             fh.write(f"{key} {cast(header[key])!r}\n")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -680,6 +681,29 @@ def test_unopenable_files_through_the_module_entry_point(pipeline, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command, flag", [("rank", "--ratings-out"), ("rank", "--out"),
+                                           ("baseline", "--out")])
+def test_a_failed_write_ends_in_one_line_through_the_module_entry_point(pipeline, tmp_path,
+                                                                         command, flag):
+    """A write that fails with no file name attached (a full disk, here
+    /dev/full, which takes the open and refuses every write) names its
+    output in one line with exit 3, with no traceback."""
+    _, net_dir, _, samples, ckpt, _ = pipeline
+    argv = {"rank": ["rank", "--network", str(net_dir), "--ckpt", str(ckpt),
+                     "--samples", str(samples)],
+            "baseline": ["baseline", "--method", "dc", "--network", str(net_dir)]}[command]
+    outs = {"--out": str(tmp_path / "out.csv"), flag: "/dev/full"}
+    src = str(Path(roadrank.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "roadrank", *argv,
+                           *[a for item in outs.items() for a in item]],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_MISSING_INPUT, proc.stderr
+    assert proc.stderr == "error: /dev/full: No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _option_values(base, net_dir, scores, samples, ckpt, ranking):
     """A valid, non-default value for every option of every subcommand;
     outputs are relative to the working directory."""
@@ -762,6 +786,35 @@ def test_every_manifest_records_the_numpy_and_blas_build(pipeline, tmp_path, mon
     assert manifest["numpy"] == np.__version__
     assert manifest["blas"] == (None if blas is None
                                 else {"name": blas["name"], "version": blas["version"]})
+
+
+def test_every_manifest_records_the_openblas_core(tmp_path, monkeypatch):
+    """The manifest names the OpenBLAS core that ran, asked of the library
+    itself: a forced one in a child process, and null where the library
+    lacks the symbol."""
+    from types import SimpleNamespace
+
+    from roadrank import cli
+
+    core = cli._blas_core()
+    assert core is None or core
+    assert run("synth", "--rows", "2", "--cols", "2", "--out", str(tmp_path / "a")) == EXIT_OK
+    assert _manifest(tmp_path / "a")["blas_core"] == core
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda lib: SimpleNamespace())  # exports nothing
+    cli._blas_core.cache_clear()  # asked once per process
+    try:
+        assert run("synth", "--rows", "2", "--cols", "2", "--out", str(tmp_path / "b")) == EXIT_OK
+    finally:
+        cli._blas_core.cache_clear()
+    assert _manifest(tmp_path / "b")["blas_core"] is None
+    if core is None or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("no x86-64 OpenBLAS that reports its core")
+    src = str(Path(roadrank.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "roadrank", "synth", "--rows", "2", "--cols", "2",
+                    "--out", str(tmp_path / "c")], env=env, check=True, capture_output=True)
+    assert _manifest(tmp_path / "c")["blas_core"] == "Nehalem"
 
 
 def test_manifest_digests_an_input_before_the_output_overwrites_it(pipeline, tmp_path):

@@ -116,10 +116,10 @@ def test_apply_ablation_modes():
 
 
 def test_adam_lr_zero_is_identity():
-    t = {"w": np.array([1.0, -2.0])}
-    adam = Adam(t, lr=0.0)
-    adam.step({"w": np.array([5.0, 5.0])})
-    npt.assert_array_equal(t["w"], [1.0, -2.0])
+    w = np.array([1.0, -2.0])
+    adam = Adam(w, lr=0.0)
+    adam.step(np.array([5.0, 5.0]))
+    npt.assert_array_equal(w, [1.0, -2.0])
 
 
 def test_adam_step_through_scorer_tensors_moves_packed_weights():
@@ -129,11 +129,81 @@ def test_adam_step_through_scorer_tensors_moves_packed_weights():
                         apply_ablation("full"))
     tensors = scorer.tensors()
     assert np.shares_memory(tensors["embed.fw.w_xc"], embed.fw.w_x)
+    assert all(t.base is scorer.params for t in vars(embed.fw).values())
+    assert sum(t.size for t in tensors.values()) == scorer.params.size
     before = embed.fw.w_x.copy()
-    adam = Adam(tensors, lr=0.01)
-    _, grads, _ = scorer.loss_and_grads(*make_pairs(range(net.n), scores).T)
-    adam.step(grads)
+    adam = Adam(scorer.params, lr=0.01)
+    scorer.loss_and_grads(*make_pairs(range(net.n), scores).T)
+    adam.step(scorer.gradient)
     assert (embed.fw.w_x != before).all()
+
+
+class PerTensorAdam:
+    """Adam as a loop over named tensors, eight operations per tensor: the
+    oracle of the one-vector update."""
+
+    def __init__(self, tensors, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.tensors, self.lr, self.beta1, self.beta2, self.eps = tensors, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+
+    def step(self, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for key, g in grads.items():
+            m = self.m[key]
+            v = self.v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            self.tensors[key] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+@pytest.mark.parametrize("mode", ["full", "NoEmb"])
+def test_one_vector_adam_matches_the_per_tensor_loop_bit_for_bit(mode):
+    net, samples, scores = grid_task(rows=2, cols=3, seed=1, num=3)
+    variant = apply_ablation(mode)
+    width = embedding_width(variant, net.m, 8, 2)
+
+    def scorer():
+        embed = EmbedParams.init(net.m, 8, 2, 11) if variant.use_embedding else None
+        return PairScorer(net, samples, embed, RankerParams.init(width, seed=12), variant)
+
+    flat, ref = scorer(), scorer()
+    _, grads, _ = flat.loss_and_grads(*make_pairs(range(net.n), scores).T)  # views of flat.gradient
+    adam = Adam(flat.params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+    oracle = PerTensorAdam(ref.tensors(), lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        flat.gradient[...] = rng.normal(scale=rng.uniform(1e-3, 10.0), size=flat.gradient.size)
+        adam.step(flat.gradient)
+        oracle.step(grads)
+        for name, t in ref.tensors().items():
+            assert flat.tensors()[name].tobytes() == t.tobytes(), name
+
+
+def test_a_second_batch_allocates_no_gradient_array():
+    net, samples, scores = grid_task(rows=3, cols=3, seed=1, num=4)
+    pairs = make_pairs(range(net.n), scores)
+    first, second = pairs[::2].T, pairs[1::2].T
+
+    def scorer():
+        return PairScorer(net, samples, EmbedParams.init(net.m, 8, 2, 11),
+                          RankerParams.init(8, seed=12), apply_ablation("full"))
+
+    used = scorer()
+    gradient = used.gradient
+    used.loss_and_grads(*first)
+    _, grads, _ = used.loss_and_grads(*second)
+    assert used.gradient is gradient
+    assert all(g.base is gradient for g in grads.values())
+    # zero-filled per batch: the second batch's gradients are a fresh scorer's
+    _, want, _ = scorer().loss_and_grads(*second)
+    for name, g in grads.items():
+        assert g.tobytes() == want[name].tobytes(), name
 
 
 def test_train_lr_zero_leaves_params():
