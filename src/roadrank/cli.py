@@ -473,8 +473,8 @@ def cmd_gradcheck(cfg: dict) -> int:
     with open_output(cfg["out"]) as fh:
         fh.write(text)
     sys.stdout.write(text)
-    if report.worst >= 1e-4:
-        print("gradient check FAILED (worst relative error >= 1e-4)", file=sys.stderr)
+    if not report.worst < 1e-4:  # a NaN fails too
+        print("gradient check FAILED (worst relative error not below 1e-4)", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
 

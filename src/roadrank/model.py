@@ -55,11 +55,13 @@ def named_tensors(embed: EmbedParams | None, ranker: RankerParams) -> dict[str, 
     return out
 
 
-def _one_vector(embed: EmbedParams | None, ranker: RankerParams) -> np.ndarray:
-    """Copy every packed array of ``embed`` (if any) and ``ranker`` into one
-    float64 vector, end to end in field order, and rebind each field to its
-    view of it; returns the vector.  Every tensor, and so every per-gate
-    view, then lies in it."""
+def _one_vector(embed: EmbedParams | None, ranker: RankerParams):
+    """Copy ``embed`` (if any) and ``ranker`` into one new float64 vector,
+    every packed array end to end in field order.  Returns ``(vector,
+    embed, ranker)``: new parameter sets whose arrays, and so every per-gate
+    view, are views of the vector.  The sets given are left as they were."""
+    embed = None if embed is None else embed.copy()
+    ranker = ranker.copy()
     holders = [ranker] if embed is None else [embed, embed.fw, embed.bw, ranker]
     fields = [(h, k, v) for h in holders for k, v in vars(h).items() if isinstance(v, np.ndarray)]
     flat = np.concatenate([v.ravel() for _, _, v in fields])
@@ -67,7 +69,7 @@ def _one_vector(embed: EmbedParams | None, ranker: RankerParams) -> np.ndarray:
     for h, k, v in fields:
         setattr(h, k, flat[at:at + v.size].reshape(v.shape))
         at += v.size
-    return flat
+    return flat, embed, ranker
 
 
 def embedding_width(variant: PipelineVariant, m: int, x: int, dim: int) -> int:
@@ -83,11 +85,11 @@ class PairScorer:
     """Forward and backward passes from sampled sequences (or raw
     attributes) through pooled embeddings to pairwise ratings.
 
-    At construction the scorer moves every parameter tensor of its variant
-    into one float64 vector, ``params``, by rebinding the fields of the
-    ``embed`` and ``ranker`` it is given: ``tensors()``, the parameter sets
-    and an optimizer stepping ``params`` then see the same arrays.  A
-    parameter set belongs to the latest scorer built on it.
+    At construction the scorer copies every parameter tensor of its variant
+    into one float64 vector of its own, ``params``, and holds the parameter
+    sets ``embed`` (None without an encoder) and ``ranker`` whose arrays
+    are views of it: ``tensors()``, those sets and an optimizer stepping
+    ``params`` see the same arrays.  The sets it is given are only read.
     :meth:`loss_and_grads` adds its gradients into ``gradient``, a vector
     of the same layout.
     """
@@ -96,8 +98,6 @@ class PairScorer:
                  embed: EmbedParams | None, ranker: RankerParams,
                  variant: PipelineVariant):
         self.variant = variant
-        self.embed = embed
-        self.ranker = ranker
         a_scaled = minmax_scale_columns(net.A)
         if variant.use_embedding:
             if embed is None:
@@ -131,14 +131,13 @@ class PairScorer:
                 f"embedding width {width} for variant {variant.name}"
             )
         embed = embed if variant.use_embedding else None
-        self.params = _one_vector(embed, ranker)
-        egrads = None if embed is None else EmbedParams.zeros(embed.m, embed.x, embed.dim)
-        rgrads = RankerParams.zeros(ranker.input_dim, ranker.b1.size, ranker.b2.size, ranker.rdim)
-        self.gradient = _one_vector(egrads, rgrads)
+        self.params, self.embed, self.ranker = _one_vector(embed, ranker)
+        # the same layout; each batch zero-fills it before adding its gradients
+        self.gradient, egrads, rgrads = _one_vector(embed, ranker)
         self._grads = egrads, rgrads, named_tensors(egrads, rgrads)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return named_tensors(self.embed if self.variant.use_embedding else None, self.ranker)
+        return named_tensors(self.embed, self.ranker)
 
     # -- embeddings --------------------------------------------------------
 

@@ -201,7 +201,8 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
     Pairs are reshuffled every epoch with a seeded generator; the final
     short batch is processed as-is.  Validation micro-F1 is evaluated each
     epoch and the best-validation checkpoint is returned, so the validation
-    split must hold at least 2 nodes.  Fully deterministic given ``cfg.seed``.
+    split must hold at least 2 nodes.  ``init_embed`` and ``init_ranker``
+    are only read.  Fully deterministic given ``cfg.seed``.
     """
     if len(splits.val) < 2:
         raise ValidationError(f"the validation split holds {len(splits.val)} node(s); selecting "
@@ -229,8 +230,7 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
 
     history: list[dict] = []
     best_epoch = 0
-    best_micro = -np.inf  # epoch 1's finite validation micro-F1 always beats it
-    best_embed = best_ranker = None
+    best_micro = -np.inf  # epoch 1's finite validation micro-F1 always beats it, setting best
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(pi.size)
         loss_sum = 0.0
@@ -250,9 +250,9 @@ def train_model(net: RoadNetwork, samples: SampleSet | None, scores, splits: Spl
         if val_micro > best_micro:
             best_micro = val_micro
             best_epoch = epoch
-            best_embed = embed.copy() if embed is not None else None
-            best_ranker = ranker.copy()
-    return TrainResult(embed=best_embed, ranker=best_ranker, history=history,
+            best = scorer.params.copy()
+    scorer.params[...] = best
+    return TrainResult(embed=scorer.embed, ranker=scorer.ranker, history=history,
                        best_epoch=best_epoch, best_val_micro=float(best_micro))
 
 
@@ -281,7 +281,7 @@ def gradient_check(scorer: PairScorer, pi, pj, labels, step: float = 1e-5) -> Gr
 
     Every element of every parameter tensor is perturbed by ``step`` both
     ways; errors are relative to ``max(1, |analytic|, |numeric|)`` so
-    near-zero gradients are judged absolutely.
+    near-zero gradients are judged absolutely.  A NaN error is the worst.
     """
     pi = np.asarray(pi, dtype=np.int64)
     pj = np.asarray(pj, dtype=np.int64)
@@ -295,8 +295,8 @@ def gradient_check(scorer: PairScorer, pi, pj, labels, step: float = 1e-5) -> Gr
 
     per_tensor: dict[str, float] = {}
     for name, tensor in scorer.tensors().items():
-        worst = 0.0
         grad = analytic[name]
+        err = np.empty(tensor.shape)
         # indexed in place: tensors may be strided views of packed arrays
         for k in np.ndindex(tensor.shape):
             keep = tensor[k]
@@ -306,8 +306,6 @@ def gradient_check(scorer: PairScorer, pi, pj, labels, step: float = 1e-5) -> Gr
             down = loss_only()
             tensor[k] = keep
             numeric = (up - down) / (2.0 * step)
-            err = abs(numeric - grad[k]) / max(1.0, abs(numeric), abs(grad[k]))
-            if err > worst:
-                worst = err
-        per_tensor[name] = worst
-    return GradientCheckReport(worst=max(per_tensor.values()), per_tensor=per_tensor)
+            err[k] = abs(numeric - grad[k]) / max(1.0, abs(numeric), abs(grad[k]))
+        per_tensor[name] = float(err.max())  # np.max, unlike >, carries a NaN through
+    return GradientCheckReport(worst=float(np.max([*per_tensor.values()])), per_tensor=per_tensor)

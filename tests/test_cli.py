@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import roadrank
 from roadrank.cascade import CascadeConfig
 from roadrank.checkpoint import save_checkpoint
-from roadrank.cli import (COMMANDS, EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
-                          export_plotdata, main)
+from roadrank.cli import (COMMANDS, EXIT_ERROR, EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK,
+                          EXIT_USAGE, export_plotdata, main)
 from roadrank.encoder import EmbedParams, PrefixIndex
 from roadrank.graph import ValidationError, load_network_dir
 from roadrank.model import apply_ablation, embedding_width
@@ -213,6 +213,28 @@ def test_gradcheck_subcommand(tmp_path, capsys):
     assert "worst" in text
     worst = float(text.splitlines()[-1].split()[-1])
     assert worst < 1e-4
+
+
+def test_gradcheck_fails_on_a_nan_gradient(tmp_path, capsys, monkeypatch):
+    """A NaN planted in one analytic gradient element is the worst error,
+    and the check fails: ``err > worst`` is False for a NaN, which once let
+    a report read 2.2e-11 over it."""
+    from roadrank.model import PairScorer
+
+    real = PairScorer.loss_and_grads
+
+    def planted(self, *args, **kwargs):
+        loss, grads, ratings = real(self, *args, **kwargs)
+        grads["embed.w_in"][0, 0] = np.nan
+        return loss, grads, ratings
+
+    monkeypatch.setattr(PairScorer, "loss_and_grads", planted)
+    out = tmp_path / "gradcheck.txt"
+    assert run("gradcheck", "--seed", "0", "--out", str(out)) == EXIT_ERROR
+    lines = out.read_text().splitlines()
+    assert "embed.w_in nan" in lines
+    assert lines[-1] == "worst nan"
+    assert "gradient check FAILED" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path):
@@ -974,6 +996,28 @@ def test_v1_rank_outputs_match_golden_digests(tmp_path):
     assert run("rank", "--network", str(V1_DATA / "net"), "--ckpt", str(V1_DATA / "model.ckpt"),
                "--samples", str(V1_DATA / "samples.txt"), "--ratings-out",
                str(tmp_path / "ratings.csv"), "--out", str(tmp_path / "ranking.csv")) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in V1_RANK_SHA256}
+    assert digests == V1_RANK_SHA256
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "SkylakeX"])
+def test_v1_rank_digests_hold_under_both_fma_kernels(tmp_path, kernel):
+    """The V1_RANK_SHA256 command in a child process on an OpenBLAS FMA
+    kernel forced through OPENBLAS_CORETYPE: both digests hold on each.
+    Skipped where the manifest names another core, as OpenBLAS falls back
+    to a kernel the CPU can run."""
+    src = str(Path(roadrank.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    ranking = tmp_path / "ranking.csv"
+    subprocess.run([sys.executable, "-m", "roadrank", "rank", "--network", str(V1_DATA / "net"),
+                    "--ckpt", str(V1_DATA / "model.ckpt"), "--samples",
+                    str(V1_DATA / "samples.txt"), "--ratings-out", str(tmp_path / "ratings.csv"),
+                    "--out", str(ranking)], env=env, check=True, capture_output=True)
+    core = _manifest(ranking)["blas_core"]
+    if core != kernel:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} ran the {core} core")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in V1_RANK_SHA256}
     assert digests == V1_RANK_SHA256

@@ -39,10 +39,8 @@ def bilstm(xs, p):
 
 
 def embed_all(ss, net, p):
-    """Every node's pooled embedding through the scorer's embedding path.  The
-    scorer moves the parameters it is given into its own vector, so it gets
-    a copy: ``p``'s arrays stay where a caller's views of them point."""
-    scorer = PairScorer(net, ss, p.copy(), RankerParams.zeros(p.hdim), apply_ablation("full"))
+    """Every node's pooled embedding through the scorer's embedding path."""
+    scorer = PairScorer(net, ss, p, RankerParams.zeros(p.hdim), apply_ablation("full"))
     h, _ = scorer.node_embeddings(np.arange(net.n))
     return h
 

@@ -128,14 +128,47 @@ def test_adam_step_through_scorer_tensors_moves_packed_weights():
     scorer = PairScorer(net, samples, embed, RankerParams.init(8, seed=12),
                         apply_ablation("full"))
     tensors = scorer.tensors()
-    assert np.shares_memory(tensors["embed.fw.w_xc"], embed.fw.w_x)
-    assert all(t.base is scorer.params for t in vars(embed.fw).values())
+    assert np.shares_memory(tensors["embed.fw.w_xc"], scorer.embed.fw.w_x)
+    assert all(t.base is scorer.params for t in vars(scorer.embed.fw).values())
     assert sum(t.size for t in tensors.values()) == scorer.params.size
-    before = embed.fw.w_x.copy()
+    before = scorer.embed.fw.w_x.copy()
     adam = Adam(scorer.params, lr=0.01)
     scorer.loss_and_grads(*make_pairs(range(net.n), scores).T)
     adam.step(scorer.gradient)
-    assert (embed.fw.w_x != before).all()
+    assert (scorer.embed.fw.w_x != before).all()
+
+
+def test_scorers_own_their_parameters():
+    """Two scorers built on one parameter set train independently, and
+    neither moves the set; nor does training move its initial values."""
+    net, samples, scores = grid_task(rows=3, cols=4, seed=1, num=3)
+    embed = EmbedParams.init(net.m, 8, 2, 11)
+    ranker = RankerParams.init(8, seed=12)
+    e0, r0 = embed.copy(), ranker.copy()
+    batch = make_pairs(range(net.n), scores).T
+    first, second = (PairScorer(net, samples, embed, ranker, apply_ablation("full"))
+                     for _ in range(2))
+    loss, _, _ = second.loss_and_grads(*batch)
+    adam = Adam(first.params, lr=0.01)
+    for _ in range(3):
+        first.loss_and_grads(*batch)
+        adam.step(first.gradient)
+    assert first.loss_and_grads(*batch)[0] < loss  # the first steps on its own weights
+    assert second.loss_and_grads(*batch)[0] == loss  # the second is not moved by them
+
+    def unchanged():
+        for got, want in ((embed, e0), (ranker, r0)):
+            for name, t in want.tensors().items():
+                assert got.tensors()[name].tobytes() == t.tobytes(), name
+
+    unchanged()
+    cfg = TrainConfig(seed=1, epochs=2, dropout=0.0, strata=1)
+    result = train_model(net, samples, scores, stratified_split(scores, cfg), cfg,
+                         init_embed=embed, init_ranker=ranker)
+    assert result.embed is not embed and result.ranker is not ranker
+    assert any(t.tobytes() != e0.tensors()[name].tobytes()
+               for name, t in result.embed.tensors().items())
+    unchanged()
 
 
 class PerTensorAdam:
