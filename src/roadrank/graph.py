@@ -84,12 +84,12 @@ def open_text(path: Path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 @contextmanager
-def open_output(path: Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open ``path`` to write text.  A write or the closing flush that fails
-    (a full disk, say) raises an ``OSError`` naming the file, which the
-    plain file object's errors do not."""
+def open_output(path: Path) -> Iterator[TextIO]:
+    """Open ``path`` to write UTF-8 text with LF line ends, as :func:`open_text`
+    reads it.  A write or the closing flush that fails (a full disk, say)
+    raises an ``OSError`` naming the file, which plain file errors do not."""
     try:
-        with open(path, "w", newline=newline) as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as exc:
         if exc.filename is not None:
@@ -161,7 +161,7 @@ def write_node_table(path, names, values) -> None:
     """Write the node table :func:`read_node_table` reads: row ``i`` holds
     ``values[i]`` at full float precision, so a read gives the values back
     exactly."""
-    with open_output(path, newline="") as fh:
+    with open_output(path) as fh:
         fh.write(",".join(("node_id", *names)) + "\n")
         for i, row in enumerate(np.asarray(values, dtype=np.float64).tolist()):
             fh.write(str(i) + "," + ",".join(repr(v) for v in row) + "\n")
@@ -245,7 +245,7 @@ def save_network(net: RoadNetwork, out_dir) -> None:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open_output(out_dir / "edges.csv", newline="") as fh:
+    with open_output(out_dir / "edges.csv") as fh:
         fh.write("src,dst\n")
         for s, d in zip(net.src.tolist(), net.dst.tolist()):
             fh.write(f"{s},{d}\n")

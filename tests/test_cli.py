@@ -678,6 +678,27 @@ def test_train_refuses_a_split_without_two_validation_nodes(pipeline, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_test_split_is_what_train_and_validation_leave(pipeline, tmp_path, capsys):
+    """No setting names the test share: ``--train-frac 0.6`` alone trains
+    with test the remaining 0.25, and ``--test-frac`` and ``test_frac`` are
+    refused as unknown."""
+    base, net_dir, scores, samples, _, _ = pipeline
+    train = ("train", "--network", str(net_dir), "--scores", str(scores),
+             "--samples", str(samples), "--epochs", "1", "--strata", "2")
+    out = tmp_path / "model.ckpt"
+    assert run(*train, "--train-frac", "0.6", "--out", str(out)) == EXIT_OK
+    history = (tmp_path / "model.ckpt.history.csv").read_text().splitlines()
+    assert history[0] == "# strata=2 split=0.6/0.15/0.25 ablation=full seed=0"
+    # two strata of 6 nodes: round(3.6) = 4 train, round(0.9) = 1 val, 1 test each
+    rows = (tmp_path / "model.ckpt.splits.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[1] for row in rows) == ["test"] * 2 + ["train"] * 8 + ["val"] * 2
+    assert run(*train, "--test-frac", "0.15", "--out", str(tmp_path / "m2.ckpt")) == EXIT_USAGE
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("test_frac=0.15\n")
+    err = invalid(capsys, *train, "--config", str(cfg), "--out", str(tmp_path / "m3.ckpt"))
+    assert f"{cfg}:1: unknown key 'test_frac'" in err
+
+
 def test_unopenable_files_through_the_module_entry_point(pipeline, tmp_path):
     """``python -m roadrank`` reports a file it cannot open, input or
     output, in one line with exit 3 and no traceback."""
@@ -741,7 +762,7 @@ def _option_values(base, net_dir, scores, samples, ckpt, ranking):
                    "out": "samples.txt"},
         "train": {"network": net_dir, "scores": scores, "samples": samples, "lr": "0.01",
                   "dropout": "0.1", "batch": "16", "epochs": "1", "train_frac": "0.5",
-                  "val_frac": "0.25", "test_frac": "0.25", "strata": "2", "beta1": "0.8",
+                  "val_frac": "0.25", "strata": "2", "beta1": "0.8",
                   "beta2": "0.99", "eps": "1e-07", "seed": "1", "ablation": "NoBiLSTM",
                   "x": "4", "hdim": "4", "f1": "8", "f2": "4", "rdim": "4", "out": "model.ckpt"},
         "rank": {"network": net_dir, "ckpt": ckpt, "samples": samples, "nodes": splits,
@@ -1100,7 +1121,7 @@ def reader_inputs(tmp_path_factory):
     files["train.cfg"] = base / "train.cfg"
     files["train.cfg"].write_text(
         "# fuzzed train settings\nstrata=2\nseed=3\nbatch=32\nlr=0.01\ndropout=0.45\n"
-        "hdim=8\nx=4\nrdim=4\nablation=full\ntrain_frac=0.5\nval_frac=0.25\ntest_frac=0.25\n")
+        "hdim=8\nx=4\nrdim=4\nablation=full\ntrain_frac=0.5\nval_frac=0.25\n")
     files["sample.cfg"] = base / "sample.cfg"
     files["sample.cfg"].write_text("# fuzzed walk settings\nalpha=0.5\nnum=3\nlen=4\nseed=2\n")
     files["generate.cfg"] = base / "generate.cfg"

@@ -1,5 +1,10 @@
+import codecs
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roadrank
 from roadrank.baselines import degree_centrality, pagerank
 from roadrank.graph import (ValidationError, load_network, load_network_dir, normalized_views,
                             save_network)
@@ -188,6 +194,33 @@ def test_round_trip_identity(tmp_path):
     npt.assert_array_equal(net2.dst, net.dst)
     npt.assert_array_equal(net2.A, net.A)
     assert net2.attr_names == net.attr_names
+
+
+def test_round_trip_under_an_ascii_locale(tmp_path):
+    """Outputs are UTF-8 with LF ends, as inputs are read, whatever the
+    locale: a child process whose locale encoding is ASCII round-trips a
+    network with a non-ASCII attribute name byte for byte."""
+    src = tmp_path / "in"
+    src.mkdir()
+    files = {"edges.csv": "src,dst\n0,1\n1,0\n",
+             "attributes.csv": "node_id,\u8f66\u9053,vol\n0,1.0,2.5\n1,3.0,4.0\n"}
+    for name, text in files.items():
+        (src / name).write_bytes(text.encode("utf-8"))
+    code = ("import locale, sys\n"
+            "from roadrank.graph import load_network_dir, save_network\n"
+            "save_network(load_network_dir(sys.argv[1]), sys.argv[2])\n"
+            "print(locale.getpreferredencoding(False))\n")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([str(Path(roadrank.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-c", code, str(src), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if codecs.lookup(proc.stdout.strip()).name == "utf-8":
+        pytest.skip("the C locale still reads as UTF-8 here")
+    for name, text in files.items():
+        assert (tmp_path / "out" / name).read_bytes() == text.encode("utf-8")
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
