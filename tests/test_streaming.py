@@ -214,6 +214,43 @@ def test_zeroed_output_layer_rates_every_pair_one_half(grid12, tmp_path, small_b
     assert {line.rsplit(",", 1)[1] for line in ratings.read_text().splitlines()[1:]} == {"0.5"}
 
 
+@pytest.mark.parametrize("b_out, texts", [
+    pytest.param(40.0, {"1.0"}, id="one"),
+    pytest.param(-40.0, {"0.0"}, id="zero"),
+    pytest.param(-15.0, {"e-07"}, id="below-1e-4"),
+])
+@pytest.mark.parametrize("nodes", [
+    pytest.param(range(144), id="all"),
+    pytest.param([3, 8, 42, 99, 100, 143], id="1-2-3-digit-ids"),
+])
+def test_ratings_repr_prints_with_an_exponent_or_as_a_whole(grid12, tmp_path, small_blocks,
+                                                             b_out, texts, nodes):
+    """An output bias that puts every rating at exactly 1.0 or 0.0, or below
+    1e-4: ``ratings.csv`` still holds the oracle's bytes."""
+    net_dir, samples, ckpt, truth = grid12
+    embed, ranker, meta = load_checkpoint(ckpt)
+    ranker.b_out[:] = b_out
+    planted = tmp_path / "planted.ckpt"
+    save_checkpoint(planted, embed, ranker, meta)
+    node_file = tmp_path / "nodes.txt"
+    node_file.write_text("".join(f"{v}\n" for v in nodes))
+    _, ratings = check_rank_and_eval(tmp_path, net_dir, samples, planted, truth, list(nodes),
+                                     node_file=node_file)
+    lines = ratings.read_text().splitlines()[1:]
+    assert len(lines) == len(nodes) * (len(nodes) - 1)
+    assert {line.rsplit(",", 1)[1][-4:] for line in lines} == texts
+
+
+def test_a_single_node_writes_only_the_ratings_header(grid12, tmp_path):
+    net_dir, samples, ckpt, _ = grid12
+    node_file, ranking, ratings = tmp_path / "nodes.txt", tmp_path / "ranking.csv", tmp_path / "ratings.csv"
+    node_file.write_text("77\n")
+    run_ok("rank", "--network", net_dir, "--ckpt", ckpt, "--samples", samples, "--nodes", node_file,
+           "--ratings-out", ratings, "--out", ranking)
+    assert (ranking.read_bytes(), ratings.read_bytes()) == oracle_rank(net_dir, ckpt, samples, [77])
+    assert ratings.read_text() == "i,j,rating\n"
+
+
 def grid12_scorer(grid12, zero_output=False):
     net_dir, samples, ckpt, truth = grid12
     embed, ranker, _ = load_checkpoint(ckpt)
