@@ -79,11 +79,20 @@ def alias_draw(table: AliasTable, rng: np.random.Generator):
     variate, taken as one vector call each.
     """
     prob = table.prob.reshape(-1, table.size)
-    alias = table.alias.reshape(-1, table.size)
     rows = np.arange(prob.shape[0])
     slot = rng.integers(table.size, size=rows.size)
-    keep = rng.random(rows.size) < prob[rows, slot]
-    return np.where(keep, slot, alias[rows, slot]).reshape(table.prob.shape[:-1])[()]
+    u = rng.random(rows.size)
+    return alias_lookup(prob, table.alias.reshape(prob.shape), rows, slot, u).reshape(
+        table.prob.shape[:-1])[()]
+
+
+def alias_lookup(prob: np.ndarray, alias: np.ndarray, rows: np.ndarray, slot: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """The outcomes of draws from the stacked tables ``prob``, ``alias`` (each
+    ``(tables, size)``): draw ``r`` reads table ``rows[r]`` at slot
+    ``slot[r]`` and keeps the slot where its uniform ``u[r]`` falls below
+    the slot's probability, else takes the slot's alias."""
+    return np.where(u < prob[rows, slot], slot, alias[rows, slot])
 
 
 def reconstruct(table: AliasTable) -> np.ndarray:

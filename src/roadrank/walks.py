@@ -5,11 +5,12 @@ adjacency step; tails takes the two-step bridge node -> attribute -> node,
 recording both the attribute vertex and the landing node.  Attribute
 vertices share the id space ``n..n+m-1``.
 
-Each node's walks advance together as arrays on one random stream per
-node.  Adjacency steps read the network's CSR, the attribute choice uses
-one m-outcome alias table per node, and bridge landings are drawn by
-rejection from the attribute's support, so no table grows with n per
-(node, attribute).  Sample files are ``roadrank-samples v2``;
+Blocks of nodes advance all their walks together, one position at a time,
+as arrays; each node keeps its own random stream and makes the same draws
+from it as it would alone.  Adjacency steps read the network's CSR, the
+attribute choice uses one m-outcome alias table per node, and bridge
+landings are drawn by rejection from the attribute's support, so no table
+grows with n per (node, attribute).  Sample files are ``roadrank-samples v2``;
 :func:`load_samples` also reads v1 files, whose walks came from an earlier
 sampler with one stream per walk and which ``sample`` does not reproduce.
 """
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .alias import AliasTable, alias_draw, build_alias
+# alias_draw is not called here; perfbench/spans.py counts its calls under this module
+from .alias import alias_draw, alias_lookup, build_alias  # noqa: F401
 from .graph import RoadNetwork, ValidationError, open_output, open_text
 
 
@@ -107,31 +109,18 @@ def attr_to_node_distribution(i: int, k: int, abar: np.ndarray) -> np.ndarray:
     return weights / total
 
 
-def _bridge_landing(origin: np.ndarray, k: np.ndarray, abar: np.ndarray,
-                    sup_ptr: np.ndarray, sup_idx: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Land the bridge walk ``w`` that left node ``origin[w]`` through
-    attribute ``k[w]``, with the law of :func:`attr_to_node_distribution`.
+# nodes whose walks advance together: each keeps its own Generator (about
+# 5.7 KB), and the block's arrays hold num walks per node
+_NODE_BLOCK = 64
 
-    Rejection sampling: propose ``j`` uniformly from attribute ``k``'s
-    support ``sup_idx[sup_ptr[k]:sup_ptr[k + 1]]`` and accept it with
-    probability ``1 - |abar[k, j] - abar[k, origin]|``; only the rejected
-    walks propose again.  The weights are <= 1, so accepted draws follow
-    the normalized weights exactly.  ``k`` is drawn only where
-    ``abar[k, origin] > 0``, so the origin lies in the support with weight
-    1 and every proposal round accepts with positive probability: the loop
-    ends, and the uniform fallback of the law is never needed here.
-    """
-    landed = np.empty_like(origin)
-    todo = np.arange(origin.size)
-    while todo.size:
-        kk = k[todo]
-        lo = sup_ptr[kk]
-        j = sup_idx[lo + rng.integers(0, sup_ptr[kk + 1] - lo)]
-        accept = rng.random(todo.size) < 1.0 - np.abs(abar[kk, j] - abar[kk, origin[todo]])
-        landed[todo[accept]] = j[accept]
-        todo = todo[~accept]
-    return landed
+
+def _by_node(walks: np.ndarray, num: int, nodes: int):
+    """``(b, lo, hi)`` for each node ``b`` of a block of ``nodes`` that owns
+    some of the ascending walk indices ``walks``, node ``b`` owning walks
+    ``b * num`` to ``b * num + num - 1``: its own are ``walks[lo:hi]``."""
+    at = np.searchsorted(walks, np.arange(0, (nodes + 1) * num, num))
+    busy = np.flatnonzero(at[1:] > at[:-1])
+    return zip(busy.tolist(), at[busy].tolist(), at[busy + 1].tolist())
 
 
 def sample_walks(net: RoadNetwork, abar: np.ndarray, cfg: WalkConfig) -> SampleSet:
@@ -139,13 +128,27 @@ def sample_walks(net: RoadNetwork, abar: np.ndarray, cfg: WalkConfig) -> SampleS
 
     Every sequence starts at its own node; attribute visits consume a
     position, and a bridge cut off by the sequence end keeps its attribute.
-    Node ``i``'s walks advance together, one position at a time, on their
-    own stream ``SeedSequence((cfg.seed, i))``, so a node's walks do not
-    depend on how many other nodes there are or in which order they run.
-    At each position the walks standing on a node flip the ``alpha`` coin:
-    heads steps to a uniform out-neighbour read from the CSR, tails draws
-    an attribute from the node's alias table; the walks standing on an
-    attribute land on a node by :func:`_bridge_landing`.
+    At each position every walk flips the ``alpha`` coin; the walks
+    standing on a node step on heads to a uniform out-neighbour read from
+    the CSR, and on tails draw an attribute from the node's alias table;
+    the walks standing on an attribute land on a node with the law of
+    :func:`attr_to_node_distribution`, by rejection: each proposes a node
+    ``j`` uniformly from attribute ``k``'s support and accepts it with
+    probability ``1 - |abar[k, j] - abar[k, origin]|``, and only the
+    rejected walks propose again.  The weights are <= 1, so accepted draws
+    follow the normalized weights exactly.  ``k`` is drawn only where
+    ``abar[k, origin] > 0``, so the origin lies in the support with weight
+    1 and every proposal round accepts with positive probability: the loop
+    ends, and the uniform fallback of the law is never needed here.
+
+    Blocks of ``_NODE_BLOCK`` nodes advance all their walks together, and
+    the masks, steps and table lookups run once per block.  Node ``i``
+    draws on its own stream ``SeedSequence((cfg.seed, i))``, as if it ran
+    alone: per position, its coins, its heads' out-neighbour slots, its
+    tails' alias slots and then their uniforms, then each landing round's
+    proposals and uniforms, one call each.  So a node's walks do not depend
+    on how many other nodes there are, in which order they run or how they
+    are blocked.
     """
     n, num = net.n, cfg.num
     deg = np.diff(net.out_ptr)
@@ -158,27 +161,41 @@ def sample_walks(net: RoadNetwork, abar: np.ndarray, cfg: WalkConfig) -> SampleS
     sup_k, sup_idx = np.nonzero(abar)
     sup_ptr = np.concatenate(([0], np.cumsum(np.bincount(sup_k, minlength=net.m))))
     out = np.empty((n, num, cfg.length), dtype=np.int64)
-    for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
-        seqs = out[i]
-        seqs[:, 0] = i
+    for first in range(0, n, _NODE_BLOCK):
+        nodes = range(first, min(first + _NODE_BLOCK, n))
+        rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
+                for i in nodes]
+        seqs = out[first:nodes.stop].reshape(-1, cfg.length)  # node b's walks are rows b*num..
+        seqs[:, 0] = np.repeat(nodes, num)
         for p in range(1, cfg.length):
             prev = seqs[:, p - 1]
             on_node = prev < n
-            heads = rng.random(num) < cfg.alpha
+            heads = np.concatenate([rng.random(num) for rng in rngs]) < cfg.alpha
             step = np.flatnonzero(on_node & heads)
-            if step.size:
-                cur = prev[step]
-                seqs[step, p] = net.out_idx[net.out_ptr[cur] + rng.integers(0, deg[cur])]
+            bound = deg[prev[step]]
+            hop = np.empty_like(step)
+            for b, lo, hi in _by_node(step, num, len(rngs)):
+                hop[lo:hi] = rngs[b].integers(0, bound[lo:hi])
             bridge = np.flatnonzero(on_node & ~heads)
-            if bridge.size:
-                cur = prev[bridge]
-                stack = AliasTable(prob=to_attr_prob[cur], alias=to_attr_alias[cur])
-                seqs[bridge, p] = n + alias_draw(stack, rng)
+            slot, u = np.empty_like(bridge), np.empty(bridge.size)
+            for b, lo, hi in _by_node(bridge, num, len(rngs)):
+                slot[lo:hi] = rngs[b].integers(net.m, size=hi - lo)
+                u[lo:hi] = rngs[b].random(hi - lo)
+            seqs[step, p] = net.out_idx[net.out_ptr[prev[step]] + hop]
+            seqs[bridge, p] = n + alias_lookup(to_attr_prob, to_attr_alias, prev[bridge], slot, u)
             land = np.flatnonzero(~on_node)
-            if land.size:
-                seqs[land, p] = _bridge_landing(seqs[land, p - 2], prev[land] - n,
-                                                abar, sup_ptr, sup_idx, rng)
+            origin, k = seqs[land, p - 2], prev[land] - n
+            while land.size:
+                start = sup_ptr[k]
+                size = sup_ptr[k + 1] - start
+                pick, u = np.empty_like(land), np.empty(land.size)
+                for b, a, z in _by_node(land, num, len(rngs)):
+                    pick[a:z] = rngs[b].integers(0, size[a:z])
+                    u[a:z] = rngs[b].random(z - a)
+                j = sup_idx[start + pick]
+                accept = u < 1.0 - np.abs(abar[k, j] - abar[k, origin])
+                seqs[land[accept], p] = j[accept]
+                land, origin, k = land[~accept], origin[~accept], k[~accept]
     return SampleSet(sequences=out, n=n, m=net.m, config=cfg)
 
 
@@ -191,21 +208,40 @@ _SAMPLES_HEADER = (("n", int), ("m", int), ("num", int), ("l", int), ("alpha", f
 _WRITE_LINES = 4096
 
 
+def _id_words(count: int) -> np.ndarray:
+    """The text of vertex ids ``0..count-1`` and a space, row ``v`` for id
+    ``v``: its digits right-aligned before the space in whole 8-byte words,
+    NUL before them."""
+    ids = np.arange(count)
+    width = len(str(max(count - 1, 0)))
+    text = np.zeros((count, (width + 8) // 8 * 8), np.uint8)
+    text[:, -1] = ord(" ")
+    for col in range(-2, -2 - width, -1):
+        tens = ids // 10
+        digit = (ids - tens * 10 + ord("0")).astype(np.uint8)
+        text[:, col] = np.where((ids > 0) | (col == -2), digit, 0)
+        ids = tens
+    return text.view(np.uint64)
+
+
 def save_samples(samples: SampleSet, path) -> None:
     """Write a sample set as versioned structured text: a header carrying
-    (n, m, num, l, alpha, seed) then one line of vertex ids per sequence."""
+    (n, m, num, l, alpha, seed) then one line of vertex ids (each in
+    ``0..n+m-1``) per sequence."""
     cfg = samples.config
     rows = samples.sequences.reshape(-1, cfg.length)
-    line = " ".join(["%d"] * cfg.length) + "\n"
     header = {"n": samples.n, "m": samples.m, "num": cfg.num, "l": cfg.length,
               "alpha": cfg.alpha, "seed": cfg.seed}
+    words = _id_words(samples.n + samples.m)
     with open_output(Path(path)) as fh:
         fh.write(_SAMPLES_MAGIC + "\n")
         for key, cast in _SAMPLES_HEADER:
             fh.write(f"{key} {cast(header[key])!r}\n")
         for lo in range(0, len(rows), _WRITE_LINES):
-            block = rows[lo:lo + _WRITE_LINES]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            # one row of bytes per line, each id's text and space, whose NULs are dropped
+            text = words[rows[lo:lo + _WRITE_LINES]].view(np.uint8)
+            text[:, -1, -1] = ord("\n")
+            fh.write(text.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _read_sequence_lines(fh, path: Path, count: int, length: int, ids_below: int) -> np.ndarray:

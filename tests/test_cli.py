@@ -309,6 +309,10 @@ GRID30_SHA256 = {
     "samples.txt": "82e5e07235711a8988884cf2c7ac8ab5dce88d1fd3ddd6aba49541d0bb87f421",
     "bc.csv": "dd8d4cf916cb6907c8843749a84689b7311fb658759d836cd06d6bd79a2736a4",
     "dc.csv": "da085d22eeef3545e2b826cc33eee660616cad9d5e5b8d6b146878a96a6c4710",
+    # the sampler's heads branch, which alpha 1e-4 barely takes (about 0.05
+    # heads per node): mixed steps at alpha 0.5, and heads only at alpha 1
+    "samples_a05_len6.txt": "bfafd6cd5c50186313d7d60edded848919ac4def44dd9baafe2f3b39987006e0",
+    "samples_a1.txt": "75687f8e5e8fd2093252cb8eae9a45af4c56272eb881afd5636d1e20eb685ccb",
 }
 
 
@@ -322,6 +326,10 @@ def test_generate_on_a_30x30_grid_matches_golden_digest(tmp_path):
     assert digest == GRID30_SCORES_SHA256
     assert run("sample", "--network", str(net_dir), "--seed", "1",
                "--out", str(tmp_path / "samples.txt")) == EXIT_OK
+    assert run("sample", "--network", str(net_dir), "--alpha", "0.5", "--len", "6", "--seed", "1",
+               "--out", str(tmp_path / "samples_a05_len6.txt")) == EXIT_OK
+    assert run("sample", "--network", str(net_dir), "--alpha", "1", "--seed", "1",
+               "--out", str(tmp_path / "samples_a1.txt")) == EXIT_OK
     for method in ("bc", "dc"):
         assert run("baseline", "--method", method, "--network", str(net_dir),
                    "--out", str(tmp_path / f"{method}.csv")) == EXIT_OK

@@ -389,11 +389,14 @@ def test_a_fresh_epoch_keeps_its_batches_in_the_workspace(tmp_path):
     """``encoder.Workspace`` exists because glibc hands the pages of a
     freed large array back to the kernel, so a batch that allocates its
     LSTM arrays afresh faults them in again; ``tracemalloc`` cannot see
-    that.  One fresh 10x10 epoch took 3,800-6,200 minor faults after its
-    first batch with the workspace, 9,100-10,200 with a fresh step slot
-    per level and 27,800-31,300 with every workspace view a fresh array
-    (2-vCPU VM, Linux).  A tree reads the same count on every run, but
-    edits elsewhere that shift the heap move it within those ranges."""
+    that.  The child runs with ``MALLOC_TRIM_THRESHOLD_`` at 1 GiB, so glibc
+    keeps its static 128 KiB mmap threshold and never trims the heap:
+    without it, edits that never touch training (a comment line in
+    ``walks.py``, the length of ``--out``) moved the count of one tree
+    between about 2,000 and 10,300.  With it, one fresh 10x10 epoch took
+    140-190 minor faults after its first batch with the workspace, 213,500
+    with a fresh step slot per level and 310,900 with every workspace view
+    a fresh array (2-vCPU VM, Linux, glibc 2.36)."""
     net, scores, samples = tmp_path / "net", tmp_path / "scores.csv", tmp_path / "samples.txt"
     assert main(["synth", "--rows", "10", "--cols", "10", "--seed", "1", "--out", str(net)]) \
         == EXIT_OK
@@ -401,7 +404,8 @@ def test_a_fresh_epoch_keeps_its_batches_in_the_workspace(tmp_path):
     assert main(["sample", "--network", str(net), "--seed", "1", "--out", str(samples)]) \
         == EXIT_OK
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(roadrank.__file__).parents[1]),
-                                                        os.environ.get("PYTHONPATH", "")])}
+                                                        os.environ.get("PYTHONPATH", "")]),
+           "MALLOC_TRIM_THRESHOLD_": str(2**30)}
     proc = subprocess.run(
         [sys.executable, "-c", FAULTS_OF_ONE_EPOCH, "train", "--network", str(net),
          "--scores", str(scores), "--samples", str(samples), "--epochs", "1",

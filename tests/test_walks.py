@@ -1,10 +1,15 @@
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roadrank import walks
+from roadrank.alias import AliasTable, alias_draw, build_alias
 from roadrank.graph import RoadNetwork, ValidationError, normalized_views
 from roadrank.synth import synth_grid_network
 from roadrank.walks import (SampleSet, WalkConfig, attr_to_node_distribution,
@@ -207,6 +212,82 @@ def test_bridge_landing_follows_attr_to_node_law():
     assert worst < 4.0
 
 
+def reference_walks(net, abar, cfg):
+    """The sampler as one loop over nodes: node ``i``'s walks advance
+    together on its own stream ``SeedSequence((cfg.seed, i))``, with the
+    draws :func:`walks.sample_walks` makes for it."""
+    n, num = net.n, cfg.num
+    deg = np.diff(net.out_ptr)
+    tables = [build_alias(node_to_attr_distribution(i, abar)) for i in range(n)]
+    to_attr_prob = np.array([t.prob for t in tables])
+    to_attr_alias = np.array([t.alias for t in tables])
+    sup_k, sup_idx = np.nonzero(abar)
+    sup_ptr = np.concatenate(([0], np.cumsum(np.bincount(sup_k, minlength=net.m))))
+    out = np.empty((n, num, cfg.length), dtype=np.int64)
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
+        seqs = out[i]
+        seqs[:, 0] = i
+        for p in range(1, cfg.length):
+            prev = seqs[:, p - 1]
+            on_node = prev < n
+            heads = rng.random(num) < cfg.alpha
+            step = np.flatnonzero(on_node & heads)
+            if step.size:
+                cur = prev[step]
+                seqs[step, p] = net.out_idx[net.out_ptr[cur] + rng.integers(0, deg[cur])]
+            bridge = np.flatnonzero(on_node & ~heads)
+            if bridge.size:
+                cur = prev[bridge]
+                stack = AliasTable(prob=to_attr_prob[cur], alias=to_attr_alias[cur])
+                seqs[bridge, p] = n + alias_draw(stack, rng)
+            land = np.flatnonzero(~on_node)
+            # rejection from the attribute's support, only the rejected walks proposing again
+            origin, k = seqs[land, p - 2], prev[land] - n
+            while land.size:
+                lo = sup_ptr[k]
+                j = sup_idx[lo + rng.integers(0, sup_ptr[k + 1] - lo)]
+                accept = rng.random(land.size) < 1.0 - np.abs(abar[k, j] - abar[k, origin])
+                seqs[land[accept], p] = j[accept]
+                land, origin, k = land[~accept], origin[~accept], k[~accept]
+    return out
+
+
+@st.composite
+def small_networks(draw):
+    """A network of 1-12 nodes with random edges, its sinks patched with
+    self-loops, and 3-4 attributes of small integer values; attribute 0 may
+    be all-zero and attribute 1 may be held by one node."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(3, 4))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    edges += [(i, i) for i in sorted(set(range(n)) - {s for s, _ in edges})]
+    src, dst = (np.array(side, dtype=np.int64) for side in zip(*edges))
+    A = np.array(draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)),
+                 dtype=np.float64).reshape(n, m)
+    if draw(st.booleans()):
+        A[:, 0] = 0.0
+    if draw(st.booleans()):
+        A[:, 1] = 0.0
+        A[draw(node), 1] = 2.0
+    A[A.sum(axis=1) == 0, 2] = 1.0
+    return RoadNetwork(n=n, m=m, src=src, dst=dst, A=A, attr_names=tuple("abcd"[:m]))
+
+
+@pytest.mark.filterwarnings("ignore:attribute")
+@settings(max_examples=150, deadline=None)
+@given(net=small_networks(), alpha=st.sampled_from([0.0, 1e-4, 0.3, 1.0]),
+       num=st.integers(1, 5), length=st.integers(2, 6), seed=st.integers(0, 2**32))
+def test_node_blocks_match_the_per_node_loop(net, alpha, num, length, seed):
+    """Blocks of 1, 7 and all nodes give the per-node loop's sequences, bit for bit."""
+    abar = normalized_views(net)
+    cfg = WalkConfig(alpha=alpha, num=num, length=length, seed=seed)
+    want = reference_walks(net, abar, cfg)
+    for block in (1, 7, net.n):
+        with mock.patch.object(walks, "_NODE_BLOCK", block):
+            npt.assert_array_equal(sample_walks(net, abar, cfg).sequences, want)
+
+
 def test_sampler_memory_does_not_grow_with_node_attribute_tables():
     """60x60 grid (3,600 nodes, 5 attributes): one n-wide table per (node,
     attribute) pair would be 3,600 * 5 * 3,600 * 16 B, about 1 GB; the
@@ -237,6 +318,17 @@ def test_save_samples_body_matches_per_line_writer(tmp_path):
     cfg = WalkConfig(alpha=0.25, num=70, length=5, seed=2)
     seqs = rng.integers(0, 10**6, size=(100, 70, 5))
     ss = SampleSet(sequences=seqs, n=100, m=10**6 - 100, config=cfg)
+    save_samples(ss, tmp_path / "s.txt")
+    write_samples_per_line(ss, tmp_path / "ref.txt")
+    assert (tmp_path / "s.txt").read_text().split("\n", 7)[7] == (tmp_path / "ref.txt").read_text()
+
+
+def test_save_samples_at_every_power_of_ten(tmp_path):
+    """Ids either side of each power of ten, at every place in a line."""
+    ids = np.array([0] + [v for k in range(1, 7) for v in (10**k - 1, 10**k)])
+    seqs = np.array([np.roll(ids, r) for r in range(ids.size)]).reshape(ids.size, 1, ids.size)
+    cfg = WalkConfig(alpha=0.5, num=1, length=ids.size, seed=0)
+    ss = SampleSet(sequences=seqs, n=ids.size, m=10**6 + 1 - ids.size, config=cfg)
     save_samples(ss, tmp_path / "s.txt")
     write_samples_per_line(ss, tmp_path / "ref.txt")
     assert (tmp_path / "s.txt").read_text().split("\n", 7)[7] == (tmp_path / "ref.txt").read_text()
