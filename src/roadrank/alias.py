@@ -16,8 +16,8 @@ _SUM_TOL = 1e-9
 class AliasTable:
     """Probability table ``prob`` and alias indices ``alias`` for one
     distribution; reconstructable to the input within 1e-12 per entry.
-    :func:`alias_draw` also takes a stack of tables of one size, held as
-    ``(rows, size)`` arrays."""
+    :func:`build_alias` also builds, and :func:`alias_draw` also takes, a
+    stack of tables of one size, held as ``(rows, size)`` arrays."""
 
     prob: np.ndarray
     alias: np.ndarray
@@ -32,41 +32,61 @@ class AliasTable:
 
 
 def build_alias(p) -> AliasTable:
-    """Build an alias table for probability vector ``p``.
+    """Build an alias table for probability vector ``p``, or one table per
+    row of a ``(rows, size)`` stack ``p``, held as ``(rows, size)`` arrays.
 
-    ``p`` must be entrywise finite and >= 0 and sum to 1 within 1e-9.
+    Each row must be entrywise finite and >= 0 and sum to 1 within 1e-9; an
+    error names the first row that is not.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValidationError("alias input must be a non-empty 1-d vector")
-    if (p < 0).any():
-        raise ValidationError(f"alias input has negative entry at {int(np.argmin(p))}")
-    total = p.sum()
-    if not abs(total - 1.0) <= _SUM_TOL:  # a nan or inf entry makes the total non-finite
-        raise ValidationError(f"alias input sums to {total!r}, expected 1 within {_SUM_TOL}")
+    if p.ndim not in (1, 2) or p.shape[-1] == 0:
+        raise ValidationError("alias input must be a non-empty 1-d vector or (rows, size) stack")
+    stack = p.reshape(-1, p.shape[-1])
 
-    # Vose's loop on Python floats: the same IEEE operations as float64
-    # scalars, without numpy's per-element indexing cost
-    n = p.size
-    prob = [1.0] * n
-    alias = list(range(n))
-    scaled = (p * n).tolist()
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        if scaled[g] < 1.0:
-            small.append(g)
-        else:
-            large.append(g)
-    # leftovers in either queue are numerically 1: they keep prob 1 and
+    def name(r: int) -> str:
+        return "alias input" if p.ndim == 1 else f"alias input row {r}"
+
+    negative = np.flatnonzero((stack < 0).any(axis=1))
+    if negative.size:
+        r = int(negative[0])
+        raise ValidationError(f"{name(r)} has negative entry at {int(np.argmin(stack[r]))}")
+    total = stack.sum(axis=1)
+    off = np.flatnonzero(~(np.abs(total - 1.0) <= _SUM_TOL))  # a nan or inf entry is off too
+    if off.size:
+        r = int(off[0])
+        raise ValidationError(f"{name(r)} sums to {total[r]!r}, expected 1 within {_SUM_TOL}")
+
+    # Vose's loop, run on every row at once: a row pops the top of its small
+    # and large stacks, and its float operations and stack order are those
+    # of the one-row loop.  A row's stacks share one row of ``queue``: the
+    # small entries from the left (top at small - 1) and the large ones
+    # from the right (top at size - large); a pop frees the slot its push
+    # takes, so they never meet
+    rows, size = stack.shape
+    scaled = stack * size
+    prob = np.ones_like(scaled)
+    alias = np.tile(np.arange(size, dtype=np.int64), (rows, 1))
+    slot = np.arange(size)
+    below = scaled < 1.0
+    # both stacks in ascending index order from bottom to top
+    queue = np.argsort(np.where(below, slot, 2 * size - slot), axis=1)
+    small = below.sum(axis=1)
+    large = size - small
+    live = np.flatnonzero((small > 0) & (large > 0))
+    while live.size:
+        top_s, top_g = small[live] - 1, size - large[live]
+        s, g = queue[live, top_s], queue[live, top_g]
+        prob[live, s] = scaled[live, s]
+        alias[live, s] = g
+        scaled[live, g] = grown = (scaled[live, g] + scaled[live, s]) - 1.0
+        to_small = grown < 1.0
+        queue[live, np.where(to_small, top_s, top_g)] = g
+        small[live] += to_small - 1
+        large[live] -= to_small
+        live = live[(small[live] > 0) & (large[live] > 0)]
+    # leftovers in either stack are numerically 1: they keep prob 1 and
     # alias themselves
-    return AliasTable(prob=np.array(prob, dtype=np.float64),
-                      alias=np.array(alias, dtype=np.int64))
+    return AliasTable(prob=prob.reshape(p.shape), alias=alias.reshape(p.shape))
 
 
 def alias_draw(table: AliasTable, rng: np.random.Generator):

@@ -110,14 +110,84 @@ def read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
         raise ValidationError(f"{path}: file is empty")
 
 
+# the bytes of a canonical file: printable ASCII other than the space and the
+# double quote, and the \n line end
+_CANONICAL_BYTES = bytes(range(0x21, 0x7f)).replace(b'"', b"") + b"\n"
+
+
+def _canonical_table(path: Path) -> tuple[list[str], list[str], np.ndarray] | None:
+    """The header's fields, the data lines and their values as a float64
+    array, parsed whole, for a file in the canonical form that
+    :func:`save_network` and :func:`write_node_table` write: printable ASCII
+    other than the space and the double quote, ``\\n`` line ends, no blank
+    line, and the header's field count on every line.  None for any other
+    file.
+
+    numpy's text reader parses each value with ``PyOS_string_to_double``,
+    as ``float`` does a field with no space or underscore, so a value gets
+    ``float``'s bits; a field that ``float`` takes and it does not
+    (``1_0``, say) makes the file not canonical.
+    """
+    data = path.read_bytes()
+    if data.translate(None, _CANONICAL_BYTES):
+        return None
+    header, *lines = data.decode("ascii").split("\n")
+    if lines and not lines[-1]:
+        lines.pop()  # the final line end
+    if not lines or "" in lines:
+        return None
+    fields = header.split(",")
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != len(fields):
+        return None
+    return fields, lines, values
+
+
+def _node_table_arrays(path: Path, n: int | None
+                       ) -> tuple[tuple[str, ...], np.ndarray, dict[int, int]] | None:
+    """:func:`read_node_table` on a canonical file that passes every check,
+    its node ids digits only; None for any other file."""
+    table = _canonical_table(path)
+    if table is None:
+        return None
+    header, lines, values = table
+    n = len(lines) if n is None else n
+    if (header[0] != "node_id" or len(header) < 2 or len(lines) != n
+            or not all(line.partition(",")[0].isdigit() for line in lines)):
+        return None
+    # digit strings parse exactly below 2**53, and a longer one reads >= n
+    ids, values = values[:, 0], values[:, 1:]
+    if not ((ids < n).all() and ((0 <= values) & (values < math.inf)).all()):
+        return None
+    node = ids.astype(np.int64)
+    if np.bincount(node, minlength=n).max() > 1:
+        return None
+    A = np.empty((n, values.shape[1]))
+    A[node] = values
+    return tuple(header[1:]), A, dict(zip(node.tolist(), range(2, n + 2)))
+
+
 def read_node_table(path, what: str, n: int | None = None
                     ) -> tuple[tuple[str, ...], np.ndarray, dict[int, int]]:
     """Read a node table: header ``node_id,<name_1>,...,<name_k>``, then one
     row of k finite values >= 0 per node, in any order, whose ids cover
     ``0..n-1`` exactly (``n`` defaults to the row count).  Returns the names,
     the (n, k) values and each node's line; ``what`` names a value in errors.
+
+    A canonical file (:func:`_canonical_table`) is parsed whole; any other
+    file, and a canonical one that fails a check, is read row by row, which
+    names the first bad line.
     """
     path = Path(path)
+    return _node_table_arrays(path, n) or _read_node_table_rows(path, what, n)
+
+
+def _read_node_table_rows(path: Path, what: str, n: int | None
+                          ) -> tuple[tuple[str, ...], np.ndarray, dict[int, int]]:
+    """:func:`read_node_table` one row at a time, for any file it accepts."""
     (header_ln, header), *rows = read_rows(path)
     if header[0] != "node_id":
         raise ValidationError(f"{path}:{header_ln}: {what} header must start with 'node_id'")
@@ -178,7 +248,9 @@ def load_network(edge_file, attr_file) -> RoadNetwork:
 
     Raises :class:`ValidationError` (naming the offending line) for a
     malformed node table, a node with no positive attribute, a dangling
-    edge endpoint, or a duplicate edge.
+    edge endpoint, or a duplicate edge.  Canonical files
+    (:func:`_canonical_table`) are parsed whole; any other file, and a
+    canonical one that fails a check, is read row by row.
     """
     edge_file = Path(edge_file)
     attr_names, A, attr_line = read_node_table(attr_file, "attribute")
@@ -191,6 +263,47 @@ def load_network(edge_file, attr_file) -> RoadNetwork:
             "has no positive attribute (every node needs at least one)"
         )
 
+    src, dst = _edge_arrays(edge_file, n) or _read_edge_rows(edge_file, n)
+    loops = np.flatnonzero(np.bincount(src, minlength=n) == 0).tolist()
+    if loops:
+        warnings.warn(
+            f"added self-loops to {len(loops)} zero-out-degree node(s): {loops}",
+            stacklevel=2,
+        )
+
+    return RoadNetwork(
+        n=n,
+        m=m,
+        src=np.concatenate((src, np.array(loops, dtype=np.int64))),
+        dst=np.concatenate((dst, np.array(loops, dtype=np.int64))),
+        A=A,
+        attr_names=attr_names,
+        self_loop_nodes=tuple(loops),
+    )
+
+
+def _edge_arrays(edge_file: Path, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The edges' (src, dst) of a canonical edge file (:func:`_canonical_table`)
+    whose header is ``src,dst``, whose endpoints are digits only, and that
+    passes every check of :func:`_read_edge_rows`; None for any other file."""
+    table = _canonical_table(edge_file)
+    if table is None:
+        return None
+    header, lines, values = table
+    if header != ["src", "dst"] or not "".join(lines).replace(",", "").isdigit():
+        return None
+    if not (values < n).all():  # a digit string >= 2**53 reads >= n too
+        return None
+    src, dst = values.astype(np.int64).T
+    edge = np.sort(src * n + dst)  # np.unique would import numpy.ma on its first call
+    if (edge[1:] == edge[:-1]).any():
+        return None
+    return src, dst
+
+
+def _read_edge_rows(edge_file: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges' (src, dst) of an edge file over nodes ``0..n-1``, read one
+    row at a time, naming the first bad line."""
     edge_rows = read_rows(edge_file)
     e_ln, e_header = next(edge_rows)
     if e_header[:2] != ["src", "dst"]:
@@ -218,23 +331,7 @@ def load_network(edge_file, attr_file) -> RoadNetwork:
         seen_edges[(src, dst)] = ln
         srcs.append(src)
         dsts.append(dst)
-
-    loops = sorted(set(range(n)).difference(srcs))
-    if loops:
-        warnings.warn(
-            f"added self-loops to {len(loops)} zero-out-degree node(s): {loops}",
-            stacklevel=2,
-        )
-
-    return RoadNetwork(
-        n=n,
-        m=m,
-        src=np.array(srcs + loops, dtype=np.int64),
-        dst=np.array(dsts + loops, dtype=np.int64),
-        A=A,
-        attr_names=attr_names,
-        self_loop_nodes=tuple(loops),
-    )
+    return np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64)
 
 
 def save_network(net: RoadNetwork, out_dir) -> None:

@@ -8,11 +8,12 @@ vertices share the id space ``n..n+m-1``.
 Blocks of nodes advance all their walks together, one position at a time,
 as arrays; each node keeps its own random stream and makes the same draws
 from it as it would alone.  Adjacency steps read the network's CSR, the
-attribute choice uses one m-outcome alias table per node, and bridge
-landings are drawn by rejection from the attribute's support, so no table
-grows with n per (node, attribute).  Sample files are ``roadrank-samples v2``;
-:func:`load_samples` also reads v1 files, whose walks came from an earlier
-sampler with one stream per walk and which ``sample`` does not reproduce.
+attribute choice uses one m-outcome alias table per node (all of them built
+in one stacked Vose pass), and bridge landings are drawn by rejection from
+the attribute's support, so no table grows with n per (node, attribute).
+Sample files are ``roadrank-samples v2``; :func:`load_samples` also reads v1
+files, whose walks came from an earlier sampler with one stream per walk and
+which ``sample`` does not reproduce.
 """
 
 from __future__ import annotations
@@ -152,11 +153,15 @@ def sample_walks(net: RoadNetwork, abar: np.ndarray, cfg: WalkConfig) -> SampleS
     """
     n, num = net.n, cfg.num
     deg = np.diff(net.out_ptr)
-    to_attr_prob = np.empty((n, net.m))
-    to_attr_alias = np.empty((n, net.m), dtype=np.int64)
-    for i in range(n):
-        table = build_alias(node_to_attr_distribution(i, abar))
-        to_attr_prob[i], to_attr_alias[i] = table.prob, table.alias
+    # every node's node_to_attr_distribution, row i for node i: a row sum of
+    # the contiguous copy adds a node's shares as its column's own sum does
+    shares = np.ascontiguousarray(abar.T)
+    totals = shares.sum(axis=1)
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        raise ValidationError(f"node {int(empty[0])} has no positive attribute mass")
+    table = build_alias(shares / totals[:, None])
+    to_attr_prob, to_attr_alias = table.prob, table.alias
     # each attribute's support (the nonzeros of its abar row) as a CSR
     sup_k, sup_idx = np.nonzero(abar)
     sup_ptr = np.concatenate(([0], np.cumsum(np.bincount(sup_k, minlength=net.m))))

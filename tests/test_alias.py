@@ -122,3 +122,35 @@ def test_build_alias_matches_numpy_vose(weights):
     npt.assert_array_equal(t.prob, prob)
     npt.assert_array_equal(t.alias, alias)
     assert t.prob.dtype == np.float64 and t.alias.dtype == np.int64
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 9, 33])
+def test_stacked_build_alias_matches_numpy_vose(m):
+    """A ``(rows, m)`` stack gives, row by row, exactly the reference
+    tables: rows with zero entries, skewed rows and uniform rows."""
+    rng = np.random.default_rng(m)
+    p = rng.random((300, m)) ** rng.uniform(0.1, 8.0, size=(300, 1))
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[~p.any(axis=1), -1] = 1.0
+    p[:20] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    t = build_alias(p)
+    assert t.prob.shape == t.alias.shape == p.shape
+    assert t.prob.dtype == np.float64 and t.alias.dtype == np.int64
+    for r, row in enumerate(p):
+        prob, alias = vose_numpy(row)
+        assert t.prob[r].tobytes() == prob.tobytes(), r
+        npt.assert_array_equal(t.alias[r], alias)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ([0.5, -0.1, 0.6], "alias input row 2 has negative entry at 1"),
+    ([0.2, 0.2, 0.2], "alias input row 2 sums to"),
+    ([np.nan, 0.5, 0.5], "alias input row 2 sums to"),
+    ([np.inf, 0.0, 0.0], "alias input row 2 sums to"),
+])
+def test_stacked_bad_row_is_named(bad, message):
+    p = np.full((4, 3), 1 / 3)
+    p[2] = bad
+    with pytest.raises(ValidationError, match=message):
+        build_alias(p)

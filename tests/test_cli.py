@@ -1166,6 +1166,9 @@ def corrupt(text: str, op: str, k: int, j: int, junk: str, token: str) -> bytes:
 
 # a truncated edge list leaves nodes without out-edges, which load with a warning
 @pytest.mark.filterwarnings("ignore:added self-loops")
+# a garbled train.cfg can ask for more strata than the 16-node v1 network
+# fills with 3 nodes each, and training warns as it reduces them
+@pytest.mark.filterwarnings("ignore:too few nodes per stratum")
 @settings(max_examples=600, deadline=None)
 @given(target=st.sampled_from(["model.ckpt", "samples.txt", "ranking.csv", "scores.csv",
                                "edges.csv", "attributes.csv", "train.cfg", "sample.cfg",

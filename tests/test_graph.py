@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roadrank
+from roadrank import graph
 from roadrank.baselines import degree_centrality, pagerank
-from roadrank.graph import (ValidationError, load_network, load_network_dir, normalized_views,
-                            save_network)
+from roadrank.graph import (RoadNetwork, ValidationError, load_network, load_network_dir,
+                            normalized_views, save_network)
 from roadrank.synth import synth_grid_network
 from roadrank.walks import node_step_distribution
 
@@ -320,3 +323,146 @@ def test_network_rejects_a_sink():
     net = synth_grid_network(2, 2, seed=0)
     with pytest.raises(ValidationError, match="node 3 has out-degree 0"):
         dataclasses.replace(net, src=net.src[net.src != 3], dst=net.dst[net.src != 3])
+
+
+# tokens put in place of a node id or an edge endpoint: forms int() takes
+# (a sign, leading zeros, an underscore, a non-ASCII digit) and forms it does not
+ID_TOKENS = ("+{v}", "00{v}", "{v}_0", "{v}e0", "{v}.0", "-{v}", "", "9" * 25, "٣",
+             " {v} ", '"{v}"', "{v}\t")
+# tokens put in place of an attribute value: forms float() takes and forms it does not
+VALUE_TOKENS = ("nan", "inf", "-inf", "1e999", "-0.0", "1" * 30, "0." + "1" * 400, "1_0",
+                "+1.5", ".5", "5.", "1e-400", "4.9e-324", "0x10", "Infinity", "1e", "", "1.0.0",
+                " 2.5", '"3"')
+PERTURBATIONS = ("none", "crlf", "no_final_newline", "non_utf8", "shuffle", "blank", "spaces",
+                 "id", "value", "name", "duplicate_edge", "dangling_edge", "sink")
+
+
+def perturb(edges: list[str], attrs: list[str], n: int, op: str, data) -> None:
+    """Apply one file perturbation ``op`` to the lines (without ends) of the
+    edge and attribute files; byte-level ones are left to :func:`join_lines`."""
+    which = data.draw(st.sampled_from([edges, attrs]))
+    i = data.draw(st.integers(0, len(which) - 1))
+    if op == "shuffle":
+        body = which[1:]
+        which[1:] = data.draw(st.permutations(body))
+    elif op == "blank":
+        which.insert(data.draw(st.integers(0, len(which))), data.draw(st.sampled_from(["", ","])))
+    elif op == "spaces":
+        which[i] = which[i].replace(",", data.draw(st.sampled_from([", ", " ,", " , "])))
+    elif op == "id":
+        fields = which[i].split(",")
+        col = data.draw(st.integers(0, len(fields) - 1 if which is edges else 0))
+        fields[col] = data.draw(st.sampled_from(ID_TOKENS)).format(v=fields[col])
+        which[i] = ",".join(fields)
+    elif op == "value" and "," in attrs[-1]:
+        fields = attrs[-1].split(",")
+        fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(
+            st.sampled_from(VALUE_TOKENS))
+        attrs[-1] = ",".join(fields)
+    elif op == "name":
+        attrs[0] = attrs[0] + "," + data.draw(st.sampled_from(["车道", "", "x y"]))
+        attrs[1:] = [line + ",1.0" for line in attrs[1:]]
+    elif op == "duplicate_edge" and len(edges) > 1:
+        edges.append(edges[data.draw(st.integers(1, len(edges) - 1))])
+    elif op == "dangling_edge":
+        edges.append(data.draw(st.sampled_from([f"{n},0", f"0,{n}", "0,99999999999999999999"])))
+    elif op == "sink":
+        v = data.draw(st.integers(0, n - 1))
+        edges[1:] = [line for line in edges[1:] if not line.startswith(f"{v},")]
+
+
+def join_lines(lines: list[str], ops: list[str], data) -> bytes:
+    """The file's bytes: ``lines`` with ``\\n`` ends, and, where ``ops`` ask
+    for them, CRLF ends, no final line end or a byte that is not UTF-8."""
+    raw = "".join(line + "\n" for line in lines).encode("utf-8")
+    if "crlf" in ops and data.draw(st.booleans()):
+        raw = raw.replace(b"\n", b"\r\n")
+    if "no_final_newline" in ops and data.draw(st.booleans()):
+        raw = raw.rstrip(b"\n")
+    if "non_utf8" in ops and data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+def load_outcome(edges, attrs):
+    """What :func:`load_network` gives: the network's arrays and warnings,
+    or the error's text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            net = load_network(edges, attrs)
+            got = ("net", net.src.tobytes(), net.dst.tobytes(), net.A.tobytes(), net.A.shape,
+                   net.A.strides, net.attr_names, net.self_loop_nodes)
+        except ValidationError as exc:
+            got = ("error", str(exc))
+    return got, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def load_both_ways(edges, attrs):
+    """:func:`load_outcome` with the whole-array readers, and with the row
+    loops alone."""
+    fast = load_outcome(edges, attrs)
+    with mock.patch.object(graph, "_node_table_arrays", lambda *args: None), \
+            mock.patch.object(graph, "_edge_arrays", lambda *args: None):
+        return fast, load_outcome(edges, attrs)
+
+
+@pytest.mark.parametrize("column", ["node_id", "src", "dst", "value"])
+@pytest.mark.parametrize("token", sorted(set(ID_TOKENS + VALUE_TOKENS)))
+def test_each_token_reads_alike(tmp_path, column, token):
+    """One field of a canonical 3-node network, set to each token, loads the
+    same through the whole-array readers and the row loops."""
+    edges = ["src,dst", "0,1", "1,2", "2,0"]
+    attrs = ["node_id,a,b", "0,1.5,2.0", "1,3.0,0.25", "2,0.5,4.0"]
+    lines, col = {"node_id": (attrs, 0), "src": (edges, 0), "dst": (edges, 1),
+                  "value": (attrs, 2)}[column]
+    fields = lines[2].split(",")
+    fields[col] = token.format(v=fields[col])
+    lines[2] = ",".join(fields)
+    (tmp_path / "edges.csv").write_text("".join(line + "\n" for line in edges))
+    (tmp_path / "attributes.csv").write_text("".join(line + "\n" for line in attrs))
+    fast, rows = load_both_ways(tmp_path / "edges.csv", tmp_path / "attributes.csv")
+    assert fast == rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(1, 3),
+       entries=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e300),
+                                  st.floats(0.0, 1e-300)), min_size=27, max_size=27),
+       ops=st.lists(st.sampled_from(PERTURBATIONS), min_size=1, max_size=3), data=st.data())
+def test_whole_array_readers_match_the_row_loops(tmp_path_factory, n, m, entries, ops, data):
+    """For random networks written by ``save_network`` and then perturbed,
+    the whole-array readers and the row loops give bit-equal arrays and the
+    same warnings, or the same ValidationError text; the array readers take
+    every unperturbed file."""
+    A = np.array(entries[:n * m]).reshape(n, m)
+    A[~(A > 0).any(axis=1), 0] = 1.0
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    pairs |= {(i, (i + 1) % n) for i in range(n)}
+    src, dst = (np.array(side, dtype=np.int64) for side in zip(*sorted(pairs)))
+    d = tmp_path_factory.mktemp("net")
+    save_network(RoadNetwork(n=n, m=m, src=src, dst=dst, A=A,
+                             attr_names=tuple(f"a{k}" for k in range(m))), d)
+    edges_path, attrs_path = d / "edges.csv", d / "attributes.csv"
+    if set(ops) == {"none"}:
+        assert graph._node_table_arrays(attrs_path, None) is not None
+        assert graph._edge_arrays(edges_path, n) is not None
+    edges = edges_path.read_text().splitlines()
+    attrs = attrs_path.read_text().splitlines()
+    for op in ops:
+        perturb(edges, attrs, n, op, data)
+    edges_path.write_bytes(join_lines(edges, ops, data))
+    attrs_path.write_bytes(join_lines(attrs, ops, data))
+
+    table = graph._node_table_arrays(attrs_path, None)
+    if table is not None:
+        names, values, line_of = graph._read_node_table_rows(attrs_path, "attribute", None)
+        assert table[0] == names and table[2] == line_of
+        assert table[1].tobytes() == values.tobytes() and table[1].shape == values.shape
+        arrays = graph._edge_arrays(edges_path, values.shape[0])
+        if arrays is not None:
+            for got, want in zip(arrays, graph._read_edge_rows(edges_path, values.shape[0])):
+                assert got.tobytes() == want.tobytes()
+    fast, rows = load_both_ways(edges_path, attrs_path)
+    assert fast == rows

@@ -288,6 +288,38 @@ def test_node_blocks_match_the_per_node_loop(net, alpha, num, length, seed):
             npt.assert_array_equal(sample_walks(net, abar, cfg).sequences, want)
 
 
+def test_sampler_tables_match_the_per_node_tables():
+    """With m = 9 attributes, where numpy sums a node's column pairwise
+    rather than one term after another, the sampler's one stacked table
+    holds, row by row, the bits of ``node_to_attr_distribution`` and a
+    one-row ``build_alias``: for the view ``normalized_views`` returns, whose
+    columns are contiguous, and for a row-major copy, whose column sums
+    along axis 0 would add one term after another."""
+    rng = np.random.default_rng(9)
+    grid = synth_grid_network(6, 6, seed=1)
+    A = rng.uniform(0.1, 100.0, size=(grid.n, 9)) * (rng.random((grid.n, 9)) < 0.7)
+    A[:, 0] += 1.0
+    net = RoadNetwork(n=grid.n, m=9, src=grid.src, dst=grid.dst, A=A,
+                      attr_names=tuple("abcdefghi"))
+    rows = np.ascontiguousarray(normalized_views(net))
+    per_node = np.array([rows[:, i].sum() for i in range(net.n)])
+    assert (rows.sum(axis=0) != per_node).any()  # the orders differ here
+    for abar in (normalized_views(net), rows):
+        tables = []
+
+        def spy(p):
+            tables.append(build_alias(p))
+            return tables[-1]
+
+        with mock.patch.object(walks, "build_alias", spy):
+            sample_walks(net, abar, WalkConfig(alpha=0.5, num=2, length=3, seed=0))
+        [stack] = tables
+        for i in range(net.n):
+            want = build_alias(node_to_attr_distribution(i, abar))
+            assert stack.prob[i].tobytes() == want.prob.tobytes(), i
+            npt.assert_array_equal(stack.alias[i], want.alias)
+
+
 def test_sampler_memory_does_not_grow_with_node_attribute_tables():
     """60x60 grid (3,600 nodes, 5 attributes): one n-wide table per (node,
     attribute) pair would be 3,600 * 5 * 3,600 * 16 B, about 1 GB; the
