@@ -24,8 +24,8 @@ from . import __version__
 from .baselines import betweenness_centrality, degree_centrality, pagerank
 from .cascade import CascadeConfig, generate_ground_truth, import_scores, save_scores
 from .checkpoint import load_checkpoint, save_checkpoint
-from .graph import (ValidationError, load_network_dir, open_output, open_text, read_rows,
-                    save_network)
+from .graph import (WRITE_LINES, ValidationError, ascii_rows, load_network_dir, open_output,
+                    open_text, read_rows, save_network, write_rows)
 from .metrics import descending_order, report_for_ranking
 from .model import PairScorer, PipelineVariant, apply_ablation
 # rank_from_matrix is not called here; perfbench/spans.py spans it under this module
@@ -326,19 +326,9 @@ def cmd_train(cfg: dict) -> int:
     result = train_model(net, samples, scores, splits, tcfg)
 
     out = cfg["out"]
-    meta = {
-        "variant": tcfg.ablation,
-        "m": net.m,
-        "x": tcfg.x,
-        "dim": tcfg.dim,
-        "hdim": tcfg.hdim,
-        "f1": tcfg.f1,
-        "f2": tcfg.f2,
-        "rdim": tcfg.rdim,
-        "seed": tcfg.seed,
-        "input_dim": result.ranker.input_dim,
-        "best_epoch": result.best_epoch,
-    }
+    meta = {name: getattr(tcfg, name) for name in ("x", "dim", "hdim", "f1", "f2", "rdim", "seed")}
+    meta.update(variant=tcfg.ablation, m=net.m, input_dim=result.ranker.input_dim,
+                best_epoch=result.best_epoch)
     save_checkpoint(out, result.embed, result.ranker, meta)
     history_suffix, splits_suffix = SIDE_OUTPUTS["train"]
     write_history(result.history, _beside(out, history_suffix), tcfg)
@@ -360,18 +350,14 @@ def _reject_repeated_ids(path, nodes) -> None:
         raise ValidationError(f"{path}: duplicate node id(s) {dups}")
 
 
-# ratings.csv lines formatted at once, or one row's when a row is longer:
-# on 30x30, whole 64-row blocks raised rank's peak RSS by 4.4 MB
-WRITE_LINES = 1 << 12
-
-
 def _write_ratings(fh, nodes: list[int], blocks):
     """Pass the rating blocks over ``nodes`` through, writing the
     ``i,j,rating`` header and then each block's lines to ``fh`` as it passes,
     skipping each node's rating of itself.  Each line is its two ids and
-    the rating's ``repr``, as :func:`floattext.repr_rows` forms it."""
+    the rating's ``repr``, as :func:`floattext.repr_rows` forms it; a piece
+    holds up to ``WRITE_LINES`` lines, or one row's when a row is longer."""
     # imported here, so that stages writing no ratings skip its tables (0.5 MB peak RSS)
-    from .floattext import ascii_rows, repr_rows
+    from .floattext import repr_rows
 
     fh.write("i,j,rating\n")
     ids = ascii_rows([f"{v}," for v in nodes])
@@ -389,7 +375,7 @@ def _write_ratings(fh, nodes: list[int], blocks):
             lines[:, :, -1] = ord("\n")
             at = np.arange(len(part))
             lines[at, top + at] = 0  # each node's line over itself: all NUL
-            fh.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
+            write_rows(fh, lines)
         yield lo, r
 
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import ascii_rows
+
 _U = np.uint64  # every operand is uint64: numpy < 2 turns uint64 mixed with int64 into float64
 _M32 = _U(2 ** 32 - 1)
 _Q_MIN, _Q_MAX = -66, -53  # the exponents q of [2**-14, 1), which holds [1e-4, 1)
@@ -54,12 +56,6 @@ def _constants(q: int) -> tuple[int, ...]:
 
 # one row per q: K, 5**K, s, half-width integer part and fraction
 _TABLE = np.array([_constants(q) for q in range(_Q_MIN, _Q_MAX + 1)], dtype=_U).T
-
-
-def ascii_rows(texts: list[str]) -> np.ndarray:
-    """``texts`` as uint8 rows, NUL-padded on the right to the longest."""
-    packed = np.array(texts, dtype=bytes)
-    return packed.view(np.uint8).reshape(len(texts), packed.itemsize)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

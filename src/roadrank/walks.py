@@ -27,7 +27,8 @@ import numpy as np
 
 # alias_draw is not called here; perfbench/spans.py counts its calls under this module
 from .alias import alias_draw, alias_lookup, build_alias  # noqa: F401
-from .graph import RoadNetwork, ValidationError, open_output, open_text
+from .graph import (WRITE_LINES, RoadNetwork, ValidationError, ascii_rows, open_output,
+                    open_text, write_rows)
 
 
 @dataclass(frozen=True)
@@ -209,24 +210,15 @@ _SAMPLES_MAGIC = "roadrank-samples v2"
 _SAMPLES_MAGICS = ("roadrank-samples v1", _SAMPLES_MAGIC)
 _SAMPLES_HEADER = (("n", int), ("m", int), ("num", int), ("l", int), ("alpha", float),
                    ("seed", int))
-# sequence lines formatted per write: a few hundred kB of text, however many nodes
-_WRITE_LINES = 4096
 
 
 def _id_words(count: int) -> np.ndarray:
     """The text of vertex ids ``0..count-1`` and a space, row ``v`` for id
     ``v``: its digits right-aligned before the space in whole 8-byte words,
-    NUL before them."""
-    ids = np.arange(count)
-    width = len(str(max(count - 1, 0)))
-    text = np.zeros((count, (width + 8) // 8 * 8), np.uint8)
-    text[:, -1] = ord(" ")
-    for col in range(-2, -2 - width, -1):
-        tens = ids // 10
-        digit = (ids - tens * 10 + ord("0")).astype(np.uint8)
-        text[:, col] = np.where((ids > 0) | (col == -2), digit, 0)
-        ids = tens
-    return text.view(np.uint64)
+    NUL before them.  With no ids, one row that no line gathers."""
+    ids = range(max(count, 1))
+    width = (len(str(ids[-1])) + 8) // 8 * 8
+    return ascii_rows([f"{v} ".rjust(width, "\0") for v in ids]).view(np.uint64)
 
 
 def save_samples(samples: SampleSet, path) -> None:
@@ -242,11 +234,11 @@ def save_samples(samples: SampleSet, path) -> None:
         fh.write(_SAMPLES_MAGIC + "\n")
         for key, cast in _SAMPLES_HEADER:
             fh.write(f"{key} {cast(header[key])!r}\n")
-        for lo in range(0, len(rows), _WRITE_LINES):
+        for lo in range(0, len(rows), WRITE_LINES):
             # one row of bytes per line, each id's text and space, whose NULs are dropped
-            text = words[rows[lo:lo + _WRITE_LINES]].view(np.uint8)
+            text = words[rows[lo:lo + WRITE_LINES]].view(np.uint8)
             text[:, -1, -1] = ord("\n")
-            fh.write(text.tobytes().translate(None, b"\0").decode("ascii"))
+            write_rows(fh, text)
 
 
 def _read_sequence_lines(fh, path: Path, count: int, length: int, ids_below: int) -> np.ndarray:

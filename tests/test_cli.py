@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import platform
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roadrank
+from roadrank import cli
 from roadrank.cascade import CascadeConfig
 from roadrank.checkpoint import save_checkpoint
 from roadrank.cli import (COMMANDS, EXIT_ERROR, EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK,
@@ -438,6 +440,51 @@ def test_node_readers_reject_bad_ids_and_short_rows(pipeline, tmp_path, capsys):
     err = invalid(capsys, "eval", "--ranking", str(ranking), "--truth", str(scores),
                   "--pairs", str(pairs), "--out", str(tmp_path / "report.txt"))
     assert f"{pairs}:3: expected 3 fields" in err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1\n", "nodes.csv:4: expected 2 fields, got 1"),
+    ("\n1,test\nx,test\n", "nodes.csv:6: bad node id 'x'"),
+])
+def test_node_id_rows_are_named_by_the_line_they_start_on(tmp_path, rows, message):
+    """A quoted field may span lines; a later row's error names its own line."""
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text('node_id,split\n"0\n",test\n' + rows)
+    with pytest.raises(ValidationError, match=message):
+        cli._read_node_ids(nodes, "test")
+
+
+@pytest.mark.parametrize("write_lines", [cli.WRITE_LINES, 30, 1])
+def test_write_ratings_at_every_power_of_ten(monkeypatch, write_lines):
+    """Ids either side of each power of ten, ratings in [1e-4, 1) and the
+    values repr_rows leaves to repr, in pieces of one row up to all rows."""
+    monkeypatch.setattr(cli, "WRITE_LINES", write_lines)
+    nodes = [0] + [v for k in range(1, 7) for v in (10**k - 1, 10**k)]
+    z = len(nodes)
+    rng = np.random.default_rng(4)
+    values = np.concatenate([rng.uniform(1e-4, 1.0, z * z - 4), [1e-4, 0.0, 1.0, 1e-5]])
+    r = rng.permutation(values).reshape(z, z)
+    blocks = [(lo, r[lo:lo + 4]) for lo in range(0, z, 4)]
+    fh = io.StringIO()
+    assert list(cli._write_ratings(fh, nodes, iter(blocks))) == blocks
+    rows = r.tolist()
+    assert fh.getvalue() == "i,j,rating\n" + "".join(
+        f"{i},{j},{rows[a][b]!r}\n" for a, i in enumerate(nodes) for b, j in enumerate(nodes)
+        if a != b)
+
+
+def test_sample_never_imports_floattext(tmp_path):
+    """``sample`` writes no ratings, so it loads none of floattext's tables."""
+    net, out = tmp_path / "net", tmp_path / "samples.txt"
+    assert run("synth", "--rows", "3", "--cols", "3", "--seed", "1", "--out", str(net)) == EXIT_OK
+    code = ("import sys\nfrom roadrank.cli import main\n"
+            f"assert main(['sample', '--network', {str(net)!r}, '--out', {str(out)!r}]) == 0\n"
+            "assert 'roadrank.floattext' not in sys.modules\n")
+    src = str(Path(roadrank.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
 
 
 @pytest.mark.parametrize("body, message", [

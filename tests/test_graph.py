@@ -121,6 +121,34 @@ def test_rejections_name_the_line(tmp_path):
         load_network(edges, attrs)
 
 
+# a quoted node id spanning lines 2 and 3, so the next record starts on line 4
+SPLIT_RECORD = 'node_id,a\n"0\n",1\n'
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,x\n", "attributes.csv:4: non-numeric attribute value"),
+    ("1,1\n1,2\n", r"attributes.csv:5: duplicate node id 1 \(first at line 4\)"),
+    ("\n1,-1\n", "attributes.csv:5: negative attribute a=-1.0 for node 1"),
+])
+def test_node_table_rows_are_named_by_the_line_they_start_on(tmp_path, rows, message):
+    attrs = tmp_path / "attributes.csv"
+    attrs.write_text(SPLIT_RECORD + rows)
+    with pytest.raises(ValidationError, match=message):
+        graph.read_node_table(attrs, "attribute")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ('"0\n\n",1\n1,x\n', "edges.csv:5: non-integer endpoint"),
+    ('1,"0\n"\n1,0\n', r"edges.csv:4: duplicate edge 1->0 \(first at line 2\)"),
+    ('"0\n",1\n1,0\n1,0\n', r"edges.csv:5: duplicate edge 1->0 \(first at line 4\)"),
+])
+def test_edge_rows_are_named_by_the_line_they_start_on(tmp_path, rows, message):
+    edges, attrs = write_net(tmp_path, [], ["0,1,1", "1,1,1"])
+    edges.write_text("src,dst\n" + rows)
+    with pytest.raises(ValidationError, match=message):
+        load_network(edges, attrs)
+
+
 def test_normalize_adjacency_column(tmp_path):
     edges, attrs = write_net(tmp_path, ["0,1", "0,2", "1,2", "2,0"],
                              ["0,1,1", "1,1,1", "2,1,1"])

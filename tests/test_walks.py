@@ -366,6 +366,16 @@ def test_save_samples_at_every_power_of_ten(tmp_path):
     assert (tmp_path / "s.txt").read_text().split("\n", 7)[7] == (tmp_path / "ref.txt").read_text()
 
 
+def test_sample_set_without_vertices_round_trips(tmp_path):
+    cfg = WalkConfig(alpha=0.5, num=2, length=3, seed=1)
+    save_samples(SampleSet(sequences=np.zeros((0, 2, 3), np.int64), n=0, m=0, config=cfg),
+                 tmp_path / "s.txt")
+    assert (tmp_path / "s.txt").read_text() == ("roadrank-samples v2\nn 0\nm 0\nnum 2\nl 3\n"
+                                                "alpha 0.5\nseed 1\n")
+    ss = load_samples(tmp_path / "s.txt")
+    assert (ss.n, ss.m, ss.config, ss.sequences.shape) == (0, 0, cfg, (0, 2, 3))
+
+
 V1_SAMPLES = Path(__file__).parent / "data" / "v1" / "samples.txt"
 
 
